@@ -109,53 +109,82 @@ impl GraphSpec {
 
     /// Generates the graph.
     pub fn build(&self) -> Csr {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        builder::from_triples(self.vertices(), &self.edges(workers), self.weighted)
+    }
+
+    /// The raw `(src, dst, weight)` draws, in draw order, generated on up
+    /// to `workers` threads. Weights are drawn even for unweighted specs,
+    /// so the two share one stream. The output does not depend on
+    /// `workers`: the permutation takes the stream's first `n − 1` draws
+    /// and edge `i` the next `per_edge` draws from `n − 1 + i·per_edge`,
+    /// so each chunk of edges seeks straight to its own draws.
+    fn edges(&self, workers: usize) -> Vec<(u32, u32, u32)> {
         let n = self.vertices();
         let m = n * self.avg_degree as usize;
         let mut rng = SplitMix64::seed_from_u64(self.seed);
         // Deterministic vertex permutation scatters R-MAT's low-id hubs.
         let perm = permutation(n, &mut rng);
-        let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (mut s, mut d) = match self.kind {
-                GraphKind::RmatSocial => rmat_edge(self.scale, RMAT_SOCIAL, &mut rng),
-                GraphKind::Uniform => (
-                    rng.gen_range_u32(0, n as u32),
-                    rng.gen_range_u32(0, n as u32),
-                ),
-            };
-            s = perm[s as usize];
-            d = perm[d as usize];
-            let w = rng.gen_range_u32(1, 64);
-            edges.push((s, d, w));
-        }
-        if self.weighted {
-            builder::from_weighted_edges(n, &edges)
-        } else {
-            let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-            builder::from_edges(n, &pairs)
-        }
+        let first = n.saturating_sub(1) as u64;
+        let per_edge = match self.kind {
+            GraphKind::RmatSocial => u64::from(self.scale) + 1,
+            GraphKind::Uniform => 3,
+        };
+        let mut edges = vec![(0u32, 0u32, 0u32); m];
+        let chunk = m.div_ceil(workers.max(1)).max(MIN_EDGES_PER_WORKER);
+        let fill = |ci: usize, part: &mut [(u32, u32, u32)]| {
+            let mut rng = SplitMix64::at_draw(self.seed, first + (ci * chunk) as u64 * per_edge);
+            for e in part {
+                *e = self.edge(&mut rng, &perm);
+            }
+        };
+        std::thread::scope(|scope| {
+            let mut parts = edges.chunks_mut(chunk).enumerate();
+            let local = parts.next();
+            for (ci, part) in parts {
+                scope.spawn(move || fill(ci, part));
+            }
+            if let Some((ci, part)) = local {
+                fill(ci, part);
+            }
+        });
+        edges
+    }
+
+    /// One edge: its endpoints' draws, then its weight's.
+    #[inline]
+    fn edge(&self, rng: &mut SplitMix64, perm: &[u32]) -> (u32, u32, u32) {
+        let (s, d) = match self.kind {
+            GraphKind::RmatSocial => rmat_edge(self.scale, RMAT_SOCIAL, rng),
+            GraphKind::Uniform => {
+                let n = perm.len() as u32;
+                (rng.gen_range_u32(0, n), rng.gen_range_u32(0, n))
+            }
+        };
+        (perm[s as usize], perm[d as usize], rng.gen_range_u32(1, 64))
     }
 }
 
+/// Below this many edges per worker, generating on more threads costs
+/// more than it saves.
+const MIN_EDGES_PER_WORKER: usize = 1 << 16;
+
+/// One R-MAT edge: per level, one draw `r` picks the quadrant by
+/// `r < a`, `r < a + b`, `r < a + b + c` (top-left, top-right,
+/// bottom-left, else bottom-right). The three comparisons are taken as
+/// bits rather than branches: the source bit is set from the third
+/// quadrant on, the target bit in the second and fourth.
+#[inline]
 fn rmat_edge(scale: u32, (a, b, c, _d): (f64, f64, f64, f64), rng: &mut SplitMix64) -> (u32, u32) {
+    let (ab, abc) = (a + b, a + b + c);
     let mut s = 0u32;
     let mut t = 0u32;
     for _ in 0..scale {
-        s <<= 1;
-        t <<= 1;
-        // Add a little per-level noise so the quadrant structure is not
-        // perfectly self-similar (standard R-MAT practice).
-        let r: f64 = rng.gen_f64();
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            t |= 1;
-        } else if r < a + b + c {
-            s |= 1;
-        } else {
-            s |= 1;
-            t |= 1;
-        }
+        let r = rng.gen_f64();
+        let (past_a, past_ab, past_abc) =
+            (u32::from(r >= a), u32::from(r >= ab), u32::from(r >= abc));
+        s = s << 1 | past_ab;
+        t = t << 1 | (past_a ^ past_ab ^ past_abc);
     }
     (s, t)
 }
@@ -173,6 +202,130 @@ fn permutation(n: usize, rng: &mut SplitMix64) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over a graph's offsets, targets and weights, in that order.
+    fn csr_digest(g: &Csr) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u32| {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let n = g.vertices() as u32;
+        for v in 0..n {
+            eat(g.edge_start(v));
+        }
+        eat(g.edge_count() as u32);
+        for v in 0..n {
+            g.neighbours(v).iter().for_each(|&d| eat(d));
+        }
+        if g.is_weighted() {
+            for v in 0..n {
+                g.weights_of(v).iter().for_each(|&w| eat(w));
+            }
+        }
+        h
+    }
+
+    /// The generator loop before edges were cut into chunks: one stream
+    /// drawn strictly in order, with a branchy quadrant walk.
+    fn sequential_replica(spec: &GraphSpec) -> Vec<(u32, u32, u32)> {
+        let n = spec.vertices();
+        let mut rng = SplitMix64::seed_from_u64(spec.seed);
+        let perm = permutation(n, &mut rng);
+        let (a, b, c, _) = RMAT_SOCIAL;
+        (0..n * spec.avg_degree as usize)
+            .map(|_| {
+                let (s, d) = match spec.kind {
+                    GraphKind::RmatSocial => {
+                        let (mut s, mut t) = (0u32, 0u32);
+                        for _ in 0..spec.scale {
+                            s <<= 1;
+                            t <<= 1;
+                            let r = rng.gen_f64();
+                            if r < a {
+                            } else if r < a + b {
+                                t |= 1;
+                            } else if r < a + b + c {
+                                s |= 1;
+                            } else {
+                                s |= 1;
+                                t |= 1;
+                            }
+                        }
+                        (s, t)
+                    }
+                    GraphKind::Uniform => (
+                        rng.gen_range_u32(0, n as u32),
+                        rng.gen_range_u32(0, n as u32),
+                    ),
+                };
+                let (s, d) = (perm[s as usize], perm[d as usize]);
+                (s, d, rng.gen_range_u32(1, 64))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn built_graphs_match_their_pinned_digests() {
+        let uniform = GraphSpec {
+            kind: GraphKind::Uniform,
+            ..GraphSpec::test_medium()
+        };
+        let digests: Vec<u64> = [GraphSpec::tiny(), GraphSpec::test_medium(), uniform]
+            .iter()
+            .map(|spec| csr_digest(&spec.build()))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x83a5_dda8_9db3_38b1,
+                0x56c5_3f0f_e912_5c39,
+                0xbc2a_f506_3116_b57b
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn chunked_edges_equal_the_sequential_stream() {
+        for (kind, scale, seed) in [
+            (GraphKind::RmatSocial, 1, 1),
+            (GraphKind::RmatSocial, 10, 7),
+            (GraphKind::RmatSocial, 16, 42),
+            (GraphKind::RmatSocial, 17, 7),
+            (GraphKind::Uniform, 0, 3),
+            (GraphKind::Uniform, 15, 42),
+        ] {
+            let spec = GraphSpec {
+                kind,
+                scale,
+                avg_degree: 6,
+                weighted: true,
+                seed,
+            };
+            let expect = sequential_replica(&spec);
+            for workers in [1, 2, 3, 8] {
+                assert!(
+                    spec.edges(workers) == expect,
+                    "{kind:?} scale {scale} seed {seed} on {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_graph() {
+        let spec = GraphSpec {
+            scale: 16,
+            ..GraphSpec::test_medium()
+        };
+        let one = builder::from_triples(spec.vertices(), &spec.edges(1), true);
+        let many = builder::from_triples(spec.vertices(), &spec.edges(5), true);
+        assert_eq!(csr_digest(&one), csr_digest(&many));
+        assert_eq!(csr_digest(&one), csr_digest(&spec.build()));
+    }
 
     #[test]
     fn generation_is_deterministic() {

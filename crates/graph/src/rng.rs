@@ -6,6 +6,15 @@
 //! (Steele, Lea & Flood, OOPSLA 2014) is plenty: one multiply-xorshift
 //! chain per draw, equidistributed over `u64`, and the same sequence on
 //! every platform for a given seed.
+//!
+//! SplitMix64 is counter-based: its state after `k` draws is
+//! `seed + k·γ`, and each draw only mixes that state. So draw `k` can be
+//! reached in O(1) ([`SplitMix64::at_draw`]), which lets a generator cut
+//! one stream into chunks that are produced independently and still
+//! concatenate to exactly the sequential output.
+
+/// The Weyl-sequence increment γ (the golden ratio in 64-bit fixed point).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 pseudo-random number generator.
 #[derive(Debug, Clone)]
@@ -19,10 +28,18 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// The generator for `seed` positioned after `k` draws: its next draw
+    /// is draw `k` (0-based) of the stream `seed_from_u64(seed)` yields.
+    pub fn at_draw(seed: u64, k: u64) -> Self {
+        Self {
+            state: seed.wrapping_add(k.wrapping_mul(GAMMA)),
+        }
+    }
+
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -69,6 +86,20 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn at_draw_jumps_to_the_same_point_of_the_stream() {
+        let mut seq = SplitMix64::seed_from_u64(42);
+        for k in 0..1000u64 {
+            let mut jumped = SplitMix64::at_draw(42, k);
+            assert_eq!(jumped.next_u64(), seq.next_u64(), "draw {k}");
+        }
+        let mut far = SplitMix64::seed_from_u64(u64::MAX);
+        for _ in 0..77 {
+            far.next_u64();
+        }
+        assert_eq!(SplitMix64::at_draw(u64::MAX, 77).next_u64(), far.next_u64());
     }
 
     #[test]
