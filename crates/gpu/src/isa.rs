@@ -3,20 +3,58 @@
 //! Workloads compile to sequences of [`WarpOp`]s per warp. Compute work
 //! between memory operations is fused into single `Compute` bursts; memory
 //! operations carry the per-lane addresses of the *active* lanes, so
-//! divergence shows up as short address vectors.
+//! divergence shows up as short address runs.
+//!
+//! Ops are small `Copy` headers. A memory op's addresses live in one flat
+//! arena per block ([`BlockTrace::addrs`]), and the op holds only its
+//! [`Lanes`], the run of arena slots that are its addresses. A block is
+//! therefore a handful of flat vectors: one op list per warp plus the
+//! arena, whatever its number of memory ops. In a well-formed block the
+//! arena holds the addresses in program order, warp after warp, which is
+//! the order every builder and the trace decoder produce, so two blocks
+//! with the same ops and addresses compare equal.
+
+use std::ops::Range;
 
 use coolpim_hmc::PimOp;
 
+/// The active-lane addresses of one memory op: `len` consecutive slots of
+/// its block's address arena, starting at `start`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes {
+    /// First arena slot.
+    pub start: u32,
+    /// Number of active lanes.
+    pub len: u32,
+}
+
+impl Lanes {
+    /// Number of active lanes.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True when no lane is active.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The arena slots, as an index range.
+    pub fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
 /// One warp-level operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpOp {
     /// A burst of ALU/control work lasting this many core cycles.
     Compute(u32),
     /// A global load; one address per active lane. The warp blocks until
     /// the data returns.
-    Load(Vec<u64>),
+    Load(Lanes),
     /// A global store; fire-and-forget past request acceptance.
-    Store(Vec<u64>),
+    Store(Lanes),
     /// An atomic read-modify-write per active lane. Offloadable to a PIM
     /// instruction when the warp/block is PIM-enabled; otherwise executed
     /// as a host atomic at the L2.
@@ -24,18 +62,22 @@ pub enum WarpOp {
         /// Which RMW operation.
         op: PimOp,
         /// Per-active-lane target addresses.
-        addrs: Vec<u64>,
+        lanes: Lanes,
     },
 }
 
 impl WarpOp {
+    /// The op's lane addresses in the block arena (`None` for compute).
+    pub fn lanes(&self) -> Option<Lanes> {
+        match *self {
+            WarpOp::Compute(_) => None,
+            WarpOp::Load(l) | WarpOp::Store(l) | WarpOp::Atomic { lanes: l, .. } => Some(l),
+        }
+    }
+
     /// Number of active lanes touching memory (0 for compute).
     pub fn active_lanes(&self) -> usize {
-        match self {
-            WarpOp::Compute(_) => 0,
-            WarpOp::Load(a) | WarpOp::Store(a) => a.len(),
-            WarpOp::Atomic { addrs, .. } => addrs.len(),
-        }
+        self.lanes().map_or(0, Lanes::len)
     }
 
     /// Whether this op is an offloadable atomic.
@@ -57,10 +99,8 @@ impl WarpTrace {
     pub fn atomic_lane_ops(&self) -> u64 {
         self.ops
             .iter()
-            .filter_map(|op| match op {
-                WarpOp::Atomic { addrs, .. } => Some(addrs.len() as u64),
-                _ => None,
-            })
+            .filter(|op| op.is_atomic())
+            .map(|op| op.active_lanes() as u64)
             .sum()
     }
 
@@ -80,12 +120,33 @@ impl WarpTrace {
 pub struct BlockTrace {
     /// One trace per warp.
     pub warps: Vec<WarpTrace>,
+    /// The address arena every memory op's [`Lanes`] index.
+    pub addrs: Vec<u64>,
 }
 
 impl BlockTrace {
     /// Number of warps.
     pub fn warp_count(&self) -> usize {
         self.warps.len()
+    }
+
+    /// The addresses of `op` (empty for compute).
+    pub fn addrs_of(&self, op: &WarpOp) -> &[u64] {
+        op.lanes().map_or(&[], |l| &self.addrs[l.range()])
+    }
+
+    /// Appends `addrs` to the arena and returns their lanes, for building
+    /// a memory op by hand.
+    ///
+    /// # Panics
+    /// Panics if the arena would outgrow `u32` indices.
+    pub fn push_lanes(&mut self, addrs: impl IntoIterator<Item = u64>) -> Lanes {
+        let start = self.addrs.len();
+        self.addrs.extend(addrs);
+        Lanes {
+            start: u32::try_from(start).expect("block address arena exceeds u32 indices"),
+            len: u32::try_from(self.addrs.len() - start).expect("op lane count exceeds u32"),
+        }
     }
 }
 
@@ -95,32 +156,56 @@ mod tests {
 
     #[test]
     fn active_lane_accounting() {
+        let mut b = BlockTrace::default();
         assert_eq!(WarpOp::Compute(10).active_lanes(), 0);
-        assert_eq!(WarpOp::Load(vec![0, 64, 128]).active_lanes(), 3);
+        let load = WarpOp::Load(b.push_lanes([0, 64, 128]));
+        assert_eq!(load.active_lanes(), 3);
         let a = WarpOp::Atomic {
             op: PimOp::SignedAdd,
-            addrs: vec![0; 32],
+            lanes: b.push_lanes([0; 32]),
         };
         assert_eq!(a.active_lanes(), 32);
         assert!(a.is_atomic());
+        assert_eq!(b.addrs_of(&load), &[0, 64, 128]);
+        assert_eq!(b.addrs_of(&a), &[0; 32]);
+        assert_eq!(b.addrs_of(&WarpOp::Compute(1)), &[] as &[u64]);
+    }
+
+    #[test]
+    fn lanes_index_the_arena_in_push_order() {
+        let mut b = BlockTrace::default();
+        let first = b.push_lanes([7, 8]);
+        let empty = b.push_lanes([]);
+        let second = b.push_lanes([9]);
+        assert_eq!((first.start, first.len), (0, 2));
+        assert!(empty.is_empty());
+        assert_eq!(empty.start, 2);
+        assert_eq!(second.range(), 2..3);
+        assert_eq!(b.addrs, [7, 8, 9]);
     }
 
     #[test]
     fn atomic_lane_ops_counts_lanes_not_instructions() {
+        let mut b = BlockTrace::default();
         let t = WarpTrace {
             ops: vec![
                 WarpOp::Atomic {
                     op: PimOp::SignedAdd,
-                    addrs: vec![0, 8],
+                    lanes: b.push_lanes([0, 8]),
                 },
                 WarpOp::Compute(5),
                 WarpOp::Atomic {
                     op: PimOp::CasGreater,
-                    addrs: vec![16],
+                    lanes: b.push_lanes([16]),
                 },
             ],
         };
         assert_eq!(t.atomic_lane_ops(), 3);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn ops_are_small_copy_headers() {
+        assert!(std::mem::size_of::<WarpOp>() <= 12);
     }
 }

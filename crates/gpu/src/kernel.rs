@@ -83,15 +83,14 @@ mod tests {
         }
         fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
             let base = (block as u64) << 20;
-            let warps = (0..self.warps)
-                .map(|w| WarpTrace {
-                    ops: vec![
-                        WarpOp::Load((0..32).map(|l| base + (w as u64) * 2048 + l * 4).collect()),
-                        WarpOp::Compute(8),
-                    ],
-                })
-                .collect();
-            BlockTrace { warps }
+            let mut t = BlockTrace::default();
+            for w in 0..self.warps as u64 {
+                let lanes = t.push_lanes((0..32).map(|l| base + w * 2048 + l * 4));
+                t.warps.push(WarpTrace {
+                    ops: vec![WarpOp::Load(lanes), WarpOp::Compute(8)],
+                });
+            }
+            t
         }
         fn next_launch(&mut self) -> bool {
             self.launches_left = self.launches_left.saturating_sub(1);

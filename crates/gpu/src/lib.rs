@@ -42,7 +42,7 @@ pub mod system;
 
 pub use config::GpuConfig;
 pub use controller::{AlwaysOffload, NeverOffload, OffloadController};
-pub use isa::{BlockTrace, WarpOp, WarpTrace};
+pub use isa::{BlockTrace, Lanes, WarpOp, WarpTrace};
 pub use kernel::Kernel;
 pub use source::InstructionSource;
 pub use system::{GpuSystem, RunOutcome};

@@ -26,7 +26,7 @@ use crate::cache::{Cache, CacheOutcome};
 use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::controller::OffloadController;
-use crate::isa::{WarpOp, WarpTrace};
+use crate::isa::{BlockTrace, Lanes, WarpOp};
 use crate::source::InstructionSource;
 use crate::stats::GpuStats;
 
@@ -50,7 +50,8 @@ struct SmState {
 
 #[derive(Debug)]
 struct WarpRun {
-    trace: WarpTrace,
+    /// The warp's op headers; their lanes index its block's arena.
+    ops: Vec<WarpOp>,
     pc: usize,
     sm: usize,
     slot_in_sm: usize,
@@ -58,12 +59,14 @@ struct WarpRun {
     pim_enabled: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct BlockRun {
     id: usize,
     sm: usize,
     pim: bool,
     warps_left: usize,
+    /// The block's address arena, shared by its warps' memory ops.
+    addrs: Vec<u64>,
 }
 
 /// The host GPU coupled to an HMC cube.
@@ -352,7 +355,7 @@ impl GpuSystem {
     ) {
         let t = self.launch_ready.max(self.now);
         let pim = controller.on_block_launch(id, t);
-        let trace = kernel.block_trace(id, pim);
+        let BlockTrace { warps, addrs } = kernel.block_trace(id, pim);
         if pim {
             self.stats.pim_blocks += 1;
         } else {
@@ -367,7 +370,7 @@ impl GpuSystem {
         };
         // Idle warps (empty traces — e.g. topology scans past the vertex
         // range) retire immediately and never enter the event heap.
-        let live_warps = trace.warps.iter().filter(|w| !w.is_empty()).count();
+        let live_warps = warps.iter().filter(|w| !w.is_empty()).count();
         if live_warps == 0 {
             // The whole block is a no-op: complete it on the spot.
             controller.on_block_complete(id, pim, t);
@@ -379,10 +382,11 @@ impl GpuSystem {
             sm,
             pim,
             warps_left: live_warps,
+            addrs,
         });
         self.sms[sm].resident_blocks += 1;
         self.sms[sm].resident_warps += live_warps;
-        for (wi, wt) in trace.warps.into_iter().enumerate() {
+        for (wi, wt) in warps.into_iter().enumerate() {
             if wt.is_empty() {
                 continue;
             }
@@ -394,7 +398,7 @@ impl GpuSystem {
                 }
             };
             self.warps[warp_slot] = Some(WarpRun {
-                trace: wt,
+                ops: wt.ops,
                 pc: 0,
                 sm,
                 slot_in_sm: wi,
@@ -422,18 +426,18 @@ impl GpuSystem {
         self.stats.instructions += 1;
 
         let cycle = self.cfg.cycle_ps();
-        let op = &warp.trace.ops[warp.pc];
+        let op = warp.ops[warp.pc];
         warp.pc += 1;
 
         let next_ready = match op {
             WarpOp::Compute(cycles) => {
                 self.sms[sm].issue_next_free = issue_start + cycle;
-                issue_start + self.cfg.cycles_ps(*cycles)
+                issue_start + self.cfg.cycles_ps(cycles)
             }
-            WarpOp::Load(addrs) => {
+            WarpOp::Load(lanes) => {
                 self.stats.loads += 1;
                 let mut blocks = std::mem::take(&mut self.scratch);
-                coalesce_into(addrs, &mut blocks);
+                coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
                 let mut data_ready = issue_start + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
@@ -444,10 +448,10 @@ impl GpuSystem {
                 self.scratch = blocks;
                 data_ready
             }
-            WarpOp::Store(addrs) => {
+            WarpOp::Store(lanes) => {
                 self.stats.stores += 1;
                 let mut blocks = std::mem::take(&mut self.scratch);
-                coalesce_into(addrs, &mut blocks);
+                coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
                 let mut accepted = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
@@ -458,20 +462,19 @@ impl GpuSystem {
                 self.scratch = blocks;
                 accepted
             }
-            WarpOp::Atomic { op, addrs } => {
-                let op = *op;
+            WarpOp::Atomic { op, lanes } => {
                 let offload = warp.pim_enabled
                     && controller.warp_may_offload(sm, warp.slot_in_sm, issue_start);
                 if offload {
-                    let lanes = addrs.len() as u64;
-                    self.sms[sm].issue_next_free = issue_start + lanes.max(1) * cycle;
-                    self.stats.pim_lane_ops += lanes;
+                    let n = lanes.len() as u64;
+                    self.sms[sm].issue_next_free = issue_start + n.max(1) * cycle;
+                    self.stats.pim_lane_ops += n;
                     let mut done = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
                     let wait_for_data = op.returns_data();
                     // Each active lane is one PIM instruction, tagged
                     // with the issuing SM for hot-spot attribution.
-                    for li in 0..addrs.len() {
-                        let addr = addrs[li];
+                    for li in 0..lanes.len() {
+                        let addr = self.lane_addrs(warp.block_slot, lanes)[li];
                         let c =
                             self.hmc
                                 .submit_from(issue_start, &Request::pim(op, addr), Some(sm));
@@ -486,10 +489,9 @@ impl GpuSystem {
                 } else {
                     // Host path: the atomic executes at the L2; traffic is
                     // per unique 64-byte line.
-                    let lanes = addrs.len() as u64;
-                    self.stats.host_lane_ops += lanes;
+                    self.stats.host_lane_ops += lanes.len() as u64;
                     let mut blocks = std::mem::take(&mut self.scratch);
-                    coalesce_into(addrs, &mut blocks);
+                    coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
                     let txs = blocks.len().max(1) as u64;
                     self.sms[sm].issue_next_free = issue_start + txs * cycle;
                     let wait_for_data = op.returns_data();
@@ -508,7 +510,7 @@ impl GpuSystem {
             }
         };
 
-        if warp.pc == warp.trace.ops.len() {
+        if warp.pc == warp.ops.len() {
             // Warp retired.
             let block_slot = warp.block_slot;
             self.sms[sm].resident_warps -= 1;
@@ -530,6 +532,12 @@ impl GpuSystem {
             self.warps[slot] = Some(warp);
             self.heap.push(Reverse((next_ready, slot)));
         }
+    }
+
+    /// The addresses of `lanes` in the arena of the block in `block_slot`.
+    fn lane_addrs(&self, block_slot: usize, lanes: Lanes) -> &[u64] {
+        let block = self.blocks[block_slot].as_ref().expect("block slot empty");
+        &block.addrs[lanes.range()]
     }
 
     /// Load one 64-byte block through L1 → L2 → HMC; returns data-ready
@@ -623,7 +631,7 @@ impl GpuSystem {
 mod tests {
     use super::*;
     use crate::controller::{AlwaysOffload, NeverOffload};
-    use crate::isa::{BlockTrace, WarpOp};
+    use crate::isa::{BlockTrace, WarpOp, WarpTrace};
     use crate::kernel::{Kernel, KernelProfile};
     use coolpim_hmc::PimOp;
 
@@ -666,29 +674,27 @@ mod tests {
             self.warps
         }
         fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-            let mut warps = Vec::with_capacity(self.warps);
+            let mut t = BlockTrace::default();
             for w in 0..self.warps {
                 let mut ops = Vec::new();
                 let base = (block * self.warps + w) as u64 * 1000;
                 for l in 0..self.loads {
-                    ops.push(WarpOp::Load(
-                        (0..32u64)
-                            .map(|lane| self.addr(base + l as u64 * 37 + lane))
-                            .collect(),
-                    ));
+                    ops.push(WarpOp::Load(t.push_lanes(
+                        (0..32u64).map(|lane| self.addr(base + l as u64 * 37 + lane)),
+                    )));
                     ops.push(WarpOp::Compute(6));
                 }
                 for a in 0..self.atomics {
                     ops.push(WarpOp::Atomic {
                         op: PimOp::SignedAdd,
-                        addrs: (0..32u64)
-                            .map(|lane| self.addr(base + 777 + a as u64 * 91 + lane))
-                            .collect(),
+                        lanes: t.push_lanes(
+                            (0..32u64).map(|lane| self.addr(base + 777 + a as u64 * 91 + lane)),
+                        ),
                     });
                 }
-                warps.push(WarpTrace { ops });
+                t.warps.push(WarpTrace { ops });
             }
-            BlockTrace { warps }
+            t
         }
         fn next_launch(&mut self) -> bool {
             self.launches_left = self.launches_left.saturating_sub(1);
@@ -874,13 +880,20 @@ mod more_tests {
 
     /// One block, one warp, fixed op list.
     struct OneShot {
-        ops: Vec<WarpOp>,
+        block: BlockTrace,
         fired: bool,
     }
 
     impl OneShot {
-        fn new(ops: Vec<WarpOp>) -> Self {
-            Self { ops, fired: false }
+        /// `ops` lists the warp's ops, placing their lanes in the arena.
+        fn new(ops: impl FnOnce(&mut BlockTrace) -> Vec<WarpOp>) -> Self {
+            let mut block = BlockTrace::default();
+            let ops = ops(&mut block);
+            block.warps.push(WarpTrace { ops });
+            Self {
+                block,
+                fired: false,
+            }
         }
     }
 
@@ -897,11 +910,7 @@ mod more_tests {
         fn block_trace(&mut self, _block: usize, _pim: bool) -> BlockTrace {
             assert!(!self.fired, "single block requested twice");
             self.fired = true;
-            BlockTrace {
-                warps: vec![WarpTrace {
-                    ops: self.ops.clone(),
-                }],
-            }
+            self.block.clone()
         }
         fn next_launch(&mut self) -> bool {
             false
@@ -917,7 +926,7 @@ mod more_tests {
     #[test]
     fn compute_only_kernel_time_matches_cycles() {
         let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
-        let mut k = OneShot::new(vec![WarpOp::Compute(1000)]);
+        let mut k = OneShot::new(|_| vec![WarpOp::Compute(1000)]);
         sys.run_to_completion(&mut k, &mut NeverOffload);
         let cycles = sys.stats().end_ps / GpuConfig::tiny().cycle_ps();
         assert!((1000..1100).contains(&cycles), "took {cycles} cycles");
@@ -926,8 +935,8 @@ mod more_tests {
     #[test]
     fn coalesced_load_is_one_transaction() {
         let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
-        let addrs: Vec<u64> = (0..32u64).map(|l| l * 2).collect(); // one 64B line
-        let mut k = OneShot::new(vec![WarpOp::Load(addrs)]);
+        // 32 lanes in one 64B line.
+        let mut k = OneShot::new(|b| vec![WarpOp::Load(b.push_lanes((0..32u64).map(|l| l * 2)))]);
         sys.run_to_completion(&mut k, &mut NeverOffload);
         assert_eq!(sys.hmc().totals().reads, 1);
     }
@@ -935,12 +944,7 @@ mod more_tests {
     #[test]
     fn l1_hits_produce_no_memory_traffic() {
         let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
-        let line: Vec<u64> = vec![0x40];
-        let mut k = OneShot::new(vec![
-            WarpOp::Load(line.clone()),
-            WarpOp::Load(line.clone()),
-            WarpOp::Load(line),
-        ]);
+        let mut k = OneShot::new(|b| (0..3).map(|_| WarpOp::Load(b.push_lanes([0x40]))).collect());
         sys.run_to_completion(&mut k, &mut NeverOffload);
         assert_eq!(sys.hmc().totals().reads, 1, "repeat loads must hit L1");
     }
@@ -951,13 +955,14 @@ mod more_tests {
         // full round trip, unlike fire-and-forget SignedAdd.
         let run = |op: PimOp| {
             let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
-            let ops = (0..64)
-                .map(|i| WarpOp::Atomic {
-                    op,
-                    addrs: vec![i * 4096],
-                })
-                .collect();
-            let mut k = OneShot::new(ops);
+            let mut k = OneShot::new(|b| {
+                (0..64)
+                    .map(|i| WarpOp::Atomic {
+                        op,
+                        lanes: b.push_lanes([i * 4096]),
+                    })
+                    .collect()
+            });
             sys.run_to_completion(&mut k, &mut AlwaysOffload);
             sys.stats().end_ps
         };
@@ -972,15 +977,17 @@ mod more_tests {
     #[test]
     fn stats_count_instruction_mix() {
         let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
-        let mut k = OneShot::new(vec![
-            WarpOp::Compute(5),
-            WarpOp::Load(vec![0]),
-            WarpOp::Store(vec![64]),
-            WarpOp::Atomic {
-                op: PimOp::SignedAdd,
-                addrs: vec![128, 132],
-            },
-        ]);
+        let mut k = OneShot::new(|b| {
+            vec![
+                WarpOp::Compute(5),
+                WarpOp::Load(b.push_lanes([0])),
+                WarpOp::Store(b.push_lanes([64])),
+                WarpOp::Atomic {
+                    op: PimOp::SignedAdd,
+                    lanes: b.push_lanes([128, 132]),
+                },
+            ]
+        });
         sys.run_to_completion(&mut k, &mut AlwaysOffload);
         let s = sys.stats();
         assert_eq!(s.instructions, 4);
@@ -994,10 +1001,12 @@ mod more_tests {
     fn host_atomics_coalesce_to_lines_but_count_lanes() {
         let mut sys = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
         // 4 lanes in the same 64B line.
-        let mut k = OneShot::new(vec![WarpOp::Atomic {
-            op: PimOp::SignedAdd,
-            addrs: vec![0, 16, 32, 48],
-        }]);
+        let mut k = OneShot::new(|b| {
+            vec![WarpOp::Atomic {
+                op: PimOp::SignedAdd,
+                lanes: b.push_lanes([0, 16, 32, 48]),
+            }]
+        });
         sys.run_to_completion(&mut k, &mut NeverOffload);
         assert_eq!(sys.stats().host_lane_ops, 4);
         assert_eq!(sys.hmc().totals().reads, 1, "one line fill for four lanes");

@@ -31,6 +31,7 @@ pub struct CcKernel {
     active: Vec<bool>,
     changed: bool,
     rounds: u32,
+    tb: TraceBuilder,
 }
 
 impl CcKernel {
@@ -43,6 +44,7 @@ impl CcKernel {
             g,
             changed: false,
             rounds: 0,
+            tb: TraceBuilder::new(),
         }
     }
 
@@ -92,22 +94,18 @@ impl Kernel for CcKernel {
     }
 
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-        let g = self.g.clone();
+        let g = &self.g;
         let n = g.vertices();
-        let mut warps = Vec::with_capacity(WARPS_PER_BLOCK);
-        for w in 0..WARPS_PER_BLOCK {
+        let (labels, active, changed) = (&mut self.labels, &mut self.active, &mut self.changed);
+        self.tb.block(WARPS_PER_BLOCK, |b, w| {
             let idx = block * WARPS_PER_BLOCK + w;
-            let mut b = TraceBuilder::new();
             if idx < n {
                 let u = idx as u32;
-                topology_scan(&mut b, &[u]);
-                if self.active[u as usize] {
-                    self.active[u as usize] = false;
-                    let lu = self.labels[u as usize];
-                    let labels = &mut self.labels;
-                    let active = &mut self.active;
-                    let changed = &mut self.changed;
-                    warp_centric_vertex(&mut b, &g, u, false, PimOp::CasSmaller, |t, _| {
+                topology_scan(b, [u]);
+                if active[u as usize] {
+                    active[u as usize] = false;
+                    let lu = labels[u as usize];
+                    warp_centric_vertex(b, g, u, false, PimOp::CasSmaller, |t, _| {
                         if lu < labels[t as usize] {
                             labels[t as usize] = lu;
                             active[t as usize] = true;
@@ -116,9 +114,7 @@ impl Kernel for CcKernel {
                     });
                 }
             }
-            warps.push(b.finish());
-        }
-        BlockTrace { warps }
+        })
     }
 
     fn next_launch(&mut self) -> bool {

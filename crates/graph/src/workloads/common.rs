@@ -21,24 +21,17 @@ pub fn warp_centric_vertex(
     let start = g.edge_start(u) as u64;
     let neighbours = g.neighbours(u);
     let weights = weighted.then(|| g.weights_of(u));
-    b.load(vec![layout::offset_addr(u), layout::offset_addr(u + 1)]);
+    b.load([layout::offset_addr(u), layout::offset_addr(u + 1)]);
     b.compute(8);
     for (ci, chunk) in neighbours.chunks(WARP).enumerate() {
         let base = start + (ci * WARP) as u64;
-        b.load(
-            (0..chunk.len())
-                .map(|i| layout::edge_addr(base + i as u64))
-                .collect(),
-        );
+        let lanes = base..base + chunk.len() as u64;
+        b.load(lanes.clone().map(layout::edge_addr));
         if weighted {
-            b.load(
-                (0..chunk.len())
-                    .map(|i| layout::weight_addr(base + i as u64))
-                    .collect(),
-            );
+            b.load(lanes.map(layout::weight_addr));
         }
         b.compute(4);
-        b.atomic(op, chunk.iter().map(|&w| layout::prop_addr(w)).collect());
+        b.atomic(op, chunk.iter().map(|&w| layout::prop_addr(w)));
         for (i, &w) in chunk.iter().enumerate() {
             let wt = weights.map_or(0, |ws| ws[ci * WARP + i]);
             visit(w, wt);
@@ -65,44 +58,44 @@ pub fn thread_centric_group(
     }
     // Each lane loads its vertex's offset pair (coalesced only if the
     // items happen to be contiguous — the coalescer decides).
-    b.load(items.iter().map(|&v| layout::offset_addr(v)).collect());
-    b.load(items.iter().map(|&v| layout::offset_addr(v + 1)).collect());
+    b.load(items.iter().map(|&v| layout::offset_addr(v)));
+    b.load(items.iter().map(|&v| layout::offset_addr(v + 1)));
     b.compute(10);
     let max_deg = items.iter().map(|&v| g.degree(v)).max().unwrap_or(0);
     for e in 0..max_deg {
-        let mut edge_loads = Vec::new();
-        let mut targets = Vec::new();
-        for &v in items {
-            if g.degree(v) > e {
-                let ei = g.edge_start(v) as u64 + u64::from(e);
-                edge_loads.push(layout::edge_addr(ei));
-                if weighted {
-                    // Weight sits adjacent in its own array; one extra
-                    // lane address in the same load instruction keeps the
-                    // trace compact.
-                    edge_loads.push(layout::weight_addr(ei));
-                }
+        // The lanes whose vertex still has an `e`-th edge, in lane order.
+        let active = || items.iter().copied().filter(move |&v| g.degree(v) > e);
+        let edge = |v: u32| g.edge_start(v) as u64 + u64::from(e);
+        // Weight sits adjacent in its own array; one extra lane address
+        // in the same load instruction keeps the trace compact.
+        b.load(active().flat_map(|v| {
+            let ei = edge(v);
+            let wa = weighted.then(|| layout::weight_addr(ei));
+            std::iter::once(layout::edge_addr(ei)).chain(wa)
+        }));
+        b.compute(2);
+        // The atomic's lanes drive the functional update, lane by lane.
+        b.atomic(
+            op,
+            active().map(|v| {
                 let w = g.neighbours(v)[e as usize];
                 let wt = if weighted {
                     g.weights_of(v)[e as usize]
                 } else {
                     0
                 };
-                targets.push(layout::prop_addr(w));
                 visit(v, w, wt);
-            }
-        }
-        b.load(edge_loads);
-        b.compute(2);
-        b.atomic(op, targets);
+                layout::prop_addr(w)
+            }),
+        );
     }
 }
 
 /// Emits the topology scan of up to 32 consecutive vertices: a coalesced
 /// load of each vertex's status word. Returns nothing — filtering happens
 /// functionally in the caller.
-pub fn topology_scan(b: &mut TraceBuilder, group: &[u32]) {
-    b.load(group.iter().map(|&v| layout::aux_addr(v)).collect());
+pub fn topology_scan(b: &mut TraceBuilder, group: impl IntoIterator<Item = u32>) {
+    b.load(group.into_iter().map(layout::aux_addr));
     b.compute(4);
 }
 
@@ -126,16 +119,15 @@ mod tests {
         warp_centric_vertex(&mut b, &g, 0, true, PimOp::CasSmaller, |w, wt| {
             visited.push((w, wt));
         });
-        let t = b.finish();
+        b.end_warp();
+        let t = b.finish_block();
         assert_eq!(visited.len(), 40);
         assert_eq!(visited[0], (1, 1));
-        let atomics: Vec<usize> = t
+        let atomics: Vec<usize> = t.warps[0]
             .ops
             .iter()
-            .filter_map(|op| match op {
-                WarpOp::Atomic { addrs, .. } => Some(addrs.len()),
-                _ => None,
-            })
+            .filter(|op| op.is_atomic())
+            .map(WarpOp::active_lanes)
             .collect();
         assert_eq!(atomics, vec![32, 8]);
     }
@@ -156,15 +148,14 @@ mod tests {
                 count += 1;
             },
         );
-        let t = b.finish();
+        b.end_warp();
+        let t = b.finish_block();
         assert_eq!(count, 4);
-        let atomics: Vec<usize> = t
+        let atomics: Vec<usize> = t.warps[0]
             .ops
             .iter()
-            .filter_map(|op| match op {
-                WarpOp::Atomic { addrs, .. } => Some(addrs.len()),
-                _ => None,
-            })
+            .filter(|op| op.is_atomic())
+            .map(WarpOp::active_lanes)
             .collect();
         // Step 0: lanes {0,1} active; steps 1,2: lane 0 only.
         assert_eq!(atomics, vec![2, 1, 1]);
@@ -175,6 +166,7 @@ mod tests {
         let g = star();
         let mut b = TraceBuilder::new();
         thread_centric_group(&mut b, &g, &[], true, PimOp::SignedAdd, |_, _, _| {});
-        assert!(b.finish().is_empty());
+        b.end_warp();
+        assert!(b.finish_block().warps[0].is_empty());
     }
 }

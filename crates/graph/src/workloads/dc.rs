@@ -20,6 +20,7 @@ pub struct DcKernel {
     g: Csr,
     counts: Vec<u32>,
     done: bool,
+    tb: TraceBuilder,
 }
 
 impl DcKernel {
@@ -30,6 +31,7 @@ impl DcKernel {
             g,
             counts: vec![0; n],
             done: false,
+            tb: TraceBuilder::new(),
         }
     }
 
@@ -53,21 +55,17 @@ impl Kernel for DcKernel {
     }
 
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-        let g = self.g.clone();
+        let g = &self.g;
         let n = g.vertices();
-        let mut warps = Vec::with_capacity(WARPS_PER_BLOCK);
-        for w in 0..WARPS_PER_BLOCK {
+        let counts = &mut self.counts;
+        self.tb.block(WARPS_PER_BLOCK, |b, w| {
             let u_idx = block * WARPS_PER_BLOCK + w;
-            let mut b = TraceBuilder::new();
             if u_idx < n {
-                let counts = &mut self.counts;
-                warp_centric_vertex(&mut b, &g, u_idx as u32, false, PimOp::SignedAdd, |t, _| {
+                warp_centric_vertex(b, g, u_idx as u32, false, PimOp::SignedAdd, |t, _| {
                     counts[t as usize] += 1;
                 });
             }
-            warps.push(b.finish());
-        }
-        BlockTrace { warps }
+        })
     }
 
     fn next_launch(&mut self) -> bool {

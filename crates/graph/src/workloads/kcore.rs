@@ -37,6 +37,7 @@ pub struct KCoreKernel {
     phase: Phase,
     /// Vertices peeled by the last scan, awaiting edge processing.
     peeled: Vec<u32>,
+    tb: TraceBuilder,
 }
 
 impl KCoreKernel {
@@ -57,6 +58,7 @@ impl KCoreKernel {
             alive: vec![true; n],
             phase: Phase::Scan,
             peeled: Vec::new(),
+            tb: TraceBuilder::new(),
         }
     }
 
@@ -87,44 +89,47 @@ impl Kernel for KCoreKernel {
     }
 
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-        let g = self.g.clone();
         let total = self.warps_in_grid();
-        let mut warps = Vec::with_capacity(WARPS_PER_BLOCK);
-        for w in 0..WARPS_PER_BLOCK {
+        let Self {
+            g,
+            k,
+            deg,
+            alive,
+            phase,
+            peeled,
+            tb,
+        } = self;
+        tb.block(WARPS_PER_BLOCK, |b, w| {
             let idx = block * WARPS_PER_BLOCK + w;
-            let mut b = TraceBuilder::new();
-            if idx < total {
-                match self.phase {
-                    Phase::Scan => {
-                        let lo = (idx * WARP) as u32;
-                        let hi = (((idx + 1) * WARP).min(g.vertices())) as u32;
-                        // Coalesced loads of degree + liveness words.
-                        b.load((lo..hi).map(layout::aux_addr).collect());
-                        b.compute(6);
-                        for v in lo..hi {
-                            if self.alive[v as usize] && self.deg[v as usize] < self.k {
-                                self.alive[v as usize] = false;
-                                self.peeled.push(v);
-                            }
-                        }
-                    }
-                    Phase::Process => {
-                        if let Some(&u) = self.peeled.get(idx) {
-                            b.load(vec![layout::aux_addr(u)]); // work item
-                            let deg = &mut self.deg;
-                            let alive = &self.alive;
-                            warp_centric_vertex(&mut b, &g, u, false, PimOp::SignedAdd, |t, _| {
-                                if alive[t as usize] {
-                                    deg[t as usize] -= 1;
-                                }
-                            });
+            if idx >= total {
+                return;
+            }
+            match phase {
+                Phase::Scan => {
+                    let lo = (idx * WARP) as u32;
+                    let hi = (((idx + 1) * WARP).min(g.vertices())) as u32;
+                    // Coalesced loads of degree + liveness words.
+                    b.load((lo..hi).map(layout::aux_addr));
+                    b.compute(6);
+                    for v in lo..hi {
+                        if alive[v as usize] && deg[v as usize] < *k {
+                            alive[v as usize] = false;
+                            peeled.push(v);
                         }
                     }
                 }
+                Phase::Process => {
+                    if let Some(&u) = peeled.get(idx) {
+                        b.load([layout::aux_addr(u)]); // work item
+                        warp_centric_vertex(b, g, u, false, PimOp::SignedAdd, |t, _| {
+                            if alive[t as usize] {
+                                deg[t as usize] -= 1;
+                            }
+                        });
+                    }
+                }
             }
-            warps.push(b.finish());
-        }
-        BlockTrace { warps }
+        })
     }
 
     fn next_launch(&mut self) -> bool {

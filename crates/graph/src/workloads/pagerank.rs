@@ -25,6 +25,7 @@ pub struct PageRankKernel {
     rank: Vec<f64>,
     next: Vec<f64>,
     iterations_left: usize,
+    tb: TraceBuilder,
 }
 
 impl PageRankKernel {
@@ -38,6 +39,7 @@ impl PageRankKernel {
             rank: vec![1.0 / n as f64; n],
             next: vec![base; n],
             iterations_left: iterations,
+            tb: TraceBuilder::new(),
         }
     }
 
@@ -61,29 +63,25 @@ impl Kernel for PageRankKernel {
     }
 
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-        let g = self.g.clone();
+        let g = &self.g;
         let n = g.vertices();
-        let mut warps = Vec::with_capacity(WARPS_PER_BLOCK);
-        for w in 0..WARPS_PER_BLOCK {
+        let (rank, next) = (&self.rank, &mut self.next);
+        self.tb.block(WARPS_PER_BLOCK, |b, w| {
             let u_idx = block * WARPS_PER_BLOCK + w;
-            let mut b = TraceBuilder::new();
             if u_idx < n {
                 let u = u_idx as u32;
                 let deg = g.degree(u);
                 // Load own rank + degree.
-                b.load(vec![layout::aux_addr(u)]);
+                b.load([layout::aux_addr(u)]);
                 b.compute(12); // division + share computation
                 if deg > 0 {
-                    let share = DAMPING * self.rank[u_idx] / f64::from(deg);
-                    let next = &mut self.next;
-                    warp_centric_vertex(&mut b, &g, u, false, PimOp::FloatAdd, |t, _| {
+                    let share = DAMPING * rank[u_idx] / f64::from(deg);
+                    warp_centric_vertex(b, g, u, false, PimOp::FloatAdd, |t, _| {
                         next[t as usize] += share;
                     });
                 }
             }
-            warps.push(b.finish());
-        }
-        BlockTrace { warps }
+        })
     }
 
     fn next_launch(&mut self) -> bool {

@@ -44,6 +44,7 @@ pub struct SsspKernel {
     in_next: Vec<bool>,
     /// Topology-driven: set of vertices active this round.
     active: Vec<bool>,
+    tb: TraceBuilder,
 }
 
 impl SsspKernel {
@@ -59,10 +60,18 @@ impl SsspKernel {
             g,
             variant,
             dist,
-            frontier: vec![source],
-            next_frontier: Vec::new(),
+            // `in_next` keeps a frontier within the vertex count, so with
+            // both buffers sized for it up front and swapped between
+            // launches, relaxations never reallocate mid-block.
+            frontier: {
+                let mut f = Vec::with_capacity(n);
+                f.push(source);
+                f
+            },
+            next_frontier: Vec::with_capacity(n),
             in_next: vec![false; n],
             active,
+            tb: TraceBuilder::new(),
         }
     }
 
@@ -104,13 +113,13 @@ impl SsspKernel {
                 let Some(&u) = self.frontier.get(warp_idx) else {
                     return;
                 };
-                b.load(vec![layout::aux_addr(u)]); // work item + own distance
+                b.load([layout::aux_addr(u)]); // work item + own distance
                 let du = self.dist[u as usize];
                 warp_centric_vertex(b, &g, u, true, PimOp::CasSmaller, relax!(du));
             }
             SsspVariant::Twc => {
                 let u = warp_idx as u32;
-                topology_scan(b, &[u]);
+                topology_scan(b, [u]);
                 if self.active[u as usize] {
                     let du = self.dist[u as usize];
                     warp_centric_vertex(b, &g, u, true, PimOp::CasSmaller, relax!(du));
@@ -122,16 +131,17 @@ impl SsspKernel {
                 if lo >= hi {
                     return;
                 }
-                let items: Vec<u32> = self.frontier[lo..hi].to_vec();
-                b.load(items.iter().map(|&v| layout::aux_addr(v)).collect());
-                let dist_snapshot: Vec<u32> =
-                    items.iter().map(|&v| self.dist[v as usize]).collect();
+                let items = &self.frontier[lo..hi];
+                b.load(items.iter().map(|&v| layout::aux_addr(v)));
+                let mut dist_snapshot = [0u32; WARP];
+                for (d, &v) in dist_snapshot.iter_mut().zip(items) {
+                    *d = self.dist[v as usize];
+                }
                 let dist = &mut self.dist;
                 let next = &mut self.next_frontier;
                 let in_next = &mut self.in_next;
-                let items_ref = &items;
                 let visit = move |src: u32, w: u32, wt: u32| {
-                    let lane = items_ref.iter().position(|&v| v == src).unwrap();
+                    let lane = items.iter().position(|&v| v == src).unwrap();
                     let nd = dist_snapshot[lane].saturating_add(wt);
                     if nd < dist[w as usize] {
                         dist[w as usize] = nd;
@@ -141,7 +151,7 @@ impl SsspKernel {
                         }
                     }
                 };
-                thread_centric_group(b, &g, &items, true, PimOp::CasSmaller, visit);
+                thread_centric_group(b, &g, items, true, PimOp::CasSmaller, visit);
             }
         }
     }
@@ -166,20 +176,20 @@ impl Kernel for SsspKernel {
 
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
         let total = self.warps_in_grid();
-        let mut warps = Vec::with_capacity(WARPS_PER_BLOCK);
-        for w in 0..WARPS_PER_BLOCK {
+        let mut tb = std::mem::take(&mut self.tb);
+        let trace = tb.block(WARPS_PER_BLOCK, |b, w| {
             let idx = block * WARPS_PER_BLOCK + w;
-            let mut b = TraceBuilder::new();
             if idx < total {
-                self.trace_warp(idx, &mut b);
+                self.trace_warp(idx, b);
             }
-            warps.push(b.finish());
-        }
-        BlockTrace { warps }
+        });
+        self.tb = tb;
+        trace
     }
 
     fn next_launch(&mut self) -> bool {
-        self.frontier = std::mem::take(&mut self.next_frontier);
+        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+        self.next_frontier.clear();
         for &v in &self.frontier {
             self.in_next[v as usize] = false;
         }

@@ -30,6 +30,11 @@
 //!     addr[k>0]      varint   zigzag(addr[k] - addr[k-1])
 //! ```
 //!
+//! In memory a block keeps its addresses in one arena
+//! ([`BlockTrace::addrs`]) that its ops' lanes index; on disk each op
+//! carries its own lanes, so the arena is implicit: decoding appends each
+//! op's addresses in file order, which is program order.
+//!
 //! Addresses within a warp are coalescing-friendly (mostly small positive
 //! strides), so delta + zigzag + varint packs them to 1–2 bytes each.
 //! The profile floats are stored as exact bit patterns because they seed
@@ -39,7 +44,7 @@
 use std::fmt;
 use std::path::Path;
 
-use coolpim_gpu::isa::{BlockTrace, WarpOp, WarpTrace};
+use coolpim_gpu::isa::{BlockTrace, Lanes, WarpOp, WarpTrace};
 use coolpim_gpu::kernel::KernelProfile;
 use coolpim_hmc::PimOp;
 
@@ -285,39 +290,39 @@ fn put_addrs(out: &mut Vec<u8>, addrs: &[u64]) {
     }
 }
 
-pub(crate) fn put_op(out: &mut Vec<u8>, op: &WarpOp) {
-    match op {
+/// Encodes `op` of `block` with its addresses.
+pub(crate) fn put_op(out: &mut Vec<u8>, block: &BlockTrace, op: &WarpOp) {
+    match *op {
         WarpOp::Compute(cycles) => {
             out.push(0);
-            put_varint(out, u64::from(*cycles));
+            put_varint(out, u64::from(cycles));
+            return;
         }
-        WarpOp::Load(addrs) => {
-            out.push(1);
-            put_addrs(out, addrs);
-        }
-        WarpOp::Store(addrs) => {
-            out.push(2);
-            put_addrs(out, addrs);
-        }
-        WarpOp::Atomic { op, addrs } => {
-            out.push(pim_op_tag(*op));
-            put_addrs(out, addrs);
-        }
+        WarpOp::Load(_) => out.push(1),
+        WarpOp::Store(_) => out.push(2),
+        WarpOp::Atomic { op, .. } => out.push(pim_op_tag(op)),
     }
+    put_addrs(out, block.addrs_of(op));
 }
 
 // ---------------------------------------------------------------------
 // decode
 // ---------------------------------------------------------------------
 
-fn read_addrs(r: &mut Reader<'_>, context: &str) -> Result<Vec<u64>, TraceError> {
+/// Decodes one op's addresses onto the end of `arena`.
+fn read_addrs(
+    r: &mut Reader<'_>,
+    context: &str,
+    arena: &mut Vec<u64>,
+) -> Result<Lanes, TraceError> {
     let n = r.varint(context)? as usize;
     // A warp has at most 32 lanes; anything bigger is garbage, and
     // bounding it keeps a corrupt count from allocating gigabytes.
     if n > 64 {
         return Err(r.corrupt(format!("{context}: implausible lane count {n}")));
     }
-    let mut addrs = Vec::with_capacity(n);
+    let start = u32::try_from(arena.len())
+        .map_err(|_| r.corrupt(format!("{context}: block address arena exceeds u32")))?;
     let mut prev = 0u64;
     for i in 0..n {
         let a = if i == 0 {
@@ -325,21 +330,25 @@ fn read_addrs(r: &mut Reader<'_>, context: &str) -> Result<Vec<u64>, TraceError>
         } else {
             prev.wrapping_add(unzigzag(r.varint(context)?) as u64)
         };
-        addrs.push(a);
+        arena.push(a);
         prev = a;
     }
-    Ok(addrs)
+    Ok(Lanes {
+        start,
+        len: n as u32,
+    })
 }
 
-pub(crate) fn read_op(r: &mut Reader<'_>) -> Result<WarpOp, TraceError> {
+/// Decodes one op, appending its addresses to its block's `arena`.
+pub(crate) fn read_op(r: &mut Reader<'_>, arena: &mut Vec<u64>) -> Result<WarpOp, TraceError> {
     let tag = r.bytes(1, "op tag")?[0];
     match tag {
         0 => Ok(WarpOp::Compute(
             u32::try_from(r.varint("compute cycles")?)
                 .map_err(|_| r.corrupt("compute burst exceeds u32".to_string()))?,
         )),
-        1 => Ok(WarpOp::Load(read_addrs(r, "load addresses")?)),
-        2 => Ok(WarpOp::Store(read_addrs(r, "store addresses")?)),
+        1 => Ok(WarpOp::Load(read_addrs(r, "load addresses", arena)?)),
+        2 => Ok(WarpOp::Store(read_addrs(r, "store addresses", arena)?)),
         t => {
             let idx = (t - 3) as usize;
             let op = *PimOp::ALL
@@ -347,7 +356,7 @@ pub(crate) fn read_op(r: &mut Reader<'_>) -> Result<WarpOp, TraceError> {
                 .ok_or_else(|| r.corrupt(format!("unknown op tag {t}")))?;
             Ok(WarpOp::Atomic {
                 op,
-                addrs: read_addrs(r, "atomic addresses")?,
+                lanes: read_addrs(r, "atomic addresses", arena)?,
             })
         }
     }
@@ -429,7 +438,7 @@ impl WorkloadTrace {
                 for warp in &block.warps {
                     put_varint(&mut out, warp.ops.len() as u64);
                     for op in &warp.ops {
-                        put_op(&mut out, op);
+                        put_op(&mut out, block, op);
                     }
                 }
             }
@@ -441,6 +450,9 @@ impl WorkloadTrace {
     pub fn decode(bytes: &[u8], path: &str) -> Result<Self, TraceError> {
         let mut r = Reader::new(bytes, path);
         let h = read_header(&mut r, path)?;
+        // Each block's addresses are gathered here, then copied out at
+        // their exact size.
+        let mut arena = Vec::new();
         let mut launches = Vec::with_capacity(h.launch_count);
         for _ in 0..h.launch_count {
             let blocks = r.varint("block count")? as usize;
@@ -450,18 +462,22 @@ impl WorkloadTrace {
                 if warps > 4096 {
                     return Err(r.corrupt(format!("implausible warp count {warps}")));
                 }
-                let mut block = BlockTrace::default();
+                let mut block_warps = Vec::with_capacity(warps);
                 for _ in 0..warps {
                     let ops = r.varint("op count")? as usize;
                     let mut warp = WarpTrace {
                         ops: Vec::with_capacity(ops.min(1 << 16)),
                     };
                     for _ in 0..ops {
-                        warp.ops.push(read_op(&mut r)?);
+                        warp.ops.push(read_op(&mut r, &mut arena)?);
                     }
-                    block.warps.push(warp);
+                    block_warps.push(warp);
                 }
-                launch.push(block);
+                launch.push(BlockTrace {
+                    warps: block_warps,
+                    addrs: arena.as_slice().to_vec(),
+                });
+                arena.clear();
             }
             launches.push(launch);
         }
@@ -519,6 +535,22 @@ mod tests {
     use super::*;
 
     fn sample() -> WorkloadTrace {
+        let mut first = BlockTrace::default();
+        let ops = vec![
+            WarpOp::Compute(7),
+            WarpOp::Load(first.push_lanes([4096, 4160, 4224])),
+            WarpOp::Atomic {
+                op: PimOp::FloatAdd,
+                lanes: first.push_lanes([1 << 40, (1 << 40) - 8]),
+            },
+        ];
+        first.warps = vec![WarpTrace { ops }, WarpTrace { ops: vec![] }];
+        let mut last = BlockTrace::default();
+        let ops = vec![
+            WarpOp::Store(last.push_lanes([0])),
+            WarpOp::Compute(u32::MAX),
+        ];
+        last.warps.push(WarpTrace { ops });
         WorkloadTrace {
             name: "unit".into(),
             params: "workload=unit scale=1".into(),
@@ -528,31 +560,7 @@ mod tests {
                 pim_intensity: 0.371,
                 divergence_ratio: 0.125,
             },
-            launches: vec![
-                vec![
-                    BlockTrace {
-                        warps: vec![
-                            WarpTrace {
-                                ops: vec![
-                                    WarpOp::Compute(7),
-                                    WarpOp::Load(vec![4096, 4160, 4224]),
-                                    WarpOp::Atomic {
-                                        op: PimOp::FloatAdd,
-                                        addrs: vec![1 << 40, (1 << 40) - 8],
-                                    },
-                                ],
-                            },
-                            WarpTrace { ops: vec![] },
-                        ],
-                    },
-                    BlockTrace::default(),
-                ],
-                vec![BlockTrace {
-                    warps: vec![WarpTrace {
-                        ops: vec![WarpOp::Store(vec![0]), WarpOp::Compute(u32::MAX)],
-                    }],
-                }],
-            ],
+            launches: vec![vec![first, BlockTrace::default()], vec![last]],
         }
     }
 

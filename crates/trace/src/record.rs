@@ -102,6 +102,7 @@ mod tests {
                 warps: vec![WarpTrace {
                     ops: vec![WarpOp::Compute((self.launch * 10 + block + 1) as u32)],
                 }],
+                addrs: Vec::new(),
             }
         }
         fn next_launch(&mut self) -> bool {

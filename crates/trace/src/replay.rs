@@ -94,6 +94,7 @@ impl ReferenceReplay {
             // Full structural pre-scan: every op decodes or the file is
             // rejected here with its byte offset.
             let mut index = Vec::with_capacity(h.launch_count);
+            let mut arena = Vec::new();
             for _ in 0..h.launch_count {
                 let blocks = r.varint("block count")? as usize;
                 index.push((r.pos(), blocks));
@@ -102,9 +103,10 @@ impl ReferenceReplay {
                     for _ in 0..warps {
                         let ops = r.varint("op count")? as usize;
                         for _ in 0..ops {
-                            read_op(&mut r)?;
+                            read_op(&mut r, &mut arena)?;
                         }
                     }
+                    arena.clear();
                 }
             }
             (h, index)
@@ -162,7 +164,8 @@ impl InstructionSource for ReferenceReplay {
                 ops: Vec::with_capacity(ops),
             };
             for _ in 0..ops {
-                warp.ops.push(read_op(&mut r).expect("pre-validated"));
+                let op = read_op(&mut r, &mut block_trace.addrs).expect("pre-validated");
+                warp.ops.push(op);
             }
             block_trace.warps.push(warp);
         }
@@ -191,6 +194,18 @@ mod tests {
     use coolpim_hmc::PimOp;
 
     fn trace() -> WorkloadTrace {
+        let mut first = BlockTrace::default();
+        let ops = vec![
+            WarpOp::Atomic {
+                op: PimOp::CasGreater,
+                lanes: first.push_lanes([128, 64]),
+            },
+            WarpOp::Compute(3),
+        ];
+        first.warps.push(WarpTrace { ops });
+        let mut last = BlockTrace::default();
+        let ops = vec![WarpOp::Load(last.push_lanes([8, 16, 24]))];
+        last.warps.push(WarpTrace { ops });
         WorkloadTrace {
             name: "replay-unit".into(),
             params: "p".into(),
@@ -202,29 +217,16 @@ mod tests {
             },
             launches: vec![
                 vec![
-                    BlockTrace {
-                        warps: vec![WarpTrace {
-                            ops: vec![
-                                WarpOp::Atomic {
-                                    op: PimOp::CasGreater,
-                                    addrs: vec![128, 64],
-                                },
-                                WarpOp::Compute(3),
-                            ],
-                        }],
-                    },
+                    first,
                     // Empty-warp block: shrunk from the oracle wiring —
                     // the engine retires these at dispatch, and both
                     // replay paths must still hand them over.
                     BlockTrace {
                         warps: vec![WarpTrace { ops: vec![] }],
+                        addrs: Vec::new(),
                     },
                 ],
-                vec![BlockTrace {
-                    warps: vec![WarpTrace {
-                        ops: vec![WarpOp::Load(vec![8, 16, 24])],
-                    }],
-                }],
+                vec![last],
             ],
         }
     }

@@ -163,15 +163,16 @@ impl TracePerturbation {
                 }
             }
             Self::ShiftAddress => {
-                for op in ops_mut(trace) {
-                    match op {
-                        WarpOp::Load(a) | WarpOp::Store(a) | WarpOp::Atomic { addrs: a, .. } => {
-                            if let Some(first) = a.first_mut() {
-                                *first = first.wrapping_add(1 << 30);
-                                return;
-                            }
-                        }
-                        WarpOp::Compute(_) => {}
+                for block in trace.launches.iter_mut().flatten() {
+                    let first = block
+                        .warps
+                        .iter()
+                        .flat_map(|w| &w.ops)
+                        .find_map(|op| op.lanes().filter(|l| !l.is_empty()));
+                    if let Some(lanes) = first {
+                        let a = &mut block.addrs[lanes.range().start];
+                        *a = a.wrapping_add(1 << 30);
+                        return;
                     }
                 }
             }

@@ -42,16 +42,14 @@ fn random_trace(rng: &mut SplitMix64) -> WorkloadTrace {
                 let mut warp = WarpTrace::default();
                 for _ in 0..rng.gen_range_u64(8) {
                     let lanes = 1 + rng.gen_range_u64(32) as usize;
-                    let addrs = |rng: &mut SplitMix64| -> Vec<u64> {
-                        (0..lanes)
-                            .map(|_| match rng.gen_range_u64(4) {
-                                // Mix nearby strides (the delta fast
-                                // path) with far jumps and the extremes.
-                                0 => rng.gen_range_u64(1 << 20),
-                                1 => u64::MAX - rng.gen_range_u64(1 << 10),
-                                _ => rng.next_u64(),
-                            })
-                            .collect()
+                    let mut addrs = |rng: &mut SplitMix64| {
+                        block.push_lanes((0..lanes).map(|_| match rng.gen_range_u64(4) {
+                            // Mix nearby strides (the delta fast
+                            // path) with far jumps and the extremes.
+                            0 => rng.gen_range_u64(1 << 20),
+                            1 => u64::MAX - rng.gen_range_u64(1 << 10),
+                            _ => rng.next_u64(),
+                        }))
                     };
                     warp.ops.push(match rng.gen_range_u64(4) {
                         0 => WarpOp::Compute(rng.next_u64() as u32),
@@ -59,7 +57,7 @@ fn random_trace(rng: &mut SplitMix64) -> WorkloadTrace {
                         2 => WarpOp::Store(addrs(rng)),
                         _ => WarpOp::Atomic {
                             op: PimOp::ALL[rng.gen_range_u64(9) as usize],
-                            addrs: addrs(rng),
+                            lanes: addrs(rng),
                         },
                     });
                 }
@@ -139,6 +137,32 @@ fn trailing_garbage_is_rejected() {
 /// A fixed, fully deterministic trace: every op kind, an empty warp, an
 /// empty block, a multi-launch grid, NaN-free but extreme floats.
 fn golden_trace() -> WorkloadTrace {
+    let mut first = BlockTrace::default();
+    let ops = vec![
+        WarpOp::Compute(0),
+        WarpOp::Compute(u32::MAX),
+        WarpOp::Load(first.push_lanes([0, 64, 128, u64::MAX])),
+        WarpOp::Store(first.push_lanes([1 << 40])),
+        WarpOp::Atomic {
+            op: PimOp::SignedAdd,
+            lanes: first.push_lanes([16, 32, 16]),
+        },
+    ];
+    first.warps = vec![WarpTrace { ops }, WarpTrace::default()]; // then an empty warp
+    let mut second = BlockTrace::default();
+    let ops = vec![WarpOp::Atomic {
+        op: PimOp::ALL[8],
+        lanes: second.push_lanes([u64::MAX, 0]),
+    }];
+    second.warps = vec![
+        WarpTrace { ops },
+        WarpTrace {
+            ops: vec![WarpOp::Compute(7)],
+        },
+    ];
+    let mut last = BlockTrace::default();
+    let ops = vec![WarpOp::Load(last.push_lanes([42]))];
+    last.warps = vec![WarpTrace { ops }, WarpTrace::default()];
     WorkloadTrace {
         name: "golden".to_string(),
         params: "workload=golden scale=0 seed=42".to_string(),
@@ -149,47 +173,9 @@ fn golden_trace() -> WorkloadTrace {
             divergence_ratio: f64::MIN_POSITIVE,
         },
         launches: vec![
-            vec![
-                BlockTrace {
-                    warps: vec![
-                        WarpTrace {
-                            ops: vec![
-                                WarpOp::Compute(0),
-                                WarpOp::Compute(u32::MAX),
-                                WarpOp::Load(vec![0, 64, 128, u64::MAX]),
-                                WarpOp::Store(vec![1 << 40]),
-                                WarpOp::Atomic {
-                                    op: PimOp::SignedAdd,
-                                    addrs: vec![16, 32, 16],
-                                },
-                            ],
-                        },
-                        WarpTrace::default(), // empty warp
-                    ],
-                },
-                BlockTrace {
-                    warps: vec![
-                        WarpTrace {
-                            ops: vec![WarpOp::Atomic {
-                                op: PimOp::ALL[8],
-                                addrs: vec![u64::MAX, 0],
-                            }],
-                        },
-                        WarpTrace {
-                            ops: vec![WarpOp::Compute(7)],
-                        },
-                    ],
-                },
-            ],
+            vec![first, second],
             Vec::new(), // empty launch
-            vec![BlockTrace {
-                warps: vec![
-                    WarpTrace {
-                        ops: vec![WarpOp::Load(vec![42])],
-                    },
-                    WarpTrace::default(),
-                ],
-            }],
+            vec![last],
         ],
     }
 }
