@@ -12,24 +12,25 @@ pub fn coalesce_into(addrs: &[u64], out: &mut Vec<u64>) {
     out.clear();
     for &a in addrs {
         let block = a & !(COALESCE_BYTES - 1);
-        // Warp-width vectors are ≤32 long and usually collapse to a
-        // handful of blocks: linear scan beats hashing here.
-        if !out.contains(&block) {
+        // Adjacent lanes usually share a block, so the last block pushed
+        // is checked first. Warp-width vectors are ≤32 long and usually
+        // collapse to a handful of blocks: linear scan beats hashing here.
+        if out.last() != Some(&block) && !out.contains(&block) {
             out.push(block);
         }
     }
 }
 
-/// Allocating convenience wrapper around [`coalesce_into`].
-pub fn coalesce(addrs: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(4);
-    coalesce_into(addrs, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn coalesce(addrs: &[u64]) -> Vec<u64> {
+        // A stale scratch vector: coalesce_into must clear it first.
+        let mut out = vec![u64::MAX; 3];
+        coalesce_into(addrs, &mut out);
+        out
+    }
 
     #[test]
     fn contiguous_warp_access_collapses_to_two_blocks() {
@@ -48,6 +49,12 @@ mod tests {
     fn duplicate_lanes_collapse() {
         let addrs = vec![100, 100, 101, 160];
         assert_eq!(coalesce(&addrs), vec![64, 128]);
+    }
+
+    #[test]
+    fn revisited_blocks_keep_their_first_touch_position() {
+        let addrs = vec![0, 64, 8, 128, 72, 72];
+        assert_eq!(coalesce(&addrs), vec![0, 64, 128]);
     }
 
     #[test]

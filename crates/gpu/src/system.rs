@@ -7,6 +7,12 @@
 //! engine is what makes multi-millisecond co-simulation windows cheap
 //! while still producing bank-, link-, and cache-accurate traffic.
 //!
+//! A slot holds at most one live warp, so heap keys are unique and any
+//! exact priority queue pops them in the same order. The engine relies on
+//! that to requeue in place: a step peeks at the top entry and, unless
+//! the warp retires, overwrites it with the warp's next ready time (one
+//! sift-down); a paused run leaves the heap untouched.
+//!
 //! Approximations (documented per DESIGN.md):
 //! * warps block in-order on load results (no scoreboarded overlap within
 //!   a warp) — latency hiding happens across warps, as on a real GPU;
@@ -48,6 +54,26 @@ struct SmState {
     resident_warps: usize,
 }
 
+/// Core-cycle latencies in ps, computed once from the [`GpuConfig`].
+#[derive(Debug, Clone, Copy)]
+struct CycleTimes {
+    cycle: Ps,
+    l1_hit: Ps,
+    l2_hit: Ps,
+    store_issue: Ps,
+}
+
+impl CycleTimes {
+    fn new(cfg: &GpuConfig) -> Self {
+        Self {
+            cycle: cfg.cycle_ps(),
+            l1_hit: cfg.cycles_ps(cfg.l1_hit_cycles),
+            l2_hit: cfg.cycles_ps(cfg.l2_hit_cycles),
+            store_issue: cfg.cycles_ps(cfg.store_issue_cycles),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct WarpRun {
     /// The warp's op headers; their lanes index its block's arena.
@@ -72,6 +98,7 @@ struct BlockRun {
 /// The host GPU coupled to an HMC cube.
 pub struct GpuSystem {
     cfg: GpuConfig,
+    times: CycleTimes,
     hmc: Hmc,
     l1: Vec<Cache>,
     l2: Cache,
@@ -119,6 +146,7 @@ impl GpuSystem {
             cfg.sms
         ];
         Self {
+            times: CycleTimes::new(&cfg),
             cfg,
             hmc,
             l1,
@@ -249,47 +277,42 @@ impl GpuSystem {
             if self.finished {
                 return RunOutcome::Finished;
             }
-            match self.heap.pop() {
-                None => {
-                    // No resident warps. Dispatch stragglers or move to
-                    // the next launch.
-                    if self.next_block < self.grid_blocks {
-                        let before = self.next_block;
-                        self.fill_sms(kernel, controller);
-                        assert!(
-                            self.next_block > before,
-                            "dispatch made no progress (SM capacity misconfigured?)"
-                        );
-                        continue;
-                    }
-                    if kernel.next_launch() {
-                        self.grid_blocks = kernel.grid_blocks();
-                        self.next_block = 0;
-                        self.launch_ready = self.now + self.cfg.launch_overhead;
-                        self.stats.launches += 1;
-                        self.events.push(TelemetryEvent::KernelLaunch {
-                            t_ps: self.launch_ready,
-                            launch: self.stats.launches,
-                        });
-                        self.fill_sms(kernel, controller);
-                        continue;
-                    }
-                    self.finished = true;
-                    self.stats.end_ps = self.now;
-                    self.events.push(TelemetryEvent::KernelRetire {
-                        t_ps: self.now,
+            let Some(&Reverse((ready, slot))) = self.heap.peek() else {
+                // No resident warps. Dispatch stragglers or move to the
+                // next launch.
+                if self.next_block < self.grid_blocks {
+                    let before = self.next_block;
+                    self.fill_sms(kernel, controller);
+                    assert!(
+                        self.next_block > before,
+                        "dispatch made no progress (SM capacity misconfigured?)"
+                    );
+                    continue;
+                }
+                if kernel.next_launch() {
+                    self.grid_blocks = kernel.grid_blocks();
+                    self.next_block = 0;
+                    self.launch_ready = self.now + self.cfg.launch_overhead;
+                    self.stats.launches += 1;
+                    self.events.push(TelemetryEvent::KernelLaunch {
+                        t_ps: self.launch_ready,
                         launch: self.stats.launches,
                     });
-                    return RunOutcome::Finished;
+                    self.fill_sms(kernel, controller);
+                    continue;
                 }
-                Some(Reverse((ready, slot))) => {
-                    if ready > until {
-                        self.heap.push(Reverse((ready, slot)));
-                        return RunOutcome::Paused;
-                    }
-                    self.step_warp(slot, ready, kernel, controller);
-                }
+                self.finished = true;
+                self.stats.end_ps = self.now;
+                self.events.push(TelemetryEvent::KernelRetire {
+                    t_ps: self.now,
+                    launch: self.stats.launches,
+                });
+                return RunOutcome::Finished;
+            };
+            if ready > until {
+                return RunOutcome::Paused;
             }
+            self.step_warp(slot, ready, kernel, controller);
         }
     }
 
@@ -409,6 +432,8 @@ impl GpuSystem {
         }
     }
 
+    /// Issues the next instruction of the warp in `slot`, which is the
+    /// heap's top entry `(ready, slot)`, then requeues or retires it.
     // Index loops below iterate a scratch vector while `&mut self` methods
     // are called in the body — iterator forms would hold a borrow.
     #[allow(clippy::needless_range_loop)]
@@ -419,28 +444,30 @@ impl GpuSystem {
         kernel: &mut K,
         controller: &mut dyn OffloadController,
     ) {
-        let mut warp = self.warps[slot].take().expect("warp slot empty");
-        let sm = warp.sm;
+        let warp = self.warps[slot].as_mut().expect("warp slot empty");
+        let op = warp.ops[warp.pc];
+        warp.pc += 1;
+        let retired = warp.pc == warp.ops.len();
+        let (sm, slot_in_sm, block_slot, pim_enabled) =
+            (warp.sm, warp.slot_in_sm, warp.block_slot, warp.pim_enabled);
         let issue_start = self.sms[sm].issue_next_free.max(ready);
         self.now = self.now.max(issue_start);
         self.stats.instructions += 1;
 
-        let cycle = self.cfg.cycle_ps();
-        let op = warp.ops[warp.pc];
-        warp.pc += 1;
-
+        let times = self.times;
+        let cycle = times.cycle;
         let next_ready = match op {
             WarpOp::Compute(cycles) => {
                 self.sms[sm].issue_next_free = issue_start + cycle;
-                issue_start + self.cfg.cycles_ps(cycles)
+                issue_start + u64::from(cycles) * cycle
             }
             WarpOp::Load(lanes) => {
                 self.stats.loads += 1;
                 let mut blocks = std::mem::take(&mut self.scratch);
-                coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
+                coalesce_into(self.lane_addrs(block_slot, lanes), &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
-                let mut data_ready = issue_start + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+                let mut data_ready = issue_start + times.l1_hit;
                 for i in 0..blocks.len() {
                     let r = self.load_block(sm, issue_start, blocks[i], controller);
                     data_ready = data_ready.max(r);
@@ -451,10 +478,10 @@ impl GpuSystem {
             WarpOp::Store(lanes) => {
                 self.stats.stores += 1;
                 let mut blocks = std::mem::take(&mut self.scratch);
-                coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
+                coalesce_into(self.lane_addrs(block_slot, lanes), &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
-                let mut accepted = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
+                let mut accepted = issue_start + times.store_issue;
                 for i in 0..blocks.len() {
                     let a = self.store_block(issue_start, blocks[i], controller);
                     accepted = accepted.max(a);
@@ -463,18 +490,18 @@ impl GpuSystem {
                 accepted
             }
             WarpOp::Atomic { op, lanes } => {
-                let offload = warp.pim_enabled
-                    && controller.warp_may_offload(sm, warp.slot_in_sm, issue_start);
+                let offload =
+                    pim_enabled && controller.warp_may_offload(sm, slot_in_sm, issue_start);
                 if offload {
                     let n = lanes.len() as u64;
                     self.sms[sm].issue_next_free = issue_start + n.max(1) * cycle;
                     self.stats.pim_lane_ops += n;
-                    let mut done = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
+                    let mut done = issue_start + times.store_issue;
                     let wait_for_data = op.returns_data();
                     // Each active lane is one PIM instruction, tagged
                     // with the issuing SM for hot-spot attribution.
                     for li in 0..lanes.len() {
-                        let addr = self.lane_addrs(warp.block_slot, lanes)[li];
+                        let addr = self.lane_addrs(block_slot, lanes)[li];
                         let c =
                             self.hmc
                                 .submit_from(issue_start, &Request::pim(op, addr), Some(sm));
@@ -491,14 +518,11 @@ impl GpuSystem {
                     // per unique 64-byte line.
                     self.stats.host_lane_ops += lanes.len() as u64;
                     let mut blocks = std::mem::take(&mut self.scratch);
-                    coalesce_into(self.lane_addrs(warp.block_slot, lanes), &mut blocks);
+                    coalesce_into(self.lane_addrs(block_slot, lanes), &mut blocks);
                     let txs = blocks.len().max(1) as u64;
                     self.sms[sm].issue_next_free = issue_start + txs * cycle;
                     let wait_for_data = op.returns_data();
-                    let mut done = issue_start
-                        + self
-                            .cfg
-                            .cycles_ps(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
+                    let mut done = issue_start + times.l1_hit + times.l2_hit;
                     for i in 0..blocks.len() {
                         let (accepted, data) =
                             self.host_atomic_block(issue_start, blocks[i], controller);
@@ -510,9 +534,12 @@ impl GpuSystem {
             }
         };
 
-        if warp.pc == warp.ops.len() {
-            // Warp retired.
-            let block_slot = warp.block_slot;
+        debug_assert_eq!(self.heap.peek(), Some(&Reverse((ready, slot))));
+        if retired {
+            // Popped before `fill_sms` can push new warps, so the entry
+            // removed is this warp's.
+            self.heap.pop();
+            self.warps[slot] = None;
             self.sms[sm].resident_warps -= 1;
             self.free_warps.push(slot);
             self.now = self.now.max(next_ready.min(Ps::MAX / 2));
@@ -529,8 +556,9 @@ impl GpuSystem {
                 self.fill_sms(kernel, controller);
             }
         } else {
-            self.warps[slot] = Some(warp);
-            self.heap.push(Reverse((next_ready, slot)));
+            // Requeue in place: one sift-down instead of a pop and a push.
+            *self.heap.peek_mut().expect("the stepped warp is queued") =
+                Reverse((next_ready, slot));
         }
     }
 
@@ -549,14 +577,14 @@ impl GpuSystem {
         addr: u64,
         controller: &mut dyn OffloadController,
     ) -> Ps {
+        let t_l2 = t + self.times.l1_hit;
         if self.l1[sm].access(addr, false).is_hit() {
-            return t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+            return t_l2;
         }
-        let t_l2 = t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+        let t_mem = t_l2 + self.times.l2_hit;
         match self.l2.access(addr, false) {
-            CacheOutcome::Hit => t_l2 + self.cfg.cycles_ps(self.cfg.l2_hit_cycles),
+            CacheOutcome::Hit => t_mem,
             CacheOutcome::Miss { writeback } => {
-                let t_mem = t_l2 + self.cfg.cycles_ps(self.cfg.l2_hit_cycles);
                 if let Some(wb) = writeback {
                     let c = self.hmc.submit(t_mem, &Request::write(wb));
                     self.note_completion(&c, controller);
@@ -570,7 +598,7 @@ impl GpuSystem {
 
     /// Store one block (write-allocate at L2); returns acceptance time.
     fn store_block(&mut self, t: Ps, addr: u64, controller: &mut dyn OffloadController) -> Ps {
-        let t_l2 = t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+        let t_l2 = t + self.times.l1_hit;
         match self.l2.access(addr, true) {
             CacheOutcome::Hit => t_l2,
             CacheOutcome::Miss { writeback } => {
@@ -595,9 +623,7 @@ impl GpuSystem {
         addr: u64,
         controller: &mut dyn OffloadController,
     ) -> (Ps, Ps) {
-        let t_l2 = t + self
-            .cfg
-            .cycles_ps(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
+        let t_l2 = t + self.times.l1_hit + self.times.l2_hit;
         match self.l2.access(addr, true) {
             CacheOutcome::Hit => (t_l2, t_l2),
             CacheOutcome::Miss { writeback } => {

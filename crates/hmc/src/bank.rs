@@ -46,11 +46,6 @@ impl Bank {
         self.open_row = Some(row);
         (start, hit)
     }
-
-    /// How long a request arriving at `ready` would wait on this bank.
-    pub fn queue_delay(&self, ready: Ps) -> Ps {
-        self.next_free.saturating_sub(ready)
-    }
 }
 
 #[cfg(test)]
@@ -95,10 +90,13 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_reflects_occupancy() {
+    fn requests_queue_behind_occupancy_until_it_drains() {
         let mut b = Bank::default();
         b.reserve(0, 0, 10, 1000);
-        assert_eq!(b.queue_delay(400), 600);
-        assert_eq!(b.queue_delay(2000), 0);
+        // Arriving at 400 waits for the miss to finish at 1000.
+        assert_eq!(b.reserve(400, 0, 10, 1000), (1000, true));
+        // Arriving after the bank went idle starts at once.
+        assert_eq!(b.reserve(2000, 0, 10, 1000), (2000, true));
+        assert_eq!(b.next_free, 2010);
     }
 }

@@ -145,11 +145,27 @@ pub struct Hmc {
     /// Cumulative per-vault PIM-op counts, maintained alongside the
     /// window accounting as an independent cross-check of `pim_attr`.
     vault_pim_totals: Vec<u64>,
+    /// log2 of the vault count: address interleaving is shift-and-mask.
+    vault_bits: u32,
 }
 
 impl Hmc {
     /// Builds a cube from a configuration.
+    ///
+    /// # Panics
+    /// Panics unless the vault, bank-per-vault and link counts are powers
+    /// of two (true of HMC 1.1 and 2.0), which the address mapping needs.
     pub fn new(cfg: HmcConfig) -> Self {
+        for (what, n) in [
+            ("vaults", cfg.vaults),
+            ("banks per vault", cfg.banks_per_vault),
+            ("links", cfg.links),
+        ] {
+            assert!(
+                n.is_power_of_two(),
+                "{what} must be a power of two, not {n}"
+            );
+        }
         let links = (0..cfg.links)
             .map(|_| Link::with_raw_bandwidth(cfg.link_raw_bytes_per_s_per_dir))
             .collect();
@@ -167,6 +183,7 @@ impl Hmc {
         let derated_timing = cfg.timing;
         let pim_attr = PimAttribution::new(cfg.vaults);
         let vault_pim_totals = vec![0; cfg.vaults];
+        let vault_bits = cfg.vaults.trailing_zeros();
         let mut hmc = Self {
             cfg,
             links,
@@ -184,6 +201,7 @@ impl Hmc {
             queue_hist: Histogram::new(),
             pim_attr,
             vault_pim_totals,
+            vault_bits,
         };
         hmc.recompute_derating();
         hmc
@@ -339,18 +357,18 @@ impl Hmc {
 
     /// Which vault an address maps to (64-byte interleave across vaults).
     pub fn vault_of(&self, addr: u64) -> usize {
-        ((addr >> 6) as usize) % self.cfg.vaults
+        (addr >> 6) as usize & (self.cfg.vaults - 1)
     }
 
     /// Which bank within the vault an address maps to.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr >> 6) as usize / self.cfg.vaults) % self.cfg.banks_per_vault
+        ((addr >> 6) as usize >> self.vault_bits) & (self.cfg.banks_per_vault - 1)
     }
 
     fn link_of(&self, addr: u64) -> usize {
         // Address-hash routing: deterministic and balanced.
         let x = (addr >> 6) ^ (addr >> 14) ^ (addr >> 23);
-        (x as usize) % self.cfg.links
+        x as usize & (self.cfg.links - 1)
     }
 
     /// Submits a request at time `now`; returns its completion.
@@ -383,12 +401,12 @@ impl Hmc {
             };
         }
         let addr = req.addr();
-        let (access, is_pim) = match req {
-            Request::Read { .. } => (VaultAccess::Read, false),
-            Request::Write { .. } => (VaultAccess::Write, false),
+        let access = match req {
+            Request::Read { .. } => VaultAccess::Read,
+            Request::Write { .. } => VaultAccess::Write,
             Request::Pim { .. } => {
                 assert!(self.cfg.pim_capable, "PIM request on a non-PIM cube");
-                (VaultAccess::PimRmw, true)
+                VaultAccess::PimRmw
             }
         };
         let cost = req.flit_cost();
@@ -431,7 +449,6 @@ impl Hmc {
                 self.pim_attr.record(src_sm, vault);
             }
         }
-        let _ = is_pim;
 
         // Always-on latency accounting: two constant-time histogram
         // inserts, no allocation.
@@ -440,7 +457,7 @@ impl Hmc {
 
         let tail = ResponseTail {
             errstat: self.thermal.errstat(),
-            atomic_flag: is_pim,
+            atomic_flag: access == VaultAccess::PimRmw,
         };
         let thermal_warning = tail.thermal_warning();
         Completion {
@@ -583,6 +600,30 @@ mod tests {
         }
         assert!(vaults_seen.iter().all(|&v| v));
         assert!(banks_seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn shift_mapping_equals_the_division_mapping() {
+        for hmc in [Hmc::hmc20(), Hmc::hmc11()] {
+            let c = hmc.config();
+            for i in 0..100_000u64 {
+                let addr = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+                let block = (addr >> 6) as usize;
+                assert_eq!(hmc.vault_of(addr), block % c.vaults);
+                assert_eq!(hmc.bank_of(addr), block / c.vaults % c.banks_per_vault);
+                let x = (addr >> 6) ^ (addr >> 14) ^ (addr >> 23);
+                assert_eq!(hmc.link_of(addr), x as usize % c.links);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vaults must be a power of two")]
+    fn non_power_of_two_vaults_are_rejected() {
+        let _ = Hmc::new(HmcConfig {
+            vaults: 24,
+            ..HmcConfig::hmc20()
+        });
     }
 
     #[test]

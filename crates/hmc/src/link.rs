@@ -47,11 +47,6 @@ impl Link {
         self.resp_next_free = start + flits * self.flit_time;
         self.resp_next_free
     }
-
-    /// Current backlog on the request direction relative to `now` (ps).
-    pub fn request_backlog(&self, now: Ps) -> Ps {
-        self.req_next_free.saturating_sub(now)
-    }
 }
 
 #[cfg(test)]
@@ -93,13 +88,15 @@ mod more_tests {
     use super::*;
 
     #[test]
-    fn request_backlog_drains_with_time() {
+    fn request_backlog_delays_later_arrivals() {
         let mut l = Link::with_raw_bandwidth(60.0e9);
-        l.serialize_request(0, 100);
-        let early = l.request_backlog(0);
-        let later = l.request_backlog(early / 2);
-        assert!(later < early);
-        assert_eq!(l.request_backlog(early + 1), 0);
+        let busy_until = l.serialize_request(0, 100);
+        assert_eq!(l.req_next_free, busy_until);
+        // A packet arriving mid-backlog waits for it to drain.
+        assert_eq!(
+            l.serialize_request(busy_until / 2, 1),
+            busy_until + l.flit_time
+        );
     }
 
     #[test]

@@ -83,10 +83,74 @@ pub struct Vault {
     fu_latency: Ps,
     /// TSV bus time per byte (ps) at nominal frequency.
     bus_ps_per_byte: f64,
+    /// Per-phase costs derived from the arguments of the last `service`.
+    costs: VaultCosts,
     /// Accesses that hit the open row.
     row_hits: u64,
     /// Accesses that paid a row activation.
     row_misses: u64,
+}
+
+/// What a vault's costs depend on besides its own constants: the derated
+/// timing, the refresh overhead (per-mille) and the frequency stretch.
+/// It changes only when the cube changes operating phase.
+type CostKey = (DramTiming, u64, (u64, u64));
+
+/// Every occupancy and latency a vault access uses, for one [`CostKey`].
+/// Arrays indexed by access kind follow [`VaultAccess`]'s order (read,
+/// write, PIM); `[.][row_hit as usize]` picks the miss or hit entry.
+#[derive(Debug, Clone)]
+struct VaultCosts {
+    key: CostKey,
+    /// Controller occupancy per transaction.
+    ctrl: Ps,
+    /// FU occupancy per PIM operation.
+    fu: Ps,
+    /// Bank occupancy per access kind, on a row miss and a row hit.
+    bank_occ: [[Ps; 2]; 3],
+    /// Bank start to response ready, per access kind, miss and hit.
+    resp: [[Ps; 2]; 3],
+    /// Bank start to the PIM modify stage, on a miss and a hit.
+    fu_ready: [Ps; 2],
+    /// FU start to response ready for a PIM operation.
+    fu_done: Ps,
+    /// TSV bus occupancy per access kind.
+    bus: [Ps; 3],
+}
+
+impl VaultCosts {
+    fn new(key: CostKey, ctrl_occupancy: Ps, fu_latency: Ps, bus_ps_per_byte: f64) -> Self {
+        let (t, refresh_permille, (fnum, fden)) = key;
+        let stretch = |v: Ps| v * (1000 + refresh_permille) / 1000;
+        // Column-cycle occupancy for row hits (read + write column ops).
+        let col = 2 * t.t_burst;
+        let rw_occ = [stretch(t.t_rc().max(t.read_latency())), stretch(col)];
+        let pim_occ = [
+            stretch(t.t_rcd + t.t_cl + fu_latency + t.t_burst + t.t_rp),
+            stretch(fu_latency + col),
+        ];
+        // TSV data-bus occupancy: 64-byte blocks for regular accesses;
+        // a PIM read-modify-write moves two 32-byte DRAM granules plus
+        // the command/row-activation slot (16-byte equivalent).
+        let bus = |bytes: f64| (bytes * bus_ps_per_byte) as Ps * fnum / fden;
+        Self {
+            key,
+            ctrl: ctrl_occupancy * fnum / fden,
+            fu: fu_latency * fnum / fden,
+            bank_occ: [rw_occ, rw_occ, pim_occ],
+            resp: [
+                [t.read_latency(), t.t_cl + t.t_burst],
+                [t.t_rcd + t.t_burst, t.t_burst],
+                [
+                    t.t_rcd + t.t_cl + fu_latency + t.t_burst,
+                    t.t_cl + fu_latency + t.t_burst,
+                ],
+            ],
+            fu_ready: [t.t_rcd + t.t_cl, t.t_cl],
+            fu_done: fu_latency + t.t_burst,
+            bus: [bus(64.0), bus(64.0), bus(80.0)],
+        }
+    }
 }
 
 impl Vault {
@@ -96,6 +160,8 @@ impl Vault {
     /// PIM offloading can push past 320 GB/s).
     pub fn new(banks: usize, ctrl_occupancy: Ps, fu_latency: Ps, bus_bytes_per_s: f64) -> Self {
         assert!(bus_bytes_per_s > 0.0);
+        let bus_ps_per_byte = 1e12 / bus_bytes_per_s;
+        let nominal = (DramTiming::hmc20(), 0, (1, 1));
         Self {
             ctrl_next_free: 0,
             fu_next_free: 0,
@@ -103,7 +169,8 @@ impl Vault {
             banks: vec![Bank::default(); banks],
             ctrl_occupancy,
             fu_latency,
-            bus_ps_per_byte: 1e12 / bus_bytes_per_s,
+            bus_ps_per_byte,
+            costs: VaultCosts::new(nominal, ctrl_occupancy, fu_latency, bus_ps_per_byte),
             row_hits: 0,
             row_misses: 0,
         }
@@ -152,28 +219,23 @@ impl Vault {
         freq_stretch: (u64, u64),
     ) -> VaultCompletion {
         assert!(bank < self.banks.len(), "bank index out of range");
-        let (fnum, fden) = freq_stretch;
+        let key = (*timing, refresh_permille, freq_stretch);
+        if key != self.costs.key {
+            self.costs = VaultCosts::new(
+                key,
+                self.ctrl_occupancy,
+                self.fu_latency,
+                self.bus_ps_per_byte,
+            );
+        }
+        let c = &self.costs;
+        let kind = access as usize;
         // Controller occupancy (internal domain: derated).
         let ctrl_start = self.ctrl_next_free.max(arrive);
-        self.ctrl_next_free = ctrl_start + self.ctrl_occupancy * fnum / fden;
+        self.ctrl_next_free = ctrl_start + c.ctrl;
         let ready = self.ctrl_next_free;
 
-        let stretch = |v: Ps| v * (1000 + refresh_permille) / 1000;
-        // Column-cycle occupancy for row hits (read + write column ops).
-        let col = 2 * timing.t_burst;
-        let (hit_occ, miss_occ) = match access {
-            VaultAccess::Read | VaultAccess::Write => (
-                stretch(col),
-                stretch(timing.t_rc().max(timing.read_latency())),
-            ),
-            VaultAccess::PimRmw => (
-                stretch(self.fu_latency + col),
-                stretch(
-                    timing.t_rcd + timing.t_cl + self.fu_latency + timing.t_burst + timing.t_rp,
-                ),
-            ),
-        };
-
+        let [miss_occ, hit_occ] = c.bank_occ[kind];
         let (bank_start, row_hit) = self.banks[bank].reserve(ready, addr, hit_occ, miss_occ);
         if row_hit {
             self.row_hits += 1;
@@ -182,40 +244,18 @@ impl Vault {
         }
         let queue_delay = bank_start - arrive.min(bank_start);
 
-        let resp_latency = match (access, row_hit) {
-            (VaultAccess::Read, true) => timing.t_cl + timing.t_burst,
-            (VaultAccess::Read, false) => timing.read_latency(),
-            (VaultAccess::Write, true) => timing.t_burst,
-            (VaultAccess::Write, false) => timing.t_rcd + timing.t_burst,
-            (VaultAccess::PimRmw, true) => timing.t_cl + self.fu_latency + timing.t_burst,
-            (VaultAccess::PimRmw, false) => {
-                timing.t_rcd + timing.t_cl + self.fu_latency + timing.t_burst
-            }
-        };
-
-        let mut response_ready = bank_start + resp_latency;
+        let mut response_ready = bank_start + c.resp[kind][row_hit as usize];
         if access == VaultAccess::PimRmw {
             // The FU is shared across the vault's banks: the modify stage
             // serializes there too.
-            let fu_ready = bank_start
-                + if row_hit {
-                    timing.t_cl
-                } else {
-                    timing.t_rcd + timing.t_cl
-                };
-            let fu_start = self.fu_next_free.max(fu_ready);
-            self.fu_next_free = fu_start + self.fu_latency * fnum / fden;
-            response_ready = response_ready.max(fu_start + self.fu_latency + timing.t_burst);
+            let fu_start = self
+                .fu_next_free
+                .max(bank_start + c.fu_ready[row_hit as usize]);
+            self.fu_next_free = fu_start + c.fu;
+            response_ready = response_ready.max(fu_start + c.fu_done);
         }
 
-        // TSV data-bus occupancy: 64-byte blocks for regular accesses;
-        // a PIM read-modify-write moves two 32-byte DRAM granules plus
-        // the command/row-activation slot (16-byte equivalent).
-        let bus_bytes = match access {
-            VaultAccess::Read | VaultAccess::Write => 64.0,
-            VaultAccess::PimRmw => 80.0,
-        };
-        let bus_occ = (bus_bytes * self.bus_ps_per_byte) as Ps * fnum / fden;
+        let bus_occ = c.bus[kind];
         let bus_start = self.bus_next_free.max(bank_start);
         self.bus_next_free = bus_start + bus_occ;
         response_ready = response_ready.max(bus_start + bus_occ);
