@@ -27,7 +27,6 @@ use coolpim_core::hw_dynt::{HwDynT, HwDynTConfig};
 use coolpim_core::reference::{ReferenceHwDynT, ReferenceSwDynT};
 use coolpim_core::sw_dynt::{SwDynT, SwDynTConfig};
 use coolpim_gpu::kernel::KernelProfile;
-use coolpim_hmc::timing::DramTiming;
 use coolpim_hmc::vault::Vault;
 use coolpim_hmc::ReferenceVault;
 use coolpim_telemetry::Tolerance;
@@ -272,7 +271,6 @@ fn run_controllers(seed: u64) -> bool {
 }
 
 fn run_vaults(seed: u64, scale: Scale) -> bool {
-    let timing = DramTiming::hmc20();
     let vaults = scale.vaults();
     let script = generate_vault_script(seed, 800, vaults);
     let mut reference: Vec<ReferenceVault> = (0..vaults)
@@ -281,7 +279,7 @@ fn run_vaults(seed: u64, scale: Scale) -> bool {
     let mut optimized: Vec<Vault> = (0..vaults)
         .map(|_| Vault::new(16, 500, 2_000, 10.0e9))
         .collect();
-    match lockstep_vault(&mut reference, &mut optimized, &script, &timing) {
+    match lockstep_vault(&mut reference, &mut optimized, &script) {
         Ok(n) => {
             println!("seed {seed}: vault pair integer-identical on {n} accesses");
             true

@@ -10,7 +10,7 @@
 //! [`lockstep_system`] composes all three in one epoch loop, the way the
 //! real co-simulation uses them.
 
-use crate::scenario::{CtrlOp, Scale, ThermalScenario, VaultOp};
+use crate::scenario::{vault_op, CtrlOp, Scale, ThermalScenario, VaultOp, VAULT_REGIMES};
 use crate::state::{EpochState, FieldDivergence};
 use coolpim_core::estimate::HardwareProfile;
 use coolpim_core::hw_dynt::{HwDynT, HwDynTConfig};
@@ -19,7 +19,6 @@ use coolpim_core::sw_dynt::{SwDynT, SwDynTConfig};
 use coolpim_gpu::kernel::KernelProfile;
 use coolpim_gpu::OffloadController;
 use coolpim_graph::rng::SplitMix64;
-use coolpim_hmc::timing::DramTiming;
 use coolpim_hmc::vault::Vault;
 use coolpim_hmc::{Ps, ReferenceVault, VaultTiming};
 use coolpim_telemetry::{FlightRecorder, PostmortemBundle, TelemetryEvent, Tolerance};
@@ -268,7 +267,6 @@ pub fn lockstep_vault<A: VaultTiming, B: VaultTiming>(
     reference: &mut [A],
     optimized: &mut [B],
     script: &[VaultOp],
-    timing: &DramTiming,
 ) -> Result<usize, VaultDivergence> {
     assert_eq!(reference.len(), optimized.len(), "vault count mismatch");
     for (i, op) in script.iter().enumerate() {
@@ -278,7 +276,7 @@ pub fn lockstep_vault<A: VaultTiming, B: VaultTiming>(
             op.bank,
             op.addr,
             op.access,
-            timing,
+            &op.timing,
             op.refresh_permille,
             op.freq_stretch,
         );
@@ -287,7 +285,7 @@ pub fn lockstep_vault<A: VaultTiming, B: VaultTiming>(
             op.bank,
             op.addr,
             op.access,
-            timing,
+            &op.timing,
             op.refresh_permille,
             op.freq_stretch,
         );
@@ -345,22 +343,19 @@ fn epoch_activity(seed: u64, epoch: usize, t0: Ps, vaults: usize, hot: bool) -> 
     ctrl.sort_by_key(|op| op.time());
     // Vault ops: a small burst, arrival-sorted within the window.
     let mut vault = Vec::new();
-    let regime = rng.gen_range_u64(3) as usize;
+    let regime = rng.gen_range_u64(VAULT_REGIMES.len() as u64) as usize;
     let m = 8 + rng.gen_range_u64(8) as usize;
     for _ in 0..m {
-        vault.push(VaultOp {
-            arrive: t0 + rng.gen_range_u64(EPOCH_PS),
-            vault: rng.gen_range_u64(vaults as u64) as usize,
-            bank: rng.gen_range_u64(16) as usize,
-            addr: 0x40 * rng.gen_range_u64(1 << 16),
-            access: match rng.gen_range_u64(3) {
-                0 => coolpim_hmc::vault::VaultAccess::Read,
-                1 => coolpim_hmc::vault::VaultAccess::Write,
-                _ => coolpim_hmc::vault::VaultAccess::PimRmw,
-            },
-            refresh_permille: [0, 33, 66][regime],
-            freq_stretch: [(1, 1), (5, 4), (2, 1)][regime],
-        });
+        let arrive = t0 + rng.gen_range_u64(EPOCH_PS);
+        let vault_id = rng.gen_range_u64(vaults as u64) as usize;
+        let bank = rng.gen_range_u64(16) as usize;
+        let addr = 0x40 * rng.gen_range_u64(1 << 16);
+        let access = match rng.gen_range_u64(3) {
+            0 => coolpim_hmc::vault::VaultAccess::Read,
+            1 => coolpim_hmc::vault::VaultAccess::Write,
+            _ => coolpim_hmc::vault::VaultAccess::PimRmw,
+        };
+        vault.push(vault_op(regime, arrive, vault_id, bank, addr, access));
     }
     vault.sort_by_key(|op| op.arrive);
     // Warnings: thermally driven (reference readout over threshold) or an
@@ -404,7 +399,6 @@ pub fn lockstep_system_on<S: ThermalSolve>(
     let mut opt_hw = HwDynT::new(HwDynTConfig::default());
 
     let vaults = scenario.scale.vaults();
-    let timing = DramTiming::hmc20();
     let mut ref_vaults: Vec<ReferenceVault> = (0..vaults)
         .map(|_| ReferenceVault::new(16, 500, 2_000, 10.0e9))
         .collect();
@@ -559,7 +553,7 @@ pub fn lockstep_system_on<S: ThermalSolve>(
                 op.bank,
                 op.addr,
                 op.access,
-                &timing,
+                &op.timing,
                 op.refresh_permille,
                 op.freq_stretch,
             );
@@ -568,7 +562,7 @@ pub fn lockstep_system_on<S: ThermalSolve>(
                 op.bank,
                 op.addr,
                 op.access,
-                &timing,
+                &op.timing,
                 op.refresh_permille,
                 op.freq_stretch,
             );
@@ -775,7 +769,6 @@ mod tests {
 
     #[test]
     fn shipped_vaults_agree_on_generated_scripts() {
-        let timing = DramTiming::hmc20();
         for seed in [1, 8, 1234] {
             let script = generate_vault_script(seed, 600, 4);
             let mut reference: Vec<ReferenceVault> = (0..4)
@@ -783,7 +776,7 @@ mod tests {
                 .collect();
             let mut optimized: Vec<Vault> =
                 (0..4).map(|_| Vault::new(16, 500, 2_000, 10.0e9)).collect();
-            let n = lockstep_vault(&mut reference, &mut optimized, &script, &timing)
+            let n = lockstep_vault(&mut reference, &mut optimized, &script)
                 .unwrap_or_else(|d| panic!("seed {seed}: {}", d.detail));
             assert_eq!(n, script.len());
         }

@@ -13,6 +13,7 @@
 //! fails, terminating at a locally-minimal diverging input.
 
 use coolpim_graph::rng::SplitMix64;
+use coolpim_hmc::timing::DramTiming;
 use coolpim_hmc::vault::VaultAccess;
 use coolpim_hmc::Ps;
 use coolpim_thermal::power::TrafficSample;
@@ -326,16 +327,47 @@ pub struct VaultOp {
     pub addr: u64,
     /// Access kind.
     pub access: VaultAccess,
+    /// DRAM timing derated by `freq_stretch`, as the cube passes it.
+    pub timing: DramTiming,
     /// Refresh overhead (per-mille).
     pub refresh_permille: u64,
     /// Frequency derating `(num, den)`.
     pub freq_stretch: (u64, u64),
 }
 
+/// The refresh/derate regimes vault scripts draw from, as
+/// `(refresh_permille, freq_stretch)`: three synthetic corners plus the
+/// cube's real Critical phase (two 20 % frequency steps, doubled refresh).
+pub const VAULT_REGIMES: [(u64, (u64, u64)); 4] =
+    [(0, (1, 1)), (33, (5, 4)), (66, (2, 1)), (66, (25, 16))];
+
+/// A vault op in regime `regime` (an index into [`VAULT_REGIMES`]), with
+/// the timing derated the way `Hmc` derates it for that stretch.
+pub fn vault_op(
+    regime: usize,
+    arrive: Ps,
+    vault: usize,
+    bank: usize,
+    addr: u64,
+    access: VaultAccess,
+) -> VaultOp {
+    let (refresh_permille, freq_stretch) = VAULT_REGIMES[regime];
+    let (num, den) = freq_stretch;
+    VaultOp {
+        arrive,
+        vault,
+        bank,
+        addr,
+        access,
+        timing: DramTiming::hmc20().scaled_by(num, den),
+        refresh_permille,
+        freq_stretch,
+    }
+}
+
 /// Generates a time-monotone vault access script of `len` ops over
 /// `vaults` vaults × 16 banks, mixing hot rows (hub hammering) with
-/// scattered misses, across the three refresh/derate regimes the cube's
-/// operating phases produce.
+/// scattered misses, across the [`VAULT_REGIMES`].
 pub fn generate_vault_script(seed: u64, len: usize, vaults: usize) -> Vec<VaultOp> {
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x5641_554C_5453_0001);
     let mut t: Ps = 0;
@@ -353,16 +385,10 @@ pub fn generate_vault_script(seed: u64, len: usize, vaults: usize) -> Vec<VaultO
             4..=5 => VaultAccess::Write,
             _ => VaultAccess::PimRmw,
         };
-        let regime = rng.gen_range_u64(3) as usize;
-        script.push(VaultOp {
-            arrive: t,
-            vault: rng.gen_range_u64(vaults as u64) as usize,
-            bank: rng.gen_range_u64(16) as usize,
-            addr,
-            access,
-            refresh_permille: [0, 33, 66][regime],
-            freq_stretch: [(1, 1), (5, 4), (2, 1)][regime],
-        });
+        let regime = rng.gen_range_u64(VAULT_REGIMES.len() as u64) as usize;
+        let vault = rng.gen_range_u64(vaults as u64) as usize;
+        let bank = rng.gen_range_u64(16) as usize;
+        script.push(vault_op(regime, t, vault, bank, addr, access));
     }
     script
 }
@@ -419,6 +445,23 @@ mod tests {
             assert!(w[0].arrive <= w[1].arrive);
         }
         assert!(vault.iter().all(|op| op.vault < 16 && op.bank < 16));
+    }
+
+    #[test]
+    fn vault_scripts_carry_each_regimes_derated_timing() {
+        let script = generate_vault_script(7, 400, 16);
+        for (refresh, (num, den)) in VAULT_REGIMES {
+            let ops: Vec<_> = script
+                .iter()
+                .filter(|op| op.refresh_permille == refresh && op.freq_stretch == (num, den))
+                .collect();
+            assert!(
+                !ops.is_empty(),
+                "regime ({refresh}, {num}/{den}) never drawn"
+            );
+            let derated = DramTiming::hmc20().scaled_by(num, den);
+            assert!(ops.iter().all(|op| op.timing == derated));
+        }
     }
 
     #[test]

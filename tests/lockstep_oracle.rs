@@ -15,7 +15,6 @@ use coolpim::core::hw_dynt::{HwDynT, HwDynTConfig};
 use coolpim::core::reference::{ReferenceHwDynT, ReferenceSwDynT};
 use coolpim::core::sw_dynt::{SwDynT, SwDynTConfig};
 use coolpim::gpu::kernel::KernelProfile;
-use coolpim::hmc::timing::DramTiming;
 use coolpim::hmc::vault::Vault;
 use coolpim::hmc::ReferenceVault;
 use coolpim::telemetry::Tolerance;
@@ -110,14 +109,12 @@ fn controller_and_vault_seams_hold_in_lockstep() {
     let mut b = HwDynT::new(HwDynTConfig::default());
     lockstep_controller(&mut a, &mut b, &script).unwrap_or_else(|d| panic!("{}", d.detail));
 
-    let timing = DramTiming::hmc20();
     let script = generate_vault_script(1234, 500, 8);
     let mut refs: Vec<ReferenceVault> = (0..8)
         .map(|_| ReferenceVault::new(16, 500, 2_000, 10.0e9))
         .collect();
     let mut opts: Vec<Vault> = (0..8).map(|_| Vault::new(16, 500, 2_000, 10.0e9)).collect();
-    lockstep_vault(&mut refs, &mut opts, &script, &timing)
-        .unwrap_or_else(|d| panic!("{}", d.detail));
+    lockstep_vault(&mut refs, &mut opts, &script).unwrap_or_else(|d| panic!("{}", d.detail));
 }
 
 #[test]
