@@ -3,12 +3,10 @@
 //! section (the `fig10`–`fig13` binaries re-run the matrix each). After
 //! the figures it prints the aggregated metrics block (warnings,
 //! throttle steps, HMC latency histograms); set `COOLPIM_PROFILE=1` for
-//! a per-policy wall-clock self-time breakdown too.
+//! the span tree of the whole matrix too.
 use coolpim_bench::runrec::{run_record_dir, RunRecord};
-use coolpim_bench::{eval_graph_spec, profiling_requested, run_eval_matrix};
-use coolpim_core::experiment::{
-    aggregate_metrics, aggregate_profiles, mean_speedup, WorkloadResults,
-};
+use coolpim_bench::{eval_graph_spec, run_eval_matrix};
+use coolpim_core::experiment::{aggregate_metrics, mean_speedup, WorkloadResults};
 use coolpim_core::policy::Policy;
 use coolpim_core::report::{f, Table};
 
@@ -109,15 +107,6 @@ fn fig13(results: &[WorkloadResults]) {
 
 fn metrics_summary(results: &[WorkloadResults]) {
     print!("{}", aggregate_metrics(results, None).render());
-    if profiling_requested() {
-        for p in Policy::ALL {
-            let prof = aggregate_profiles(results, Some(p));
-            if prof.enabled {
-                println!("-- {} --", p.name());
-                print!("{}", prof.render());
-            }
-        }
-    }
 }
 
 /// With `COOLPIM_RUN_RECORD=<dir>` set, appends one run record per

@@ -14,8 +14,8 @@
 //! `--timeline` dumps the per-epoch telemetry as CSV to stdout,
 //! `--timeline-out FILE` writes the same CSV to a file, `--trace FILE`
 //! streams the full event log (warnings, phase moves, pool resizes,
-//! kernel lifecycle, epoch samples) as JSONL, and `--profile` prints a
-//! wall-clock self-time breakdown of the co-sim hot phases.
+//! kernel lifecycle, epoch samples) as JSONL, and `--profile` prints the
+//! run's span tree (self and total time per phase, critical path).
 //!
 //! `--warning-threshold` overrides the ERRSTAT trigger temperature
 //! (small-scale CI runs lower it so the feedback loop engages).
@@ -74,15 +74,16 @@
 
 use coolpim_bench::replicate::fold_replicates;
 use coolpim_bench::runrec::{fnv1a, run_record_dir, RunRecord};
-use coolpim_core::cosim::{CoSim, CoSimConfig, FlightConfig};
+use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::experiment::{run_replicates, run_source_sweep, SweepCell};
+use coolpim_core::observer::{FlightConfig, FlightObserver, Heartbeat};
 use coolpim_core::policy::Policy;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_graph::Csr;
 use coolpim_telemetry::{
     CsvSink, JsonlSink, MonitorHub, MonitorServer, MultiSink, RotatingJsonlSink, Sink, Telemetry,
-    CSV_TIMELINE_HEADER,
+    Tracer, CSV_TIMELINE_HEADER,
 };
 use coolpim_thermal::cooling::Cooling;
 use coolpim_trace::{RecordingSource, TraceReplaySource, WorkloadTrace};
@@ -594,18 +595,13 @@ fn main() {
             }
         }
     }
-    let mut telemetry = match sinks.len() {
+    let telemetry = match sinks.len() {
         0 => Telemetry::disabled(),
         1 => Telemetry::with_sink(sinks.pop().expect("one sink")),
         _ => Telemetry::with_sink(Box::new(MultiSink::new(sinks))),
     };
     let flight_on = args.flight_recorder || args.postmortem_dir.is_some();
     let monitor_on = args.monitor.is_some();
-    // The flight recorder's and live monitor's self-overhead metric
-    // needs span timings, so enabling either implies profiling.
-    if args.profile || flight_on || monitor_on {
-        telemetry = telemetry.profiled();
-    }
 
     let threshold_c = cfg.warning_threshold_c;
 
@@ -635,34 +631,15 @@ fn main() {
     let record_name = format!("{}-{}", workload_name, args.policy.name());
 
     let mut cosim = CoSim::new(args.policy, cfg).with_telemetry(telemetry);
-    let tracer = args
-        .trace_timeline
-        .as_ref()
-        .map(|_| coolpim_telemetry::Tracer::new());
+    // One tracer serves the timeline export, the --profile span tree, and
+    // the flight recorder's and monitor's self-overhead figure.
+    let tracer = (args.trace_timeline.is_some() || args.profile || flight_on || monitor_on)
+        .then(Tracer::new);
     if let Some(t) = &tracer {
         cosim = cosim.with_tracer(t);
     }
-    let mut server = None;
-    if let Some(addr) = &args.monitor {
-        let hub = MonitorHub::new();
-        hub.begin_run(&record_name, &format!("{:016x}", fnv1a(&config_desc)));
-        match MonitorServer::start(addr, hub.clone()) {
-            Ok(s) => {
-                // Printed before the run starts so scrapers can attach
-                // and land mid-run (the CI live-monitor job greps this).
-                eprintln!("# monitor: http://{}", s.local_addr());
-                server = Some(s);
-            }
-            Err(e) => {
-                eprintln!("failed to bind monitor on {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-        cosim = cosim.with_monitor(hub);
-    }
-    if let Some(secs) = args.heartbeat_s {
-        cosim = cosim.with_heartbeat(secs);
-    }
+    // Observers run in attach order: the flight recorder first, so an
+    // epoch's FlightDump still streams ahead of its Heartbeat.
     if flight_on {
         let mut fcfg = FlightConfig {
             postmortem_dir: args.postmortem_dir.clone().map(Into::into),
@@ -680,7 +657,28 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        cosim = cosim.with_flight_recorder(fcfg);
+        cosim = cosim.with_observer(FlightObserver::new(fcfg));
+    }
+    let mut server = None;
+    if let Some(addr) = &args.monitor {
+        let hub = MonitorHub::new();
+        hub.begin_run(&record_name, &format!("{:016x}", fnv1a(&config_desc)));
+        match MonitorServer::start(addr, hub.clone()) {
+            Ok(s) => {
+                // Printed before the run starts so scrapers can attach
+                // and land mid-run (the CI live-monitor job greps this).
+                eprintln!("# monitor: http://{}", s.local_addr());
+                server = Some(s);
+            }
+            Err(e) => {
+                eprintln!("failed to bind monitor on {addr}: {e}");
+                std::process::exit(1);
+            }
+        }
+        cosim = cosim.with_observer(hub);
+    }
+    if let Some(secs) = args.heartbeat_s {
+        cosim = cosim.with_observer(Heartbeat::every(secs));
     }
     // (file bytes, ops, blocks, launches) of a just-recorded trace, for
     // the run record.
@@ -831,10 +829,8 @@ fn main() {
         println!("!! thermal shutdown occurred");
     }
     if args.profile {
-        print!("{}", r.profile.render());
-        if let Some(tracer) = &tracer {
-            print!("{}", tracer.profile().render());
-        }
+        let tracer = tracer.as_ref().expect("--profile attaches a tracer");
+        print!("{}", tracer.profile().render());
         print!("{}", r.metrics.render());
     }
     if args.timeline {

@@ -2,13 +2,13 @@
 
 use coolpim_core::cosim::CoSimConfig;
 use coolpim_core::experiment::{
-    run_matrix, run_matrix_monitored, run_matrix_profiled, WorkloadResults,
+    run_matrix, run_matrix_monitored, run_matrix_span_tree, WorkloadResults,
 };
 use coolpim_core::policy::Policy;
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::Workload;
-use coolpim_telemetry::{MonitorHub, MonitorServer};
+use coolpim_telemetry::{MonitorHub, MonitorServer, Tracer};
 
 /// Resolves the evaluation graph from `COOLPIM_SCALE` (see crate docs).
 pub fn eval_graph_spec() -> GraphSpec {
@@ -40,7 +40,7 @@ pub fn graph_spec_for(scale: Option<&str>) -> GraphSpec {
     spec
 }
 
-/// Whether per-run wall-clock profiling was requested via the
+/// Whether the matrix's span tree was requested via the
 /// `COOLPIM_PROFILE` environment variable (`1`/`true`).
 pub fn profiling_requested() -> bool {
     matches!(
@@ -59,16 +59,16 @@ pub fn monitor_addr_requested() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// Profiled/unprofiled dispatch shared by the full matrix and the subset
-/// path, so `COOLPIM_PROFILE` means the same thing in every figure binary.
-/// With `COOLPIM_MONITOR` set, the matrix runs with a live monitor
-/// endpoint bound for its duration (implies profiling, so the runs carry
-/// `telemetry_overhead_pct`).
+/// Dispatch shared by the full matrix and the subset path, so
+/// `COOLPIM_PROFILE` means the same thing in every figure binary: with a
+/// `tracer`, every cell records its span tree on it. With
+/// `COOLPIM_MONITOR` set, the matrix runs with a live monitor endpoint
+/// bound for its duration instead.
 fn run_matrix_dispatch(
     graph: &Csr,
     workloads: &[Workload],
     policies: &[Policy],
-    profile: bool,
+    tracer: Option<&Tracer>,
 ) -> Vec<WorkloadResults> {
     if let Some(addr) = monitor_addr_requested() {
         let hub = MonitorHub::new();
@@ -88,16 +88,30 @@ fn run_matrix_dispatch(
         eprintln!("# monitor stopped");
         return results;
     }
-    if profile {
-        run_matrix_profiled(graph, workloads, policies, CoSimConfig::default())
-    } else {
-        run_matrix(graph, workloads, policies, CoSimConfig::default())
+    match tracer {
+        Some(t) => run_matrix_span_tree(graph, workloads, policies, CoSimConfig::default(), t),
+        None => run_matrix(graph, workloads, policies, CoSimConfig::default()),
     }
+}
+
+/// Runs the dispatch under a fresh tracer when `COOLPIM_PROFILE` asks
+/// for it, printing the matrix's span tree afterwards.
+fn run_matrix_env(
+    graph: &Csr,
+    workloads: &[Workload],
+    policies: &[Policy],
+) -> Vec<WorkloadResults> {
+    let tracer = profiling_requested().then(Tracer::new);
+    let results = run_matrix_dispatch(graph, workloads, policies, tracer.as_ref());
+    if let Some(t) = &tracer {
+        print!("{}", t.profile().render());
+    }
+    results
 }
 
 /// Runs the full evaluation matrix (all ten workloads × the five system
 /// configurations) at the configured scale. Set `COOLPIM_PROFILE=1` to
-/// profile every run's hot phases.
+/// print the span tree of the whole matrix.
 pub fn run_eval_matrix() -> Vec<WorkloadResults> {
     let spec = eval_graph_spec();
     eprintln!(
@@ -111,25 +125,25 @@ pub fn run_eval_matrix() -> Vec<WorkloadResults> {
         graph.edge_count(),
         Workload::ALL.len() * Policy::ALL.len()
     );
-    run_matrix_dispatch(&graph, &Workload::ALL, &Policy::ALL, profiling_requested())
+    run_matrix_env(&graph, &Workload::ALL, &Policy::ALL)
 }
 
 /// Runs a subset of the matrix (used by the quicker figure binaries).
 /// Honours `COOLPIM_PROFILE` exactly like [`run_eval_matrix`].
 pub fn run_eval_subset(workloads: &[Workload], policies: &[Policy]) -> Vec<WorkloadResults> {
     let graph = eval_graph_spec().build();
-    run_eval_subset_on(&graph, workloads, policies, profiling_requested())
+    run_matrix_env(&graph, workloads, policies)
 }
 
-/// [`run_eval_subset`] with the graph and the profiling decision injected
-/// (tests pass `profile` directly instead of racing on the environment).
+/// [`run_eval_subset`] with the graph and the tracer injected (tests
+/// pass a tracer directly instead of racing on the environment).
 pub fn run_eval_subset_on(
     graph: &Csr,
     workloads: &[Workload],
     policies: &[Policy],
-    profile: bool,
+    tracer: Option<&Tracer>,
 ) -> Vec<WorkloadResults> {
-    run_matrix_dispatch(graph, workloads, policies, profile)
+    run_matrix_dispatch(graph, workloads, policies, tracer)
 }
 
 #[cfg(test)]
@@ -162,17 +176,21 @@ mod tests {
     }
 
     #[test]
-    fn subset_path_honours_the_profiling_flag() {
+    fn subset_path_records_spans_only_under_a_tracer() {
         let graph = GraphSpec::tiny().build();
         let workloads = [Workload::Dc];
         let policies = [Policy::NonOffloading];
-        let profiled = run_eval_subset_on(&graph, &workloads, &policies, true);
-        let r = &profiled[0].runs[0];
+        let tracer = Tracer::new();
+        let traced = run_eval_subset_on(&graph, &workloads, &policies, Some(&tracer));
         assert!(
-            r.profile.enabled && r.profile.span_s("gpu_advance") > 0.0,
-            "profiled subset run must populate hot-phase spans"
+            tracer.profile().total_s("epoch/gpu_advance") > 0.0,
+            "a traced subset run must record hot-phase spans"
         );
-        let plain = run_eval_subset_on(&graph, &workloads, &policies, false);
-        assert!(!plain[0].runs[0].profile.enabled);
+        let plain = run_eval_subset_on(&graph, &workloads, &policies, None);
+        assert_eq!(plain[0].runs[0].telemetry_overhead_pct, 0.0);
+        assert_eq!(
+            traced[0].runs[0].exec_s.to_bits(),
+            plain[0].runs[0].exec_s.to_bits()
+        );
     }
 }

@@ -109,8 +109,7 @@ impl RunRecord {
     }
 
     /// Builds a record from a finished co-simulation: headline results,
-    /// every telemetry counter/gauge, histogram summaries, and the
-    /// wall-clock profile (when enabled).
+    /// every telemetry counter/gauge, and histogram summaries.
     pub fn from_cosim(name: &str, config: &str, r: &CoSimResult) -> Self {
         let mut rec = Self::new(name, config);
         rec.push("exec_s", r.exec_s);
@@ -143,12 +142,6 @@ impl RunRecord {
             rec.push(&format!("hist.{n}.p90"), h.p90 as f64);
             rec.push(&format!("hist.{n}.p99"), h.p99 as f64);
             rec.push(&format!("hist.{n}.max"), h.max as f64);
-        }
-        if r.profile.enabled {
-            rec.push("profile.wall_s", r.profile.wall_s);
-            for e in &r.profile.entries {
-                rec.push(&format!("profile.{}_s", e.name), e.total_s);
-            }
         }
         rec
     }

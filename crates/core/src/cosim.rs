@@ -16,16 +16,13 @@ use coolpim_gpu::stats::GpuStats;
 use coolpim_gpu::system::{GpuSystem, RunOutcome};
 use coolpim_hmc::stats::StatsTotals;
 use coolpim_hmc::{ns_to_ps, Hmc, Ps, TempPhase};
-use coolpim_telemetry::flight::{FlightRecorder, PostmortemBundle};
-use coolpim_telemetry::monitor::EpochObservation;
-use coolpim_telemetry::{
-    MetricsSnapshot, MonitorHub, ProfileReport, Telemetry, TelemetryEvent, TraceTrack, Tracer,
-};
+use coolpim_telemetry::{MetricsSnapshot, Telemetry, TelemetryEvent, TraceTrack, Tracer};
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::model::HmcThermalModel;
 use coolpim_thermal::power::TrafficSample;
 use coolpim_thermal::solver::{ThermalSolve, TransientState};
 
+use crate::observer::{EpochObserver, EpochView};
 use crate::policy::Policy;
 
 /// Co-simulation parameters.
@@ -59,54 +56,6 @@ impl Default for CoSimConfig {
             warm_start: true,
         }
     }
-}
-
-/// Flight-recorder configuration (see
-/// [`coolpim_telemetry::flight`]): sampling cadence, ring depth, and
-/// where anomaly dumps go.
-#[derive(Debug, Clone)]
-pub struct FlightConfig {
-    /// Frames retained in the ring (default 64 — 6.4 ms of history at
-    /// the default 100 µs epoch and cadence 1).
-    pub capacity: usize,
-    /// Sample every N co-sim epochs (default 1; floored at 1).
-    pub every_epochs: u64,
-    /// Directory for post-mortem bundles (None keeps dumps in-memory
-    /// only: the `FlightDump` event and `flight_dumps` counter still
-    /// fire).
-    pub postmortem_dir: Option<PathBuf>,
-    /// Maximum bundles per run (default 8).
-    pub max_dumps: usize,
-    /// Minimum epochs between dumps, so one hot episode cannot spam
-    /// near-identical bundles (default 16).
-    pub min_gap_epochs: u64,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 64,
-            every_epochs: 1,
-            postmortem_dir: None,
-            max_dumps: 8,
-            min_gap_epochs: 16,
-        }
-    }
-}
-
-/// Per-run flight-recorder state (built at run start so the ring sizes
-/// itself to the cube actually attached).
-struct FlightState {
-    cfg: FlightConfig,
-    rec: FlightRecorder,
-    /// Scratch for the per-vault temperature reduction (no per-epoch
-    /// allocation).
-    temps: Vec<f64>,
-    /// Whether the previous epoch's peak was above the warning
-    /// threshold (overshoot-episode edge detection).
-    over: bool,
-    last_dump_epoch: Option<u64>,
-    dumps: Vec<PathBuf>,
 }
 
 /// One epoch's telemetry (the per-millisecond samples of Fig. 14 are
@@ -160,14 +109,12 @@ pub struct CoSimResult {
     /// End-of-run metrics: epoch/warning counters, pool/cap/temperature
     /// gauges, and the cube's service-time and queue-wait histograms.
     pub metrics: MetricsSnapshot,
-    /// Wall-clock self-time breakdown of the co-sim hot phases (empty
-    /// unless profiling was enabled via [`CoSim::with_telemetry`]).
-    pub profile: ProfileReport,
     /// Source-throttling control actions applied: SW-DynT token-pool
     /// shrinks plus HW-DynT PCU warp-cap updates.
     pub throttle_steps: u64,
-    /// Telemetry self-overhead (flight sampling + dumps + sink emits) as
-    /// a percentage of profiled wall time. 0 when profiling is off.
+    /// Telemetry self-overhead as a percentage of the run's wall time:
+    /// the tracer's own cost plus the self time of the observer and
+    /// `telemetry_emit` spans. 0 without a tracer.
     pub telemetry_overhead_pct: f64,
     /// Post-mortem bundles written by the flight recorder, in dump
     /// order.
@@ -201,12 +148,14 @@ pub struct CoSim<S: ThermalSolve = TransientState> {
     policy: Policy,
     cfg: CoSimConfig,
     telemetry: Telemetry,
-    flight_cfg: Option<FlightConfig>,
-    monitor: Option<MonitorHub>,
-    heartbeat_s: Option<f64>,
+    /// The loop's timeline track (the epoch span tree with thermal
+    /// children, counter samples, warning→throttle flows), when trace
+    /// timelines are on.
+    sim_trace: Option<TraceTrack>,
     /// The cube's timeline track (window roll-over / event-drain spans
     /// plus per-epoch activity counters), when trace timelines are on.
     hmc_trace: Option<TraceTrack>,
+    observers: Vec<Box<dyn EpochObserver>>,
 }
 
 // Constructors stay on the defaulted type so `CoSim::paper(...)` keeps
@@ -231,10 +180,9 @@ impl CoSim {
             policy,
             cfg,
             telemetry: Telemetry::disabled(),
-            flight_cfg: None,
-            monitor: None,
-            heartbeat_s: None,
+            sim_trace: None,
             hmc_trace: None,
+            observers: Vec::new(),
         }
     }
 }
@@ -258,10 +206,9 @@ impl<S: ThermalSolve> CoSim<S> {
             policy: self.policy,
             cfg: self.cfg,
             telemetry: self.telemetry,
-            flight_cfg: self.flight_cfg,
-            monitor: self.monitor,
-            heartbeat_s: self.heartbeat_s,
+            sim_trace: self.sim_trace,
             hmc_trace: self.hmc_trace,
+            observers: self.observers,
         }
     }
 
@@ -270,50 +217,29 @@ impl<S: ThermalSolve> CoSim<S> {
     /// `sim` (the epoch span tree with thermal children, counter
     /// samples, and warning→throttle flow events), `gpu` (the engine's
     /// scheduling/dispatch spans), and `hmc` (the cube's window and
-    /// event-drain spans). Call **after** [`Self::with_telemetry`]: the
-    /// `sim` track rides inside the telemetry bundle, so a later
-    /// `with_telemetry` replaces it.
+    /// event-drain spans). A tracer also turns on the
+    /// `telemetry_overhead_pct` measurement.
     pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.telemetry.trace = Some(tracer.track("sim"));
+        self.sim_trace = Some(tracer.track("sim"));
         self.sys.set_trace(tracer.track("gpu"));
         self.hmc_trace = Some(tracer.track("hmc"));
         self
     }
 
-    /// Attaches a telemetry bundle (event sink and/or profiler). The
-    /// default is [`Telemetry::disabled`], which costs one branch per
-    /// epoch.
+    /// Attaches a telemetry bundle (event sink plus metrics registry).
+    /// The default is [`Telemetry::disabled`], which costs one branch
+    /// per emit.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
     }
 
-    /// Enables the spatial flight recorder: per-vault frames sampled
-    /// every `cfg.every_epochs` epochs into a fixed ring, snapshotted to
-    /// post-mortem bundles on thermal anomalies (warning raised, phase
-    /// change out of Normal, overshoot-episode start).
-    pub fn with_flight_recorder(mut self, cfg: FlightConfig) -> Self {
-        self.flight_cfg = Some(cfg);
-        self
-    }
-
-    /// Publishes one [`EpochObservation`] per thermal epoch into `hub`
-    /// so a [`coolpim_telemetry::MonitorServer`] (or any other observer
-    /// holding the hub) can watch the run live. The per-epoch cost is
-    /// one mutex lock plus ring pushes and a registry `clone_from`; it
-    /// is profiled under the `monitor_sample` span and counted into
-    /// `telemetry_overhead_pct`.
-    pub fn with_monitor(mut self, hub: MonitorHub) -> Self {
-        self.monitor = Some(hub);
-        self
-    }
-
-    /// Prints a one-line progress summary (epoch, peak temp, phase,
-    /// epochs/s) to stderr every `secs` wall seconds, and emits a
-    /// [`TelemetryEvent::Heartbeat`] alongside — headless runs stop
-    /// being silent until completion.
-    pub fn with_heartbeat(mut self, secs: f64) -> Self {
-        self.heartbeat_s = Some(secs.max(0.1));
+    /// Attaches a per-epoch observer — a
+    /// [`crate::observer::FlightObserver`], a
+    /// [`coolpim_telemetry::MonitorHub`], a [`crate::observer::Heartbeat`],
+    /// or any other [`EpochObserver`]. Observers run in attach order.
+    pub fn with_observer(mut self, observer: impl EpochObserver + 'static) -> Self {
+        self.observers.push(Box::new(observer));
         self
     }
 
@@ -331,12 +257,17 @@ impl<S: ThermalSolve> CoSim<S> {
     /// (ablation studies, extensions such as graduated warnings).
     /// `feedback` selects whether the thermal readout is pushed back into
     /// the cube (false reproduces the ideal-cooling scenario).
+    ///
+    /// Each epoch follows the paper's feedback cycle: advance the GPU →
+    /// close the HMC window → power → thermal step → feedback → fold the
+    /// epoch's events into the metrics → observers → emit.
     pub fn run_with_controller<K: InstructionSource + ?Sized>(
         mut self,
         kernel: &mut K,
         ctrl: &mut dyn coolpim_gpu::controller::OffloadController,
         feedback: bool,
     ) -> CoSimResult {
+        let run_started = std::time::Instant::now();
         self.sys
             .hmc_mut()
             .set_warning_threshold(self.cfg.warning_threshold_c);
@@ -358,57 +289,36 @@ impl<S: ThermalSolve> CoSim<S> {
         let mut cube_energy_j = 0.0;
         let mut throttle_steps = 0u64;
         let mut batch: Vec<TelemetryEvent> = Vec::new();
+        let mut observed: Vec<TelemetryEvent> = Vec::new();
         // Raise time of every warning episode, for the warning→action
         // latency histogram (ids are small and monotone; linear scan).
         let mut raised_at: Vec<(u64, Ps)> = Vec::new();
         let fan_power_w = self.cfg.cooling.fan_power_w();
-        let mut flight = self.flight_cfg.take().map(|mut cfg| {
-            cfg.every_epochs = cfg.every_epochs.max(1);
-            let vaults = self.sys.hmc().config().vaults;
-            FlightState {
-                rec: FlightRecorder::new(cfg.capacity.max(1), vaults),
-                cfg,
-                temps: Vec::new(),
-                over: false,
-                last_dump_epoch: None,
-                dumps: Vec::new(),
-            }
-        });
+        // Per-vault temperatures for the observers (no per-epoch alloc).
+        let mut vault_temps: Vec<f64> = Vec::new();
+        let mut prev_sweeps = self.thermal.solver_stats().sweeps;
 
         self.sys.start(kernel, ctrl, 0);
         let mut horizon = 0;
         let mut first_epoch = true;
         let mut epoch_idx = 0u64;
-        // Live-monitor / heartbeat state: wall-clock pacing plus scratch
-        // for the per-vault temperature reduction (no per-epoch alloc).
-        let run_started = std::time::Instant::now();
-        let mut mon_temps: Vec<f64> = Vec::new();
-        let mut prev_sweeps = self.thermal.solver_stats().sweeps;
-        // First beat fires on the first epoch (immediate sign of life),
-        // then paces at the configured interval.
-        let mut next_beat = 0.0f64;
         let end_ps = loop {
             horizon += self.cfg.epoch;
             epoch_idx += 1;
-            let epoch_tok = self.telemetry.trace_begin("epoch");
-            let span = self.telemetry.profiler.start();
-            let ttok = self.telemetry.trace_begin("gpu_advance");
-            let outcome = self.sys.run_until(kernel, ctrl, horizon);
-            self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("gpu_advance", span);
+            let epoch_tok = self.sim_trace.as_mut().map(|t| t.begin("epoch"));
+            let outcome = span(&mut self.sim_trace, "gpu_advance", || {
+                self.sys.run_until(kernel, ctrl, horizon)
+            });
             let now = if outcome == RunOutcome::Finished {
                 self.sys.stats().end_ps
             } else {
                 horizon
             };
-            let span = self.telemetry.profiler.start();
-            let ttok = self.telemetry.trace_begin("hmc_drain");
-            let window = self
-                .sys
-                .hmc_mut()
-                .take_window_traced(now, self.hmc_trace.as_mut());
-            self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("hmc_drain", span);
+            let window = span(&mut self.sim_trace, "hmc_drain", || {
+                self.sys
+                    .hmc_mut()
+                    .take_window_traced(now, self.hmc_trace.as_mut())
+            });
             let dur_s = window.duration_s(now).max(1e-9);
             let sample = TrafficSample {
                 window_s: dur_s,
@@ -417,21 +327,12 @@ impl<S: ThermalSolve> CoSim<S> {
                 vault_weights: Some(window.vault_weights()),
             };
             cube_energy_j += self.thermal.total_power_w(&sample) * dur_s;
-            let readout = if first_epoch && self.cfg.warm_start {
-                first_epoch = false;
-                let span = self.telemetry.profiler.start();
-                let ttok = self.telemetry.trace_begin("thermal_solve");
-                let r = self.thermal.steady_state(&sample);
-                self.telemetry.trace_end(ttok);
-                self.telemetry.profiler.stop("thermal_solve", span);
-                r
+            let readout = if std::mem::take(&mut first_epoch) && self.cfg.warm_start {
+                span(&mut self.sim_trace, "thermal_solve", || {
+                    self.thermal.steady_state(&sample)
+                })
             } else {
-                first_epoch = false;
-                self.thermal.step_traced(
-                    &sample,
-                    &mut self.telemetry.profiler,
-                    self.telemetry.trace.as_mut(),
-                )
+                self.thermal.step_traced(&sample, self.sim_trace.as_mut())
             };
             max_peak = max_peak.max(readout.peak_dram_c);
             if feedback {
@@ -450,33 +351,36 @@ impl<S: ThermalSolve> CoSim<S> {
             });
 
             // Drain the epoch's buffered events from every producer (the
-            // buffers must empty even without a sink), fold them into the
-            // metrics, and stream them time-sorted with the epoch sample
-            // last.
+            // buffers must empty even without a sink) and fold them into
+            // the metrics; marker spans anchor warning→throttle flows.
             self.sys
                 .hmc_mut()
                 .drain_events_traced(&mut batch, self.hmc_trace.as_mut());
             self.sys.drain_events(&mut batch);
             ctrl.drain_control_events(&mut batch);
+            let metrics = &mut self.telemetry.metrics;
             for ev in &batch {
-                match ev {
+                // A throttle action: its time and the warning it answers.
+                let action = match ev {
                     TelemetryEvent::ThermalWarningRaised {
                         t_ps, warning_id, ..
                     } => {
-                        self.telemetry.metrics.count("thermal_warnings_raised", 1);
+                        metrics.count("thermal_warnings_raised", 1);
                         raised_at.push((*warning_id, *t_ps));
-                        // Flow arrow origin: a marker span inside the
-                        // epoch anchors the warning's causal thread.
-                        let tok = self.telemetry.trace_begin("thermal_warning");
-                        self.telemetry
-                            .trace_flow_start("thermal_warning", *warning_id);
-                        self.telemetry.trace_end(tok);
+                        if let Some(t) = self.sim_trace.as_mut() {
+                            t.scoped("thermal_warning", |t| {
+                                t.flow_start("thermal_warning", *warning_id)
+                            });
+                        }
+                        None
                     }
                     TelemetryEvent::ThermalWarningCleared { .. } => {
-                        self.telemetry.metrics.count("thermal_warnings_cleared", 1);
+                        metrics.count("thermal_warnings_cleared", 1);
+                        None
                     }
                     TelemetryEvent::ThermalWarningDelivered { .. } => {
-                        self.telemetry.metrics.count("thermal_warnings_accepted", 1);
+                        metrics.count("thermal_warnings_accepted", 1);
+                        None
                     }
                     TelemetryEvent::TokenPoolResize {
                         t_ps,
@@ -485,26 +389,11 @@ impl<S: ThermalSolve> CoSim<S> {
                         warning_id,
                         ..
                     } => {
-                        self.telemetry.metrics.gauge("token_pool_size", *new as f64);
-                        if *trigger == "thermal_warning" {
-                            throttle_steps += 1;
-                            self.telemetry.metrics.count("token_pool_shrinks", 1);
-                            if let Some(id) = warning_id {
-                                // Flow arrow target: the throttle action
-                                // this warning caused.
-                                let tok = self.telemetry.trace_begin("throttle");
-                                self.telemetry.trace_flow_finish("thermal_warning", *id);
-                                self.telemetry.trace_end(tok);
-                            }
-                            if let Some(t0) = warning_id
-                                .and_then(|id| raised_at.iter().find(|(i, _)| *i == id))
-                                .map(|(_, t)| *t)
-                            {
-                                self.telemetry
-                                    .metrics
-                                    .observe("warning_to_action_ps", t_ps.saturating_sub(t0));
-                            }
-                        }
+                        metrics.gauge("token_pool_size", *new as f64);
+                        (*trigger == "thermal_warning").then(|| {
+                            metrics.count("token_pool_shrinks", 1);
+                            (*t_ps, *warning_id)
+                        })
                     }
                     TelemetryEvent::WarpCapUpdate {
                         t_ps,
@@ -512,228 +401,89 @@ impl<S: ThermalSolve> CoSim<S> {
                         warning_id,
                         ..
                     } => {
-                        throttle_steps += 1;
-                        self.telemetry.metrics.count("warp_cap_updates", 1);
-                        self.telemetry
-                            .metrics
-                            .gauge("warp_cap_slots", *new_slots as f64);
-                        if let Some(id) = warning_id {
-                            let tok = self.telemetry.trace_begin("throttle");
-                            self.telemetry.trace_flow_finish("thermal_warning", *id);
-                            self.telemetry.trace_end(tok);
-                        }
-                        if let Some(t0) = warning_id
-                            .and_then(|id| raised_at.iter().find(|(i, _)| *i == id))
-                            .map(|(_, t)| *t)
-                        {
-                            self.telemetry
-                                .metrics
-                                .observe("warning_to_action_ps", t_ps.saturating_sub(t0));
-                        }
+                        metrics.count("warp_cap_updates", 1);
+                        metrics.gauge("warp_cap_slots", *new_slots as f64);
+                        Some((*t_ps, *warning_id))
                     }
                     TelemetryEvent::Shutdown { .. } => {
-                        self.telemetry.metrics.count("shutdowns", 1);
+                        metrics.count("shutdowns", 1);
+                        None
                     }
-                    _ => {}
-                }
-            }
-            // Flight recorder: sample the spatial state after the
-            // metrics fold (so pool/cap gauges reflect this epoch's
-            // control actions), then scan the batch for anomaly
-            // triggers. Both paths time themselves so the run record can
-            // report the recorder's own overhead.
-            if let Some(fl) = flight.as_mut() {
-                if epoch_idx.is_multiple_of(fl.cfg.every_epochs) {
-                    let span = self.telemetry.profiler.start();
-                    let ttok = self.telemetry.trace_begin("flight_sample");
-                    self.thermal.vault_peak_dram_temps_into(&mut fl.temps);
-                    let pool = self.telemetry.metrics.gauge_value("token_pool_size");
-                    let cap = self.telemetry.metrics.gauge_value("warp_cap_slots");
-                    let frame = fl.rec.record();
-                    frame.t_ps = now;
-                    frame.epoch = epoch_idx;
-                    frame.peak_dram_c = readout.peak_dram_c;
-                    frame.logic_c = readout.peak_logic_c;
-                    frame.phase = phase.name();
-                    frame.pool_size = pool.map(|v| v.max(0.0) as u64);
-                    frame.warp_cap = cap.map(|v| v.max(0.0) as u64);
-                    for (v, s) in frame.vaults.iter_mut().enumerate() {
-                        s.peak_dram_c = fl.temps.get(v).copied().unwrap_or(f64::NAN);
-                        s.ops = window.vault_ops[v];
-                        s.pim_ops = window.vault_pim_ops[v];
-                        s.flits = window.vault_flits[v];
-                        s.queue_wait_ps = window.vault_queue_wait_ps[v];
-                    }
-                    self.telemetry.trace_end(ttok);
-                    self.telemetry.profiler.stop("flight_sample", span);
-                }
-                let mut trigger: Option<(&'static str, Option<u64>)> = None;
-                for ev in &batch {
-                    match ev {
-                        TelemetryEvent::ThermalWarningRaised { warning_id, .. } => {
-                            trigger = Some(("warning", Some(*warning_id)));
-                            break;
+                    _ => None,
+                };
+                if let Some((t_ps, warning_id)) = action {
+                    throttle_steps += 1;
+                    if let Some(id) = warning_id {
+                        if let Some(t) = self.sim_trace.as_mut() {
+                            t.scoped("throttle", |t| t.flow_finish("thermal_warning", id));
                         }
-                        TelemetryEvent::PhaseTransition { to, .. }
-                            if *to != "Normal" && trigger.is_none() =>
-                        {
-                            trigger = Some(("phase", None));
+                        if let Some(&(_, t0)) = raised_at.iter().find(|(i, _)| *i == id) {
+                            metrics.observe("warning_to_action_ps", t_ps.saturating_sub(t0));
                         }
-                        _ => {}
-                    }
-                }
-                let over = readout.peak_dram_c > self.cfg.warning_threshold_c;
-                if trigger.is_none() && over && !fl.over {
-                    trigger = Some(("overshoot", None));
-                }
-                fl.over = over;
-                if let Some((trig, warning_id)) = trigger {
-                    let gap_ok = fl
-                        .last_dump_epoch
-                        .is_none_or(|e| epoch_idx - e >= fl.cfg.min_gap_epochs);
-                    if gap_ok && fl.dumps.len() < fl.cfg.max_dumps && !fl.rec.is_empty() {
-                        fl.last_dump_epoch = Some(epoch_idx);
-                        let span = self.telemetry.profiler.start();
-                        let mut bundle = PostmortemBundle::from_recorder(
-                            trig,
-                            now,
-                            warning_id,
-                            self.cfg.warning_threshold_c,
-                            self.cfg.epoch,
-                            &fl.rec,
-                        );
-                        let attr = self.sys.hmc().pim_attribution();
-                        for (sm, row) in attr.sm_rows() {
-                            bundle.push_attribution_row(Some(sm as u64), row.to_vec());
-                        }
-                        if attr.unattributed().iter().any(|&c| c > 0) {
-                            bundle.push_attribution_row(None, attr.unattributed().to_vec());
-                        }
-                        batch.push(TelemetryEvent::FlightDump {
-                            t_ps: now,
-                            trigger: trig,
-                            frames: bundle.frames.len() as u64,
-                            hottest_vault: bundle.hottest_vault().unwrap_or(0) as u64,
-                        });
-                        self.telemetry.metrics.count("flight_dumps", 1);
-                        if let Some(dir) = &fl.cfg.postmortem_dir {
-                            let path = dir
-                                .join(format!("postmortem-{:03}-{trig}.jsonl", fl.dumps.len() + 1));
-                            match std::fs::write(&path, bundle.encode()) {
-                                Ok(()) => fl.dumps.push(path),
-                                Err(e) => eprintln!(
-                                    "flight recorder: failed to write {}: {e}",
-                                    path.display()
-                                ),
-                            }
-                        }
-                        self.telemetry.profiler.stop("flight_dump", span);
                     }
                 }
             }
-
-            let span = self.telemetry.profiler.start();
-            let ttok = self.telemetry.trace_begin("telemetry_emit");
-            self.telemetry.emit_epoch_batch(&mut batch);
-            self.telemetry.emit(TelemetryEvent::EpochSample {
-                t_ps: now,
-                pim_rate_op_ns: window.pim_rate_op_per_ns(now),
-                data_bw: window.data_bytes() / dur_s,
-                peak_dram_c: readout.peak_dram_c,
-                phase: phase.name(),
-            });
-            self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("telemetry_emit", span);
-            self.telemetry.metrics.count("epochs", 1);
-            self.telemetry
-                .metrics
-                .gauge_max("peak_dram_c", readout.peak_dram_c);
+            metrics.count("epochs", 1);
+            metrics.gauge_max("peak_dram_c", readout.peak_dram_c);
             // Counter tracks: the feedback loop's observable state, one
             // sample per epoch next to the span tree.
-            self.telemetry
-                .trace_counter("peak_dram_c", readout.peak_dram_c);
-            if let Some(v) = self.telemetry.metrics.gauge_value("token_pool_size") {
-                self.telemetry.trace_counter("token_pool", v);
-            }
-            if let Some(v) = self.telemetry.metrics.gauge_value("warp_cap_slots") {
-                self.telemetry.trace_counter("warp_cap", v);
+            if let Some(t) = self.sim_trace.as_mut() {
+                t.counter("peak_dram_c", readout.peak_dram_c);
+                if let Some(v) = metrics.gauge_value("token_pool_size") {
+                    t.counter("token_pool", v);
+                }
+                if let Some(v) = metrics.gauge_value("warp_cap_slots") {
+                    t.counter("warp_cap", v);
+                }
             }
 
-            // Live monitor + heartbeat: both read the same wall-clock
-            // progress figures. The monitor sample is profiled so the
-            // run record's telemetry_overhead_pct covers it.
-            if self.monitor.is_some() || self.heartbeat_s.is_some() {
-                let elapsed_s = run_started.elapsed().as_secs_f64().max(1e-9);
-                let epochs_per_s = epoch_idx as f64 / elapsed_s;
-                if let Some(hub) = &self.monitor {
-                    let span = self.telemetry.profiler.start();
-                    let ttok = self.telemetry.trace_begin("monitor_sample");
-                    self.thermal.vault_peak_dram_temps_into(&mut mon_temps);
-                    let sweeps_now = self.thermal.solver_stats().sweeps;
-                    let total_wait_ps: u64 = window.vault_queue_wait_ps.iter().sum();
-                    let total_ops: u64 = window.vault_ops.iter().sum();
-                    // ETA is an upper bound: wall time to reach the
-                    // max_sim_time cap at the observed sim rate (most
-                    // runs finish earlier when the kernel retires).
-                    let sim_rate = now as f64 / elapsed_s;
-                    let eta_s = if sim_rate > 0.0 {
-                        self.cfg.max_sim_time.saturating_sub(now) as f64 / sim_rate
-                    } else {
-                        f64::NAN
-                    };
-                    let obs = EpochObservation {
-                        t_ps: now,
-                        epoch: epoch_idx,
-                        phase: phase.name(),
-                        peak_dram_c: readout.peak_dram_c,
-                        pool_tokens: self
-                            .telemetry
-                            .metrics
-                            .gauge_value("token_pool_size")
-                            .unwrap_or(f64::NAN),
-                        warp_cap: self
-                            .telemetry
-                            .metrics
-                            .gauge_value("warp_cap_slots")
-                            .unwrap_or(f64::NAN),
-                        pim_ops_per_s: window.pim_ops as f64 / dur_s,
-                        queue_wait_ps: if total_ops > 0 {
-                            total_wait_ps as f64 / total_ops as f64
-                        } else {
-                            0.0
-                        },
-                        solver_sweeps: sweeps_now.saturating_sub(prev_sweeps) as f64,
-                        epochs_per_s,
-                        eta_s,
-                        last_warning_id: raised_at.last().map_or(0, |(id, _)| *id),
-                        vault_peak_dram_c: &mon_temps,
-                    };
-                    prev_sweeps = sweeps_now;
-                    hub.sample(&obs, &self.telemetry.metrics);
-                    self.telemetry.trace_end(ttok);
-                    self.telemetry.profiler.stop("monitor_sample", span);
+            if !self.observers.is_empty() {
+                self.thermal.vault_peak_dram_temps_into(&mut vault_temps);
+                let sweeps = self.thermal.solver_stats().sweeps;
+                let view = EpochView {
+                    epoch: epoch_idx,
+                    t_ps: now,
+                    wall_s: run_started.elapsed().as_secs_f64(),
+                    readout,
+                    phase,
+                    window: &window,
+                    window_s: dur_s,
+                    vault_peak_dram_c: &vault_temps,
+                    solver_sweeps: sweeps.saturating_sub(prev_sweeps),
+                    last_warning_id: raised_at.last().map_or(0, |(id, _)| *id),
+                    events: &batch,
+                    metrics: &self.telemetry.metrics,
+                    hmc: self.sys.hmc(),
+                    cfg: &self.cfg,
+                };
+                prev_sweeps = sweeps;
+                for obs in &mut self.observers {
+                    span(&mut self.sim_trace, obs.name(), || {
+                        obs.on_epoch(&view, &mut observed)
+                    });
                 }
-                if let Some(beat_s) = self.heartbeat_s {
-                    if elapsed_s >= next_beat {
-                        next_beat = elapsed_s + beat_s;
-                        eprintln!(
-                            "[coolpim] epoch {epoch_idx} t={:.3}ms peak={:.2}C phase={} {:.0} epochs/s",
-                            now as f64 * 1e-9,
-                            readout.peak_dram_c,
-                            phase.name(),
-                            epochs_per_s,
-                        );
-                        self.telemetry.emit(TelemetryEvent::Heartbeat {
-                            t_ps: now,
-                            epoch: epoch_idx,
-                            peak_dram_c: readout.peak_dram_c,
-                            phase: phase.name(),
-                            epochs_per_s,
-                        });
+                for ev in &observed {
+                    if let TelemetryEvent::FlightDump { .. } = ev {
+                        self.telemetry.metrics.count("flight_dumps", 1);
                     }
                 }
+                batch.append(&mut observed);
             }
-            self.telemetry.trace_end(epoch_tok);
+
+            // Stream the batch time-sorted, the epoch sample last.
+            span(&mut self.sim_trace, "telemetry_emit", || {
+                self.telemetry.emit_epoch_batch(&mut batch);
+                self.telemetry.emit(TelemetryEvent::EpochSample {
+                    t_ps: now,
+                    pim_rate_op_ns: window.pim_rate_op_per_ns(now),
+                    data_bw: window.data_bytes() / dur_s,
+                    peak_dram_c: readout.peak_dram_c,
+                    phase: phase.name(),
+                });
+            });
+            if let (Some(t), Some(tok)) = (self.sim_trace.as_mut(), epoch_tok) {
+                t.end(tok);
+            }
             match outcome {
                 RunOutcome::Finished => break now,
                 RunOutcome::Shutdown => {
@@ -752,83 +502,19 @@ impl<S: ThermalSolve> CoSim<S> {
         let exec_s = end_ps as f64 * 1e-12;
         let exec_ns = end_ps as f64 * 1e-3;
 
-        self.telemetry
-            .metrics
-            .merge_histogram("hmc_service_time_ps", self.sys.hmc().service_time_hist());
-        self.telemetry
-            .metrics
-            .merge_histogram("hmc_queue_wait_ps", self.sys.hmc().queue_wait_hist());
-        self.telemetry
-            .metrics
-            .gauge("hmc_row_hit_rate", self.sys.hmc().row_hit_rate());
-        self.telemetry.metrics.count("pim_ops", totals.pim_ops);
-        // Thermal-solver work counters: sweeps-per-substep distribution
-        // and fast-path hits, so solver convergence improvements are
-        // visible in run records (counter.thermal_* / hist.* metrics).
-        let solver = self.thermal.solver_stats();
-        self.telemetry
-            .metrics
-            .count("thermal_substeps", solver.substeps);
-        self.telemetry
-            .metrics
-            .count("thermal_gs_sweeps", solver.sweeps);
-        self.telemetry
-            .metrics
-            .count("thermal_fastpath_hits", solver.fast_path_hits);
-        self.telemetry
-            .metrics
-            .count("thermal_skipped_substeps", solver.skipped_substeps);
-        self.telemetry
-            .metrics
-            .gauge("thermal_sweeps_per_substep", solver.sweeps_per_substep());
-        self.telemetry
-            .metrics
-            .merge_histogram("thermal_substep_sweeps", &solver.sweep_hist);
-        let span = self.telemetry.profiler.start();
-        self.telemetry.flush();
-        self.telemetry.profiler.stop("telemetry_emit", span);
-
-        // Close out the trace timeline: every track flushes its buffered
-        // events (and its own recording cost) into the shared tracer, so
-        // the overhead figure below sees the full tracer bill.
-        self.sys.flush_trace();
-        if let Some(t) = self.hmc_trace.as_mut() {
-            t.flush();
-        }
-        if let Some(t) = self.telemetry.trace.as_mut() {
-            t.flush();
-        }
-        let tracer_self_s = self
-            .telemetry
-            .trace
-            .as_ref()
-            .map_or(0.0, |t| t.tracer_self_s());
-
-        // Self-overhead: the observability machinery's own spans as a
-        // share of profiled wall time. Folded into the metrics before
-        // the snapshot so run records carry it.
-        let profile = self.telemetry.profiler.finish();
-        let self_time_s = profile.span_s("flight_sample")
-            + profile.span_s("flight_dump")
-            + profile.span_s("monitor_sample")
-            + profile.span_s("telemetry_emit")
-            + tracer_self_s;
-        let telemetry_overhead_pct = if profile.enabled && profile.wall_s > 0.0 {
-            100.0 * self_time_s / profile.wall_s
-        } else {
-            0.0
-        };
+        self.fold_run_totals(totals.pim_ops);
+        span(&mut self.sim_trace, "telemetry_emit", || {
+            self.telemetry.flush()
+        });
+        // Folded into the metrics before the snapshot so run records
+        // carry it. (The tracks hand their events to the tracer when
+        // `self` drops.)
+        let telemetry_overhead_pct = self.overhead_pct(run_started.elapsed().as_secs_f64());
         self.telemetry
             .metrics
             .gauge("telemetry_overhead_pct", telemetry_overhead_pct);
-        let postmortem_dumps = flight.map(|f| f.dumps).unwrap_or_default();
-        // Tell observers the run is over (dashboards stop polling; the
-        // server is stopped by whoever started it).
-        if let Some(hub) = &self.monitor {
-            hub.mark_done();
-        }
 
-        CoSimResult {
+        let mut result = CoSimResult {
             policy: self.policy,
             workload: kernel.name().to_string(),
             exec_s,
@@ -848,20 +534,80 @@ impl<S: ThermalSolve> CoSim<S> {
             cube_energy_j,
             fan_energy_j: fan_power_w * exec_s,
             metrics: self.telemetry.metrics.take_snapshot(),
-            profile,
             throttle_steps,
             telemetry_overhead_pct,
-            postmortem_dumps,
+            postmortem_dumps: Vec::new(),
+        };
+        for obs in &mut self.observers {
+            obs.finish(&mut result);
         }
+        result
+    }
+
+    /// End-of-run metrics: the cube's latency histograms and row-hit
+    /// rate, and the thermal solver's work counters (sweeps-per-substep
+    /// distribution, fast-path hits), so solver convergence changes are
+    /// visible in run records (`counter.thermal_*` / `hist.*`).
+    fn fold_run_totals(&mut self, pim_ops: u64) {
+        let hmc = self.sys.hmc();
+        let metrics = &mut self.telemetry.metrics;
+        metrics.merge_histogram("hmc_service_time_ps", hmc.service_time_hist());
+        metrics.merge_histogram("hmc_queue_wait_ps", hmc.queue_wait_hist());
+        metrics.gauge("hmc_row_hit_rate", hmc.row_hit_rate());
+        metrics.count("pim_ops", pim_ops);
+        let solver = self.thermal.solver_stats();
+        metrics.count("thermal_substeps", solver.substeps);
+        metrics.count("thermal_gs_sweeps", solver.sweeps);
+        metrics.count("thermal_fastpath_hits", solver.fast_path_hits);
+        metrics.count("thermal_skipped_substeps", solver.skipped_substeps);
+        metrics.gauge("thermal_sweeps_per_substep", solver.sweeps_per_substep());
+        metrics.merge_histogram("thermal_substep_sweeps", &solver.sweep_hist);
+    }
+
+    /// Telemetry self-overhead over `wall_s`: this run's tracer cost plus
+    /// the self time of the observer and `telemetry_emit` spans. 0
+    /// without a tracer.
+    fn overhead_pct(&self, wall_s: f64) -> f64 {
+        let Some(sim) = &self.sim_trace else {
+            return 0.0;
+        };
+        let tree = sim.profile();
+        let spans_s: f64 = ["telemetry_emit"]
+            .into_iter()
+            .chain(self.observers.iter().map(|o| o.name()))
+            .map(|name| tree.self_s_named(name))
+            .sum();
+        let tracer_s: f64 = [Some(sim), self.hmc_trace.as_ref(), self.sys.trace()]
+            .into_iter()
+            .flatten()
+            .map(TraceTrack::self_s)
+            .sum();
+        100.0 * (spans_s + tracer_s) / wall_s
+    }
+}
+
+/// Runs `f` inside a span named `name` on `track` (just `f` without a
+/// tracer).
+fn span<R>(track: &mut Option<TraceTrack>, name: &'static str, f: impl FnOnce() -> R) -> R {
+    match track {
+        Some(t) => {
+            let tok = t.begin(name);
+            let r = f();
+            t.end(tok);
+            r
+        }
+        None => f(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::{FlightConfig, FlightObserver, Heartbeat};
     use coolpim_gpu::GpuConfig;
     use coolpim_graph::generate::GraphSpec;
     use coolpim_graph::workloads::{make_kernel, Workload};
+    use coolpim_telemetry::MonitorHub;
 
     fn tiny_cosim(policy: Policy) -> CoSim {
         let mut hmc = Hmc::hmc20();
@@ -902,13 +648,15 @@ mod tests {
 
     #[test]
     fn telemetry_records_epochs_and_kernel_lifecycle() {
-        use coolpim_telemetry::{RecordingSink, Telemetry};
+        use coolpim_telemetry::RecordingSink;
 
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
         let (sink, log) = RecordingSink::new();
+        let tracer = Tracer::new();
         let r = tiny_cosim(Policy::CoolPimSw)
-            .with_telemetry(Telemetry::with_sink(Box::new(sink)).profiled())
+            .with_telemetry(Telemetry::with_sink(Box::new(sink)))
+            .with_tracer(&tracer)
             .run(k.as_mut());
 
         let events = log.snapshot();
@@ -925,32 +673,96 @@ mod tests {
 
         assert_eq!(r.metrics.counter("epochs"), r.timeline.len() as u64);
         assert!(r.metrics.histogram("hmc_service_time_ps").is_some());
-        assert!(r.profile.enabled);
-        assert!(r.profile.span_s("gpu_advance") > 0.0);
+        assert!(tracer.profile().total_s("epoch/gpu_advance") > 0.0);
     }
 
     #[test]
-    fn disabled_telemetry_produces_empty_profile() {
+    fn untraced_run_reports_exactly_zero_overhead() {
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
-        let r = tiny_cosim(Policy::NaiveOffloading).run(k.as_mut());
-        assert!(!r.profile.enabled);
-        assert!(r.profile.entries.is_empty());
+        // Observers alone are not timed: the overhead figure needs a
+        // tracer.
+        let r = tiny_cosim(Policy::NaiveOffloading)
+            .with_observer(FlightObserver::new(FlightConfig::default()))
+            .with_observer(MonitorHub::new())
+            .run(k.as_mut());
+        assert_eq!(r.telemetry_overhead_pct, 0.0);
+        assert_eq!(r.metrics.gauge("telemetry_overhead_pct"), Some(0.0));
         // Metrics are always on: the epoch counter still runs.
         assert_eq!(r.metrics.counter("epochs"), r.timeline.len() as u64);
     }
 
+    /// Track names and per-path `epoch/*` call counts of one traced run.
+    fn traced_shape(sim: CoSim, tracer: &Tracer) -> (Vec<String>, Vec<(String, u64)>) {
+        let g = GraphSpec::test_medium().build();
+        let mut k = make_kernel(Workload::PageRank, &g);
+        sim.run(k.as_mut());
+        let tracks = coolpim_telemetry::validate_trace_json(&tracer.to_chrome_json())
+            .expect("trace validates")
+            .track_names;
+        let calls = tracer
+            .profile()
+            .flatten()
+            .into_iter()
+            .filter(|(path, ..)| path.starts_with("epoch/"))
+            .map(|(path, _, _, calls)| (path, calls))
+            .collect();
+        (tracks, calls)
+    }
+
     #[test]
-    fn monitor_hub_tracks_the_run_and_reports_done() {
-        use coolpim_telemetry::{StatusSnapshot, Telemetry};
+    fn tracer_and_telemetry_attach_in_either_order() {
+        let cool = |p| {
+            CoSim::new(
+                p,
+                CoSimConfig {
+                    gpu: GpuConfig::tiny(),
+                    warning_threshold_c: 30.0,
+                    ..CoSimConfig::default()
+                },
+            )
+        };
+        let t1 = Tracer::new();
+        let tracer_first = traced_shape(
+            cool(Policy::CoolPimSw)
+                .with_tracer(&t1)
+                .with_telemetry(Telemetry::disabled()),
+            &t1,
+        );
+        let t2 = Tracer::new();
+        let telemetry_first = traced_shape(
+            cool(Policy::CoolPimSw)
+                .with_telemetry(Telemetry::disabled())
+                .with_tracer(&t2),
+            &t2,
+        );
+        assert_eq!(tracer_first, telemetry_first);
+        assert_eq!(tracer_first.0, ["gpu", "hmc", "sim"]);
+        for path in ["epoch/gpu_advance", "epoch/thermal_solve", "epoch/throttle"] {
+            assert!(
+                tracer_first
+                    .1
+                    .iter()
+                    .any(|(p, calls)| p == path && *calls > 0),
+                "{path} missing from {:?}",
+                tracer_first.1
+            );
+        }
+    }
+
+    #[test]
+    fn observers_are_timed_and_the_monitor_reports_done() {
+        use coolpim_telemetry::StatusSnapshot;
 
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
         let hub = MonitorHub::new();
         hub.begin_run("dc+CoolPIM(SW)", "cafef00d");
+        let tracer = Tracer::new();
         let r = tiny_cosim(Policy::CoolPimSw)
-            .with_telemetry(Telemetry::disabled().profiled())
-            .with_monitor(hub.clone())
+            .with_tracer(&tracer)
+            .with_observer(FlightObserver::new(FlightConfig::default()))
+            .with_observer(hub.clone())
             .run(k.as_mut());
         assert!(hub.is_done(), "CoSim must mark the hub done at run end");
         let status = StatusSnapshot::from_json(&hub.status_json()).expect("status parses");
@@ -963,9 +775,22 @@ mod tests {
         let (t_ps, peak) = hub.latest("peak_dram_c").expect("series sampled");
         assert!(t_ps > 0);
         assert!((peak - r.timeline.last().unwrap().peak_dram_c).abs() < 1e-9);
-        // Sampling is profiled and folded into the overhead figure.
-        assert!(r.profile.span_s("monitor_sample") > 0.0);
-        assert!(r.telemetry_overhead_pct >= 0.0);
+        // Each observer runs once per epoch under its own span, and the
+        // spans count into the overhead figure.
+        let tree = tracer.profile();
+        for path in ["epoch/flight_recorder", "epoch/monitor"] {
+            let calls = tree
+                .flatten()
+                .into_iter()
+                .find(|row| row.0 == path)
+                .map(|row| row.3);
+            assert_eq!(calls, Some(r.timeline.len() as u64), "{path}");
+        }
+        assert!(
+            r.telemetry_overhead_pct > 0.0 && r.telemetry_overhead_pct < 100.0,
+            "overhead {} %",
+            r.telemetry_overhead_pct
+        );
         // The mirrored registry reached the hub's exposition.
         let page = hub.metrics_text();
         coolpim_telemetry::validate_exposition(&page).expect("hub metrics validate");
@@ -973,31 +798,42 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_emits_progress_events() {
-        use coolpim_telemetry::{RecordingSink, Telemetry};
+    fn heartbeat_emits_progress_events_ahead_of_the_epoch_sample() {
+        use coolpim_telemetry::RecordingSink;
 
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
         let (sink, log) = RecordingSink::new();
         tiny_cosim(Policy::CoolPimSw)
             .with_telemetry(Telemetry::with_sink(Box::new(sink)))
-            .with_heartbeat(30.0)
+            .with_observer(Heartbeat::every(30.0))
             .run(k.as_mut());
         // The first beat fires on the first epoch regardless of the
         // interval; later beats pace at 30 s (none here).
         assert_eq!(log.count_kind("Heartbeat"), 1);
-        for ev in log.snapshot().iter() {
-            if let TelemetryEvent::Heartbeat {
-                epoch,
-                peak_dram_c,
-                phase,
-                ..
-            } = ev
-            {
-                assert!(*epoch > 0);
-                assert!(*peak_dram_c > 20.0);
-                assert!(!phase.is_empty());
-            }
+        let events = log.snapshot();
+        let beat = events
+            .iter()
+            .position(|e| matches!(e, TelemetryEvent::Heartbeat { .. }))
+            .expect("one beat");
+        let first_sample = events
+            .iter()
+            .position(|e| matches!(e, TelemetryEvent::EpochSample { .. }))
+            .expect("epoch samples");
+        assert!(
+            beat < first_sample,
+            "the beat streams with its epoch's batch"
+        );
+        if let TelemetryEvent::Heartbeat {
+            epoch,
+            peak_dram_c,
+            phase,
+            ..
+        } = &events[beat]
+        {
+            assert_eq!(*epoch, 1);
+            assert!(*peak_dram_c > 20.0);
+            assert!(!phase.is_empty());
         }
     }
 

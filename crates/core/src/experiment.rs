@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
-use coolpim_telemetry::{MetricsSnapshot, MonitorHub, ProfileReport, Telemetry, Tracer};
+use coolpim_telemetry::{MetricsSnapshot, MonitorHub, Tracer};
 
 use crate::cosim::{CoSim, CoSimConfig, CoSimResult};
 use crate::policy::Policy;
@@ -57,25 +57,14 @@ pub fn run_matrix(
     policies: &[Policy],
     cfg: CoSimConfig,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, false, None, None)
+    run_matrix_inner(graph, workloads, policies, cfg, None, None, None)
 }
 
-/// [`run_matrix`] with wall-clock span profiling enabled in every run;
-/// fold the per-run reports with [`aggregate_profiles`].
-pub fn run_matrix_profiled(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, None, None)
-}
-
-/// [`run_matrix_profiled`] with a hierarchical trace timeline: each
-/// pool worker owns a `worker-N` track on `tracer` and brackets every
-/// cell it claims in a span named after the cell's workload, so the
-/// exported timeline shows how the matrix fanned out over threads —
-/// which worker ran what, when, and where the pool sat idle.
+/// [`run_matrix`] with a hierarchical trace timeline: each pool worker
+/// owns a `worker-N` track on `tracer` and brackets every cell it claims
+/// in a span named after the cell's workload, so the exported timeline
+/// shows how the matrix fanned out over threads — which worker ran
+/// what, when, and where the pool sat idle.
 pub fn run_matrix_traced(
     graph: &Csr,
     workloads: &[Workload],
@@ -83,14 +72,36 @@ pub fn run_matrix_traced(
     cfg: CoSimConfig,
     tracer: &Tracer,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, None, Some(tracer))
+    run_matrix_inner(graph, workloads, policies, cfg, None, Some(tracer), None)
 }
 
-/// [`run_matrix_profiled`] with every run publishing live epoch
-/// observations into `hub`. The cells run concurrently, so the hub
-/// shows an interleaved view of whichever runs are in flight — status
-/// identity (run id, config hash) should be stamped by the caller via
-/// [`MonitorHub::begin_run`] before the matrix starts.
+/// [`run_matrix_traced`] plus every cell's own `sim`/`gpu`/`hmc` tracks
+/// on `tracer` (see [`CoSim::with_tracer`]), so [`Tracer::profile`]
+/// folds one span tree over the whole matrix.
+pub fn run_matrix_span_tree(
+    graph: &Csr,
+    workloads: &[Workload],
+    policies: &[Policy],
+    cfg: CoSimConfig,
+    tracer: &Tracer,
+) -> Vec<WorkloadResults> {
+    run_matrix_inner(
+        graph,
+        workloads,
+        policies,
+        cfg,
+        None,
+        Some(tracer),
+        Some(tracer),
+    )
+}
+
+/// [`run_matrix`] with every run publishing live epoch observations
+/// into `hub`. The cells run concurrently, so the hub shows an
+/// interleaved view of whichever runs are in flight — status identity
+/// (run id, config hash) should be stamped by the caller via
+/// [`MonitorHub::begin_run`] before the matrix starts. Each cell runs
+/// under its own tracer, so it reports `telemetry_overhead_pct`.
 pub fn run_matrix_monitored(
     graph: &Csr,
     workloads: &[Workload],
@@ -98,17 +109,19 @@ pub fn run_matrix_monitored(
     cfg: CoSimConfig,
     hub: MonitorHub,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, Some(hub), None)
+    run_matrix_inner(graph, workloads, policies, cfg, Some(hub), None, None)
 }
 
+/// The matrix pool. `worker_tracer` gets the per-worker cell spans,
+/// `cell_tracer` every cell's own tracks.
 fn run_matrix_inner(
     graph: &Csr,
     workloads: &[Workload],
     policies: &[Policy],
     cfg: CoSimConfig,
-    profile: bool,
     hub: Option<MonitorHub>,
-    tracer: Option<&Tracer>,
+    worker_tracer: Option<&Tracer>,
+    cell_tracer: Option<&Tracer>,
 ) -> Vec<WorkloadResults> {
     let cfg = &cfg;
     if let Some(hub) = &hub {
@@ -153,7 +166,7 @@ fn run_matrix_inner(
                 // Per-worker timeline track: one span per claimed cell,
                 // named after the cell's workload. The gaps between
                 // spans are the pool's idle/imbalance time.
-                let mut track = tracer.map(|t| t.track(&format!("worker-{worker}")));
+                let mut track = worker_tracer.map(|t| t.track(&format!("worker-{worker}")));
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(wi, w, pi, p)) = tasks.get(i) else {
@@ -163,11 +176,11 @@ fn run_matrix_inner(
                     let started = std::time::Instant::now();
                     let mut kernel = make_kernel(w, graph);
                     let mut sim = CoSim::new(p, cfg.clone());
-                    if profile {
-                        sim = sim.with_telemetry(Telemetry::disabled().profiled());
+                    if let Some(t) = cell_tracer {
+                        sim = sim.with_tracer(t);
                     }
                     if let Some(hub) = hub.clone() {
-                        sim = sim.with_monitor(hub);
+                        sim = sim.with_tracer(&Tracer::new()).with_observer(hub);
                     }
                     let r = sim.run(kernel.as_mut());
                     eprintln!(
@@ -368,21 +381,6 @@ pub fn mean_speedup(results: &[WorkloadResults], policy: Policy) -> f64 {
     speedups.iter().sum::<f64>() / speedups.len() as f64
 }
 
-/// Folds every run's wall-clock profile for `policy` into one report
-/// (pass `None` to aggregate across all policies). Empty unless the
-/// runs were executed with profiling enabled.
-pub fn aggregate_profiles(results: &[WorkloadResults], policy: Option<Policy>) -> ProfileReport {
-    let mut agg = ProfileReport::default();
-    for wr in results {
-        for run in &wr.runs {
-            if policy.is_none_or(|p| p == run.policy) {
-                agg.merge(&run.profile);
-            }
-        }
-    }
-    agg
-}
-
 /// Folds every run's metrics snapshot for `policy` into one (pass
 /// `None` to aggregate across all policies): counters sum, gauges keep
 /// their maximum, histograms combine.
@@ -510,16 +508,26 @@ mod tests {
     }
 
     #[test]
-    fn unprofiled_matrix_aggregates_to_empty_profile() {
+    fn span_tree_matrix_folds_every_cell_into_one_tree() {
         let g = GraphSpec::tiny().build();
-        let res = run_matrix(
+        let tracer = Tracer::new();
+        let res = run_matrix_span_tree(
             &g,
             &[Workload::Dc],
-            &[Policy::NonOffloading],
+            &[Policy::NonOffloading, Policy::CoolPimSw],
             CoSimConfig::default(),
+            &tracer,
         );
-        let prof = aggregate_profiles(&res, None);
-        assert!(!prof.enabled);
-        assert!(prof.entries.is_empty());
+        let epochs: u64 = res[0].runs.iter().map(|r| r.timeline.len() as u64).sum();
+        let tree = tracer.profile();
+        let calls = |path: &str| {
+            tree.flatten()
+                .into_iter()
+                .find(|r| r.0 == path)
+                .map_or(0, |r| r.3)
+        };
+        assert_eq!(calls("epoch"), epochs, "every cell's epochs in one tree");
+        assert_eq!(calls("epoch/gpu_advance"), epochs);
+        assert_eq!(calls("dc"), 2, "one worker span per cell");
     }
 }

@@ -14,11 +14,13 @@
 //!   capping PIM-enabled warps, with delayed control updates),
 //! * [`policy`] — the four evaluated system configurations,
 //! * [`cosim`] — the timing ⟷ thermal co-simulation driver,
+//! * [`observer`] — per-epoch observers of its loop (flight recorder,
+//!   live monitor, heartbeat),
 //! * [`experiment`] — the parallel experiment harness behind the
 //!   evaluation figures,
 //! * [`multi_level`] — the paper's multi-error-state extension
 //!   (graduated warnings, footnote in §IV-B),
-//! * [`reference`] — independently re-derived SW/HW-DynT controllers the
+//! * [`reference`](mod@reference) — independently re-derived SW/HW-DynT controllers the
 //!   lockstep oracle (`coolpim-validate`) pits against the shipped ones,
 //! * [`report`] — fixed-format output for the reproduction binaries.
 //!
@@ -44,6 +46,7 @@ pub mod estimate;
 pub mod experiment;
 pub mod hw_dynt;
 pub mod multi_level;
+pub mod observer;
 pub mod policy;
 pub mod reference;
 pub mod report;

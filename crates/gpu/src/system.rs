@@ -176,12 +176,10 @@ impl GpuSystem {
         self.trace = Some(track);
     }
 
-    /// Flushes any attached timeline track into its tracer (end-of-run;
-    /// also folds the track's self-cost into the tracer's shared total).
-    pub fn flush_trace(&mut self) {
-        if let Some(t) = self.trace.as_mut() {
-            t.flush();
-        }
+    /// The engine's timeline track, if attached (it flushes into its
+    /// tracer when the system drops).
+    pub fn trace(&self) -> Option<&TraceTrack> {
+        self.trace.as_ref()
     }
 
     /// Table IV system: 16-SM GPU + HMC 2.0.

@@ -15,7 +15,7 @@
 //! * vault controllers with PIM functional units that lock the target
 //!   bank for the duration of an atomic read-modify-write ([`vault`]),
 //!   behind the swappable [`vault::VaultTiming`] seam with an
-//!   independently re-derived reference implementation ([`reference`]),
+//!   independently re-derived reference implementation ([`reference`](mod@reference)),
 //! * serialized links with per-direction raw bandwidth ([`link`]),
 //! * the thermal status/warning machinery (ERRSTAT=0x01 in response
 //!   tails) and operating phases ([`thermal_state`]),

@@ -1,7 +1,7 @@
 //! # coolpim-telemetry
 //!
 //! Observability for the CoolPIM co-simulation loop: a typed event bus,
-//! a metrics registry, and span-based wall-clock profiling. Zero
+//! a metrics registry, and hierarchical span timelines. Zero
 //! third-party dependencies.
 //!
 //! The whole point of CoolPIM is a closed feedback loop — PIM traffic →
@@ -17,8 +17,6 @@
 //!   [`JsonlSink`] and [`CsvSink`] (file streams);
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
 //!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
-//! * [`span`] — wall-clock [`Profiler`] spans over the co-sim hot
-//!   phases, reported as a per-run self-time breakdown;
 //! * [`json`] — the shared flat-JSON writer/parser behind the JSONL
 //!   stream, the metrics serializer, and the run-record store;
 //! * [`analysis`] — control-loop KPIs derived from an event stream:
@@ -74,7 +72,6 @@ pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod sink;
-pub mod span;
 pub mod stats;
 pub mod timeseries;
 pub mod tolerance;
@@ -90,7 +87,6 @@ pub use sink::{
     CsvSink, EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink,
     CSV_TIMELINE_HEADER,
 };
-pub use span::{ProfileReport, Profiler, SpanTimer};
 pub use stats::{
     bootstrap_ci, change_points, drift, effect_size, median, noise_sigma, permutation_p, summarize,
     Drift, StatsRng, Summary,
@@ -102,89 +98,28 @@ pub use tracer::{
 };
 
 /// The per-run telemetry bundle the co-simulator carries: an optional
-/// event sink, the metrics registry, and the profiler.
+/// event sink and the metrics registry.
 ///
-/// The default ([`Telemetry::disabled`]) costs one branch per emit and
-/// never reads the wall clock — cheap enough to leave compiled into the
-/// hot loop.
+/// The default ([`Telemetry::disabled`]) costs one branch per emit —
+/// cheap enough to leave compiled into the hot loop.
 #[derive(Default)]
 pub struct Telemetry {
     sink: Option<Box<dyn Sink>>,
     /// Named counters, gauges, and histograms for this run.
     pub metrics: MetricsRegistry,
-    /// Wall-clock span profiler for this run.
-    pub profiler: Profiler,
-    /// Main timeline track of the hierarchical tracer, when trace
-    /// timelines are on (see [`Tracer`]); the `trace_*` helpers below
-    /// keep the hot loop free of `Option` plumbing.
-    pub trace: Option<TraceTrack>,
 }
 
 impl Telemetry {
-    /// No sink, no profiling — the default for production runs.
+    /// No sink — the default for production runs.
     pub fn disabled() -> Self {
         Self::default()
     }
 
-    /// Streams events into `sink`; profiling stays off unless
-    /// [`Self::profiled`] is chained.
+    /// Streams events into `sink`.
     pub fn with_sink(sink: Box<dyn Sink>) -> Self {
         Self {
             sink: Some(sink),
             metrics: MetricsRegistry::new(),
-            profiler: Profiler::disabled(),
-            trace: None,
-        }
-    }
-
-    /// Enables wall-clock span profiling (builder style).
-    pub fn profiled(mut self) -> Self {
-        self.profiler = Profiler::enabled();
-        self
-    }
-
-    /// Attaches the run's main timeline track (builder style).
-    pub fn with_trace(mut self, track: TraceTrack) -> Self {
-        self.trace = Some(track);
-        self
-    }
-
-    /// Opens a nested timeline span (no-op without a tracer). Close
-    /// with [`Self::trace_end`].
-    #[inline]
-    pub fn trace_begin(&mut self, name: &'static str) -> Option<SpanToken> {
-        self.trace.as_mut().map(|t| t.begin(name))
-    }
-
-    /// Closes a span from [`Self::trace_begin`].
-    #[inline]
-    pub fn trace_end(&mut self, token: Option<SpanToken>) {
-        if let (Some(t), Some(tok)) = (self.trace.as_mut(), token) {
-            t.end(tok);
-        }
-    }
-
-    /// Samples a timeline counter (no-op without a tracer).
-    #[inline]
-    pub fn trace_counter(&mut self, name: &'static str, value: f64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.counter(name, value);
-        }
-    }
-
-    /// Starts a timeline flow arrow (no-op without a tracer).
-    #[inline]
-    pub fn trace_flow_start(&mut self, name: &'static str, id: u64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.flow_start(name, id);
-        }
-    }
-
-    /// Finishes a timeline flow arrow (no-op without a tracer).
-    #[inline]
-    pub fn trace_flow_finish(&mut self, name: &'static str, id: u64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.flow_finish(name, id);
         }
     }
 
@@ -264,11 +199,5 @@ mod tests {
         t.emit_epoch_batch(&mut batch);
         let times: Vec<u64> = log.snapshot().iter().map(|e| e.t_ps()).collect();
         assert_eq!(times, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn profiled_builder_enables_spans() {
-        let t = Telemetry::disabled().profiled();
-        assert!(t.profiler.is_enabled());
     }
 }

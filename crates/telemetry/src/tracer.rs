@@ -2,9 +2,9 @@
 //! counter tracks, and flow events, exported as Chrome trace-event JSON
 //! (loadable at `ui.perfetto.dev`).
 //!
-//! The flat [`crate::Profiler`] answers "how much time went to phase
-//! X?"; the tracer here answers "where *inside* an epoch did the time
-//! go, on which worker, and which warning caused which throttle":
+//! The tracer is the workspace's one span mechanism: it answers "how
+//! much time went to phase X?", "where *inside* an epoch did the time
+//! go, on which worker?", and "which warning caused which throttle?":
 //!
 //! * a [`Tracer`] owns the shared clock and collects everything the
 //!   per-thread [`TraceTrack`] handles record;
@@ -24,9 +24,9 @@
 //!   ([`TraceProfile`]) with critical-path extraction.
 //!
 //! Every tracer operation measures its own wall cost; the accumulated
-//! self time ([`Tracer::self_s`], [`TraceTrack::tracer_self_s`]) feeds
-//! the run's `telemetry_overhead_pct` budget so the instrument can
-//! never silently become the bottleneck it is looking for.
+//! self time ([`Tracer::self_s`], [`TraceTrack::self_s`]) feeds the
+//! run's `telemetry_overhead_pct` budget so the instrument can never
+//! silently become the bottleneck it is looking for.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,6 +148,7 @@ impl Tracer {
             local: Vec::new(),
             stack: Vec::new(),
             self_ns: 0,
+            flushed_self_ns: 0,
         }
     }
 
@@ -288,7 +289,10 @@ pub struct TraceTrack {
     tid: u64,
     local: Vec<Ev>,
     stack: Vec<Open>,
+    /// This track's own tracer cost over its lifetime (ns).
     self_ns: u64,
+    /// The part of `self_ns` already added to the tracer-wide total.
+    flushed_self_ns: u64,
 }
 
 impl TraceTrack {
@@ -407,10 +411,17 @@ impl TraceTrack {
         }
     }
 
-    /// Tracer self-cost so far (s): everything flushed tracer-wide plus
-    /// this track's unflushed tail. Feeds `telemetry_overhead_pct`.
-    pub fn tracer_self_s(&self) -> f64 {
-        (self.shared.self_ns.load(Ordering::Relaxed) + self.self_ns) as f64 * 1e-9
+    /// This track's own tracer cost so far (s), flushed or not — other
+    /// tracks on the same tracer are not included. Feeds
+    /// `telemetry_overhead_pct`.
+    pub fn self_s(&self) -> f64 {
+        self.self_ns as f64 * 1e-9
+    }
+
+    /// The span tree of the events buffered on this track since its last
+    /// flush (see [`Tracer::profile`] for the tracer-wide tree).
+    pub fn profile(&self) -> TraceProfile {
+        build_profile(&self.local)
     }
 
     /// Pushes buffered events to the tracer (also happens on drop).
@@ -425,15 +436,16 @@ impl TraceTrack {
             self.stack.len(),
             self.stack.last().map(|o| o.name)
         );
-        if self.local.is_empty() && self.self_ns == 0 {
+        let unflushed_ns = self.self_ns - self.flushed_self_ns;
+        if self.local.is_empty() && unflushed_ns == 0 {
             return;
         }
         let mut g = self.shared.flushed.lock().expect("tracer poisoned");
         g.events.append(&mut self.local);
         self.shared
             .self_ns
-            .fetch_add(self.self_ns, Ordering::Relaxed);
-        self.self_ns = 0;
+            .fetch_add(unflushed_ns, Ordering::Relaxed);
+        self.flushed_self_ns = self.self_ns;
     }
 }
 
@@ -510,6 +522,20 @@ impl TraceProfile {
         let mut out = Vec::new();
         walk("", &self.roots, &mut out);
         out
+    }
+
+    /// Self time (s) summed over every node named `name`, at any depth.
+    pub fn self_s_named(&self, name: &str) -> f64 {
+        fn walk(nodes: &[ProfileNode], name: &str) -> f64 {
+            nodes
+                .iter()
+                .map(|n| {
+                    let own = if n.name == name { n.self_s } else { 0.0 };
+                    own + walk(&n.children, name)
+                })
+                .sum()
+        }
+        walk(&self.roots, name)
     }
 
     /// Total time (s) of the node at `path` (`/`-joined), 0 if absent.
@@ -1119,6 +1145,9 @@ mod tests {
             .find(|c| c.name == "thermal_solve")
             .unwrap();
         assert!((solve.self_s - 2e-7).abs() < 1e-15);
+        assert!((p.self_s_named("thermal_solve") - 2e-7).abs() < 1e-15);
+        assert!((p.self_s_named("sor_substep") - 3e-7).abs() < 1e-15);
+        assert_eq!(p.self_s_named("absent"), 0.0);
         let cp = tracer.profile().critical_path();
         assert_eq!(cp[0].0, "epoch");
         assert_eq!(cp[1].0, "thermal_solve");
@@ -1256,10 +1285,20 @@ mod tests {
         for _ in 0..100 {
             t.scoped("s", |_| {});
         }
-        assert!(t.tracer_self_s() > 0.0, "begin/end must measure own cost");
-        let before_flush = tracer.self_s();
+        let own = t.self_s();
+        assert!(own > 0.0, "begin/end must measure own cost");
+        assert_eq!(tracer.self_s(), 0.0, "nothing flushed yet");
+        // The track's buffered tree is this track's alone.
+        assert_eq!(t.profile().roots[0].calls, 100);
         t.flush();
-        assert!(tracer.self_s() >= before_flush);
-        assert!(tracer.self_s() > 0.0);
+        assert!((tracer.self_s() - own).abs() < 1e-12);
+        // A second flush adds nothing twice; the track keeps its total.
+        t.flush();
+        assert!((tracer.self_s() - own).abs() < 1e-12);
+        assert_eq!(t.self_s(), own);
+        assert!(
+            t.profile().roots.is_empty(),
+            "flushed events left the track"
+        );
     }
 }

@@ -18,7 +18,7 @@
 //!   co-simulator — generic over the [`solver::ThermalSolve`] seam so any
 //!   conforming solver can be swapped in,
 //! * the canonical plain-Gauss–Seidel reference solver the optimized one
-//!   is validated against ([`reference`]), and
+//!   is validated against ([`reference`](mod@reference)), and
 //! * HMC 1.1 prototype calibration data for reproducing Figures 1 and 2
 //!   ([`hmc11`]).
 //!

@@ -1,7 +1,7 @@
 //! High-level KitFox-style façade: couple a power model to the RC grid and
 //! expose the readouts the rest of the system consumes.
 
-use coolpim_telemetry::{Profiler, TraceTrack};
+use coolpim_telemetry::TraceTrack;
 
 use crate::cooling::Cooling;
 use crate::floorplan::Floorplan;
@@ -166,35 +166,23 @@ impl<S: ThermalSolve> HmcThermalModel<S> {
     /// Advances the transient state by `sample.window_s` under the power
     /// implied by `sample`, returning the end-of-window readout.
     pub fn step(&mut self, sample: &TrafficSample) -> ThermalReadout {
-        self.step_profiled(sample, &mut Profiler::disabled())
+        self.step_traced(sample, None)
     }
 
-    /// Like [`Self::step`], but attributes the power-map build and the
-    /// transient solve to `prof`'s `power_map_build` / `thermal_solve`
-    /// spans (the co-simulator's `--profile` breakdown).
-    pub fn step_profiled(&mut self, sample: &TrafficSample, prof: &mut Profiler) -> ThermalReadout {
-        self.step_traced(sample, prof, None)
-    }
-
-    /// Like [`Self::step_profiled`], but additionally emits timeline
-    /// spans on `trace` when given: a `power_map_build` span, a
-    /// `thermal_solve` span, and — through
-    /// [`ThermalSolve::step_traced`] — one `sor_substep` child per
-    /// solved backward-Euler sub-step.
+    /// Like [`Self::step`], but emits timeline spans on `trace` when
+    /// given: a `power_map_build` span, a `thermal_solve` span, and —
+    /// through [`ThermalSolve::step_traced`] — one `sor_substep` child
+    /// per solved backward-Euler sub-step.
     pub fn step_traced(
         &mut self,
         sample: &TrafficSample,
-        prof: &mut Profiler,
         mut trace: Option<&mut TraceTrack>,
     ) -> ThermalReadout {
-        let t = prof.start();
         let tok = trace.as_deref_mut().map(|tr| tr.begin("power_map_build"));
         build_power_map_into(&self.grid, &self.params, sample, &mut self.power_scratch);
         if let (Some(tr), Some(tok)) = (trace.as_deref_mut(), tok) {
             tr.end(tok);
         }
-        prof.stop("power_map_build", t);
-        let t = prof.start();
         let tok = trace.as_deref_mut().map(|tr| tr.begin("thermal_solve"));
         let p = std::mem::take(&mut self.power_scratch);
         self.state
@@ -203,7 +191,6 @@ impl<S: ThermalSolve> HmcThermalModel<S> {
         if let (Some(tr), Some(tok)) = (trace, tok) {
             tr.end(tok);
         }
-        prof.stop("thermal_solve", t);
         self.readout()
     }
 
@@ -512,19 +499,24 @@ mod more_tests {
     }
 
     #[test]
-    fn profiled_step_matches_plain_step_and_records_spans() {
+    fn traced_step_matches_plain_step_and_records_spans() {
         let mut plain = HmcThermalModel::hmc20(Cooling::CommodityServer);
-        let mut profiled = HmcThermalModel::hmc20(Cooling::CommodityServer);
+        let mut traced = HmcThermalModel::hmc20(Cooling::CommodityServer);
         let sample = TrafficSample::external_stream(200.0e9, 1e-4);
-        let mut prof = Profiler::enabled();
+        let tracer = coolpim_telemetry::Tracer::new();
+        let mut track = tracer.track("sim");
         for _ in 0..5 {
             let a = plain.step(&sample);
-            let b = profiled.step_profiled(&sample, &mut prof);
-            assert_eq!(a, b, "profiling must not change the physics");
+            let b = traced.step_traced(&sample, Some(&mut track));
+            assert_eq!(a, b, "tracing must not change the physics");
         }
-        let report = prof.finish();
-        assert!(report.span_s("power_map_build") > 0.0);
-        assert!(report.span_s("thermal_solve") > 0.0);
+        let tree = track.profile();
+        for span in ["power_map_build", "thermal_solve"] {
+            let node = tree.roots.iter().find(|n| n.name == span).expect(span);
+            assert_eq!(node.calls, 5, "{span}");
+            assert!(node.total_s > 0.0, "{span}");
+        }
+        assert!(tree.total_s("thermal_solve/sor_substep") > 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //!
-//! * [`format`] — the `CPTR` binary format: header (magic, version,
+//! * [`format`](mod@format) — the `CPTR` binary format: header (magic, version,
 //!   graph `config_hash`, workload params, bit-exact profile), varint
 //!   op packing with delta-encoded addresses, contextful load errors,
 //! * [`record`] — [`RecordingSource`], a tee that wraps a live kernel

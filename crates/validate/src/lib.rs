@@ -13,18 +13,18 @@
 //!
 //! Layout:
 //!
-//! * [`state`] — the per-epoch [`EpochState`](state::EpochState)
-//!   snapshot, ordered field-by-field comparison, and a flat-JSON
-//!   serialisation for storing diverging traces;
+//! * [`state`] — the per-epoch [`EpochState`] snapshot, ordered
+//!   field-by-field comparison, and a flat-JSON serialisation for
+//!   storing diverging traces;
 //! * [`scenario`] — seeded input generation (traffic scenarios,
 //!   controller scripts, vault access scripts) and greedy
-//!   delta-debugging [`shrink`](scenario::shrink)ing;
+//!   delta-debugging [`shrink`]ing;
 //! * [`lockstep`] — the drivers: per-seam
 //!   ([`lockstep_thermal`](lockstep::lockstep_thermal),
 //!   [`lockstep_controller`](lockstep::lockstep_controller),
 //!   [`lockstep_vault`](lockstep::lockstep_vault)) and the full-system
-//!   [`lockstep_system`](lockstep::lockstep_system) that exercises all
-//!   three seams in one epoch loop;
+//!   [`lockstep_system`] that exercises all three seams in one epoch
+//!   loop;
 //! * [`broken`] — deliberately perturbed solver variants used to prove
 //!   the oracle *catches* divergence at the exact epoch it is injected;
 //! * [`replay`] — the record→replay equivalence oracle: a live run, its

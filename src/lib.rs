@@ -14,7 +14,7 @@
 //! * [`trace`] — record-once/replay-everywhere workload traces: a
 //!   versioned compact binary format (`.cptr`), the recording tee, and
 //!   the replay instruction sources,
-//! * [`telemetry`] — typed event tracing, metrics, wall-clock profiling
+//! * [`telemetry`] — typed event tracing, metrics, span timelines
 //!   of the co-simulation loop, and the spatial flight recorder behind
 //!   postmortem dump bundles,
 //! * [`validate`] — the lockstep oracle: reference and optimized
@@ -53,8 +53,9 @@ pub use coolpim_validate as validate;
 
 /// Commonly used types, one `use` away.
 pub mod prelude {
-    pub use coolpim_core::cosim::{CoSim, CoSimConfig, CoSimResult, FlightConfig};
+    pub use coolpim_core::cosim::{CoSim, CoSimConfig, CoSimResult};
     pub use coolpim_core::experiment::{mean_speedup, run_matrix, WorkloadResults};
+    pub use coolpim_core::observer::{FlightConfig, FlightObserver, Heartbeat};
     pub use coolpim_core::policy::Policy;
     pub use coolpim_gpu::{GpuConfig, GpuSystem};
     pub use coolpim_graph::generate::{GraphKind, GraphSpec};

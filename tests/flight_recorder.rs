@@ -49,10 +49,10 @@ fn hot_run_dumps_a_bundle_with_prewarning_history() {
     let g = GraphSpec::test_medium().build();
     let mut k = make_kernel(Workload::PageRank, &g);
     let r = CoSim::new(Policy::CoolPimSw, cfg)
-        .with_flight_recorder(FlightConfig {
+        .with_observer(FlightObserver::new(FlightConfig {
             postmortem_dir: Some(dir.clone()),
             ..FlightConfig::default()
-        })
+        }))
         .run(k.as_mut());
 
     assert!(
@@ -119,4 +119,35 @@ fn attribution_matches_the_cube_pim_counters_end_to_end() {
     for (sm, _) in attr.sm_rows() {
         assert!(sm < sms, "tagged SM {sm} out of range");
     }
+}
+
+#[test]
+fn max_dumps_caps_dumps_taken_even_without_a_postmortem_dir() {
+    // Passive cooling from a cold start crosses a 60 °C threshold
+    // repeatedly under SW-DynT, so anomalies fire far more often than
+    // the cap allows.
+    let cfg = CoSimConfig {
+        gpu: GpuConfig::tiny(),
+        cooling: Cooling::Passive,
+        warning_threshold_c: 60.0,
+        warm_start: false,
+        epoch: 1_000_000, // 1 µs
+        ..CoSimConfig::default()
+    };
+    let g = GraphSpec::test_medium().build();
+    let mut k = make_kernel(Workload::PageRank, &g);
+    let (sink, log) = RecordingSink::new();
+    let r = CoSim::new(Policy::CoolPimSw, cfg)
+        .with_telemetry(Telemetry::with_sink(Box::new(sink)))
+        .with_observer(FlightObserver::new(FlightConfig {
+            postmortem_dir: None,
+            max_dumps: 2,
+            min_gap_epochs: 1,
+            ..FlightConfig::default()
+        }))
+        .run(k.as_mut());
+    // Nothing was written, yet the cap still counts every dump taken.
+    assert!(r.postmortem_dumps.is_empty());
+    assert_eq!(log.count_kind("FlightDump"), 2);
+    assert_eq!(r.metrics.counter("flight_dumps"), 2);
 }

@@ -32,7 +32,7 @@ fn run_monitored(hub: MonitorHub) -> CoSimResult {
     let g = GraphSpec::test_medium().build();
     let mut k = make_kernel(Workload::PageRank, &g);
     CoSim::new(Policy::CoolPimSw, cfg)
-        .with_monitor(hub)
+        .with_observer(hub)
         .run(k.as_mut())
 }
 

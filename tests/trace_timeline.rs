@@ -66,7 +66,6 @@ fn hot_run_links_warning_to_throttle_via_flows() {
     let mut kernel = make_kernel(Workload::PageRank, &g);
     let tracer = Tracer::new();
     let r = CoSim::new(Policy::CoolPimSw, hot_cfg())
-        .with_telemetry(Telemetry::disabled().profiled())
         .with_tracer(&tracer)
         .run(kernel.as_mut());
     assert!(r.throttle_steps > 0, "recipe must engage the control loop");
