@@ -1,7 +1,7 @@
 //! `analyze` — control-loop KPIs from event timelines.
 //!
 //! ```text
-//! analyze [TRACE.jsonl ...] [--json FILE] [--check-hw-faster]
+//! analyze [TRACE.jsonl ...] [--json FILE]
 //! ```
 //!
 //! For each JSONL trace (written by `sim --trace`) this prints the
@@ -14,9 +14,9 @@
 //! one hot co-simulation each under CoolPIM(SW) and CoolPIM(HW) — and
 //! analyzes the in-memory recordings; the paper's reaction-latency claim
 //! (HW reacts orders of magnitude faster) is then directly visible in
-//! the two reports. `--check-hw-faster` exits non-zero unless the
-//! HW-DynT median warning→action latency is below SW-DynT's (CI uses
-//! this as a semantic gate on the feedback loop).
+//! the two reports. `obs gate control-loop FILE` gates a `--json` file,
+//! including that the HW-DynT median warning→action latency is below
+//! SW-DynT's.
 
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::policy::Policy;
@@ -26,7 +26,7 @@ use coolpim_telemetry::analysis::{analyze, analyze_jsonl, ControlLoopReport};
 use coolpim_telemetry::{RecordingSink, Telemetry};
 
 fn usage() -> ! {
-    eprintln!("usage: analyze [TRACE.jsonl ...] [--json FILE] [--check-hw-faster]");
+    eprintln!("usage: analyze [TRACE.jsonl ...] [--json FILE]");
     std::process::exit(2);
 }
 
@@ -50,7 +50,6 @@ fn builtin_run(policy: Policy) -> ControlLoopReport {
 fn main() {
     let mut traces: Vec<String> = Vec::new();
     let mut json_out: Option<String> = None;
-    let mut check_hw_faster = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -59,7 +58,6 @@ fn main() {
                 i += 1;
                 json_out = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
             }
-            "--check-hw-faster" => check_hw_faster = true,
             "--help" | "-h" => usage(),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown argument {flag:?}");
@@ -104,30 +102,6 @@ fn main() {
         if let Err(e) = std::fs::write(path, out) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
-        }
-    }
-
-    if check_hw_faster {
-        let median = |label: &str| {
-            reports
-                .iter()
-                .find(|r| r.policy == label && r.action_latency.count > 0)
-                .map(|r| r.action_latency.p50_ps)
-        };
-        match (median("CoolPIM(SW)"), median("CoolPIM(HW)")) {
-            (Some(sw), Some(hw)) if hw < sw => {
-                println!("check-hw-faster: ok (HW p50 {hw} ps < SW p50 {sw} ps)");
-            }
-            (Some(sw), Some(hw)) => {
-                eprintln!("check-hw-faster: FAILED (HW p50 {hw} ps >= SW p50 {sw} ps)");
-                std::process::exit(1);
-            }
-            (sw, hw) => {
-                eprintln!(
-                    "check-hw-faster: FAILED (missing warning->action data: SW {sw:?}, HW {hw:?})"
-                );
-                std::process::exit(1);
-            }
         }
     }
 }

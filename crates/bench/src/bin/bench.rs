@@ -35,7 +35,7 @@
 //! measurements are wall-clock — varying the graph seed per replicate,
 //! and folds the per-replicate records into ONE replicated record
 //! (schema v2: median headline + `dist.<metric>.*` distributions), the
-//! input format of the `obs gate` statistical regression gate.
+//! input format of the `obs gate` statistical path.
 
 use std::time::Instant;
 
@@ -308,7 +308,7 @@ fn run_suite(graph_seed: u64) -> RunRecord {
 
     // Live-telemetry sampling: the per-epoch cost of one MonitorHub
     // sample (32 vault temps plus a populated registry mirror) — the
-    // figure CI gates with `bench_compare --assert-max`.
+    // figure CI holds to a ceiling with `obs gate bench-trend`.
     let hub = MonitorHub::new();
     hub.begin_run("bench6-sample", "0");
     let mut reg = MetricsRegistry::new();

@@ -110,7 +110,7 @@ fn metrics_summary(results: &[WorkloadResults]) {
 }
 
 /// With `COOLPIM_RUN_RECORD=<dir>` set, appends one run record per
-/// (workload, policy) cell of the matrix for later `bench_compare`s.
+/// (workload, policy) cell of the matrix for later `obs gate` runs.
 fn save_run_records(results: &[WorkloadResults]) {
     let Some(dir) = run_record_dir() else { return };
     let spec = eval_graph_spec();

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! obs report [--runs DIR]... [--bench FILE]... [--md PATH]
-//! obs gate --baseline FILE --current FILE
-//!          [--alpha A] [--min-effect SIGMA] [--md PATH]
+//! obs gate SET CURRENT [--baseline FILE] [--md PATH]
 //!          [--inflate METRIC=FACTOR] [--expect-regression]
 //! ```
 //!
@@ -19,38 +18,38 @@
 //! working directory. The terminal dashboard always prints; `--md`
 //! additionally writes the Markdown report artifact.
 //!
-//! **`obs gate`** is the noise-aware regression gate. Both sides may be
-//! ordinary single-run records or replicated records (schema v2, from
-//! `sim --replicates` / `bench --replicates`). A gated metric fails
-//! only when its median leaves the fixed tolerance band in the worse
-//! direction **and** — when both sides carry ≥ 2 replicate samples —
-//! the shift is statistically significant (two-sample permutation test,
-//! `p ≤ alpha`, default 0.1: the exact-test floor at 3 vs 3 samples)
-//! with a robust effect size of at least `--min-effect` σ (default
-//! 0.5). Single-replicate records fall back to the band alone, which is
-//! `bench_compare`'s behaviour. Exit status: 0 pass, 1 regression,
-//! 2 usage/IO error.
+//! **`obs gate`** is the one regression gate: it checks CURRENT
+//! against the named gate set (see `coolpim_bench::gate`, which holds
+//! every threshold). `run`, `profile`, `overhead`, `bench-trend` and
+//! `replay` read a run record; `trace` reads a `sim --trace-timeline`
+//! Chrome timeline; `control-loop` reads `analyze --json` reports.
+//! `run` and `profile` compare against `--baseline`; with replicated
+//! records on both sides a band excursion must also be statistically
+//! significant to fail. `--md` additionally writes the table as
+//! Markdown. Exit status: 0 pass, 1 regression, 2 usage/IO error.
 //!
 //! `--inflate METRIC=FACTOR` multiplies the *current* side's metric
 //! (headline and distribution samples) before gating — a self-test knob
-//! so CI can prove the gate actually fires; `--expect-regression`
-//! inverts the verdict: exit 0 only if the gate DID regress (on the
+//! so CI can prove each gate actually fires; `--expect-regression`
+//! inverts the verdict: exit 0 only if the gate DID fail (on the
 //! inflated metric, when `--inflate` was given).
 
 use std::path::{Path, PathBuf};
 
+use coolpim_bench::gate::{self, inflate, Report, SETS};
 use coolpim_bench::obs::{
-    group_by_config, render_markdown, render_terminal, scan_records, stat_gate, trajectory_group,
-    StatGateConfig,
+    group_by_config, render_markdown, render_terminal, scan_records, trajectory_group,
 };
-use coolpim_bench::runrec::{RunRecord, DEFAULT_GATES};
+use coolpim_bench::runrec::RunRecord;
 
 fn usage() -> ! {
+    let sets: Vec<&str> = SETS.iter().map(|s| s.name).collect();
     eprintln!(
         "usage: obs report [--runs DIR]... [--bench FILE]... [--md PATH]\n\
-         \x20      obs gate --baseline FILE --current FILE\n\
-         \x20              [--alpha A] [--min-effect SIGMA] [--md PATH]\n\
-         \x20              [--inflate METRIC=FACTOR] [--expect-regression]"
+         \x20      obs gate SET CURRENT [--baseline FILE] [--md PATH]\n\
+         \x20              [--inflate METRIC=FACTOR] [--expect-regression]\n\
+         sets: {}",
+        sets.join(", ")
     );
     std::process::exit(2);
 }
@@ -111,29 +110,20 @@ fn report(argv: &[String]) {
     if let Some(path) = md {
         let doc = render_markdown(&groups, &warnings);
         if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("obs: failed to write {path}: {e}");
-            std::process::exit(2);
+            fail_io(format!("failed to write {path}: {e}"));
         }
         eprintln!("# wrote {path}");
     }
 }
 
-/// Scales `metric` (headline value and `dist.<metric>.*` block, except
-/// the sample count) by `factor` — the gate's self-test fault injector.
-fn inflate(rec: &mut RunRecord, metric: &str, factor: f64) {
-    let dist_prefix = format!("dist.{metric}.");
-    let n_key = format!("dist.{metric}.n");
-    for (name, value) in rec.metrics.iter_mut() {
-        if name == metric || (name.starts_with(&dist_prefix) && *name != n_key) {
-            *value *= factor;
-        }
-    }
+fn fail_io(e: String) -> ! {
+    eprintln!("obs: {e}");
+    std::process::exit(2);
 }
 
 fn gate(argv: &[String]) {
+    let mut positional: Vec<&str> = Vec::new();
     let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut cfg = StatGateConfig::default();
     let mut md: Option<String> = None;
     let mut inflation: Option<(String, f64)> = None;
     let mut expect_regression = false;
@@ -141,11 +131,6 @@ fn gate(argv: &[String]) {
     while i < argv.len() {
         match argv[i].as_str() {
             "--baseline" => baseline = Some(take(argv, &mut i)),
-            "--current" => current = Some(take(argv, &mut i)),
-            "--alpha" => cfg.alpha = take(argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--min-effect" => {
-                cfg.min_effect = take(argv, &mut i).parse().unwrap_or_else(|_| usage())
-            }
             "--md" => md = Some(take(argv, &mut i)),
             "--inflate" => {
                 let v = take(argv, &mut i);
@@ -153,43 +138,51 @@ fn gate(argv: &[String]) {
                 inflation = Some((m.to_string(), f.parse().unwrap_or_else(|_| usage())));
             }
             "--expect-regression" => expect_regression = true,
-            _ => usage(),
+            flag if flag.starts_with("--") => usage(),
+            arg => positional.push(arg),
         }
         i += 1;
     }
-    let (Some(bpath), Some(cpath)) = (baseline, current) else {
+    let [set_name, cpath] = positional[..] else {
         usage()
     };
-    let load = |p: &str| {
-        RunRecord::load(Path::new(p)).unwrap_or_else(|e| {
-            eprintln!("obs: {e}");
-            std::process::exit(2);
-        })
+    let Some(set) = gate::set(set_name) else {
+        eprintln!("obs: unknown gate set {set_name:?}");
+        usage()
     };
-    let base = load(&bpath);
-    let mut cur = load(&cpath);
+    if set.needs_baseline() && baseline.is_none() {
+        eprintln!("obs: gate set {set_name} needs --baseline");
+        usage();
+    }
+    let base = baseline
+        .as_deref()
+        .map(|p| RunRecord::load(Path::new(p)).unwrap_or_else(|e| fail_io(e)));
+    let (mut cur, notes) = set.load(Path::new(cpath)).unwrap_or_else(|e| fail_io(e));
     if let Some((metric, factor)) = &inflation {
         eprintln!("# self-test: inflating current {metric} by {factor}x");
         inflate(&mut cur, metric, *factor);
     }
 
-    let report = stat_gate(&base, &cur, DEFAULT_GATES, cfg);
-    print!("{}", report.render(&bpath, &cpath));
+    let report = Report::new(set, base.as_ref(), &cur);
+    let bname = baseline.as_deref().unwrap_or("-");
+    for note in &notes {
+        println!("# {note}");
+    }
+    print!("{}", report.render(bname, cpath));
     if let Some(path) = md {
-        if let Err(e) = std::fs::write(&path, report.render_markdown(&bpath, &cpath)) {
-            eprintln!("obs: failed to write {path}: {e}");
-            std::process::exit(2);
+        if let Err(e) = std::fs::write(&path, report.render_markdown(bname, cpath)) {
+            fail_io(format!("failed to write {path}: {e}"));
         }
         eprintln!("# wrote {path}");
     }
 
-    let regressed = report.regressions();
+    let failures = report.failures();
     if expect_regression {
         // Self-test mode: the gate MUST have fired — on the inflated
         // metric specifically, when one was named.
         let hit = match &inflation {
-            Some((metric, _)) => regressed.iter().any(|r| r.metric == metric.as_str()),
-            None => !regressed.is_empty(),
+            Some((metric, _)) => failures.iter().any(|r| r.metric == *metric),
+            None => !failures.is_empty(),
         };
         if hit {
             eprintln!("# self-test ok: gate fired as expected");
@@ -198,5 +191,5 @@ fn gate(argv: &[String]) {
         eprintln!("obs: self-test FAILED — expected a regression and the gate did not fire");
         std::process::exit(1);
     }
-    std::process::exit(if regressed.is_empty() { 0 } else { 1 });
+    std::process::exit(if failures.is_empty() { 0 } else { 1 });
 }

@@ -22,7 +22,7 @@
 //! `--metrics-out FILE` dumps the final run record (headline metrics +
 //! telemetry snapshot) as one flat JSON object; `--run-record DIR`
 //! appends the same record to a run store (also triggered by the
-//! `COOLPIM_RUN_RECORD` environment variable) for `bench_compare`.
+//! `COOLPIM_RUN_RECORD` environment variable) for `obs gate`.
 //!
 //! `--flight-recorder` keeps a rolling in-memory ring of per-vault
 //! thermal/traffic samples; `--postmortem-dir DIR` (implies
@@ -39,7 +39,7 @@
 //! warning→throttle flow arrows — and writes it as Chrome trace-event
 //! JSON loadable at <https://ui.perfetto.dev>. The file is validated
 //! in-process before it is written; the aggregated span tree also folds
-//! into the run record as `tprof.*` metrics for `profile_diff`.
+//! into the run record as `tprof.*` metrics for `obs gate profile`.
 //!
 //! `--replicates N` runs the same configuration N times over seed-varied
 //! graph draws (seeds `seed..seed+N`, or exactly `--seed-list a,b,c`)
@@ -772,8 +772,8 @@ fn main() {
     }
     // Fold the aggregated span tree into the run record as a versioned
     // profile section: one flat `tprof.<path>.{total_s,self_s,calls}`
-    // triple per tree path, which is what `profile_diff` bands against
-    // committed baselines.
+    // triple per tree path, which is what `obs gate profile` bands
+    // against committed baselines.
     if let Some(tracer) = &tracer {
         let tp = tracer.profile();
         record.push("tprof.schema", 1.0);

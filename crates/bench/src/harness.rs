@@ -113,7 +113,7 @@ impl Runner {
         };
         println!("{}", stats.report());
         // Opt-in run record (COOLPIM_RUN_RECORD=<dir>) so wall-clock
-        // benches feed the same store `bench_compare` reads.
+        // benches feed the same store `obs` reads.
         if let Some(dir) = crate::runrec::run_record_dir() {
             let config = format!("bench={} samples={}", stats.name, self.samples);
             let mut rec = crate::runrec::RunRecord::new(&stats.name, &config);

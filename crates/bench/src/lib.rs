@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod eval;
+pub mod gate;
 pub mod harness;
 pub mod heatmap;
 pub mod obs;
@@ -25,6 +26,7 @@ pub mod replicate;
 pub mod runrec;
 
 pub use eval::{eval_graph_spec, monitor_addr_requested, profiling_requested, run_eval_matrix};
+pub use gate::{Gate, SETS};
 pub use harness::{Runner, Stats};
 pub use replicate::{fold_replicates, Distribution};
-pub use runrec::{compare, Gate, RunRecord, DEFAULT_GATES, RUN_RECORD_SCHEMA_VERSION};
+pub use runrec::{RunRecord, RUN_RECORD_SCHEMA_VERSION};

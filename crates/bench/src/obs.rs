@@ -1,8 +1,8 @@
-//! The cross-run statistical observatory: longitudinal reading of the
-//! run-record store and the committed `BENCH_*.json` trajectory, plus
-//! the noise-aware regression gate behind `obs gate`.
+//! The cross-run statistical observatory behind `obs report`:
+//! longitudinal reading of the run-record store and the committed
+//! `BENCH_*.json` trajectory. (`obs gate` lives in `crate::gate`.)
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * **Scanning** ([`scan_records`]) — walk directories of run records
 //!   (schema v1 and v2), tolerating foreign JSON, and group them by
@@ -10,23 +10,15 @@
 //!   group is one configuration's history;
 //! * **Trends** ([`metric_trends`]) — per metric: the value history, a
 //!   sparkline, change-points (via `telemetry::stats`), and a
-//!   noise-vs-signal classification;
-//! * **Gate** ([`stat_gate`]) — the statistically-aware replacement
-//!   for a bare tolerance-band diff: a gated metric fails only when
-//!   its median shift leaves the fixed band **and** (when both sides
-//!   carry ≥ 2 replicate samples) the shift is significant under a
-//!   permutation test at `alpha` with at least `min_effect` robust σ
-//!   of effect. Single-replicate records fall back to the band alone,
-//!   which is exactly `bench_compare`'s behaviour.
+//!   noise-vs-signal classification.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use coolpim_telemetry::stats::{change_points, drift, median, noise_sigma};
-use coolpim_telemetry::Tolerance;
+use coolpim_telemetry::stats::{change_points, median, noise_sigma};
 
 use crate::heatmap::sparkline;
-use crate::runrec::{fnv1a, Gate, GateStatus, RunRecord};
+use crate::runrec::RunRecord;
 
 // ---------------------------------------------------------------------
 // Scanning and grouping
@@ -210,7 +202,8 @@ fn classify(values: &[f64]) -> (Classification, Vec<usize>) {
 }
 
 /// Computes per-metric trends for one group: every headline metric any
-/// record carries, in first-seen order.
+/// record carries, in first-seen order. Non-finite values contribute
+/// no point.
 pub fn metric_trends(group: &ConfigGroup) -> Vec<MetricTrend> {
     let mut names: Vec<&str> = Vec::new();
     for sr in &group.records {
@@ -227,6 +220,7 @@ pub fn metric_trends(group: &ConfigGroup) -> Vec<MetricTrend> {
                 .records
                 .iter()
                 .filter_map(|sr| sr.rec.metric(metric))
+                .filter(|v| v.is_finite())
                 .collect();
             let (class, cuts) = classify(&values);
             let delta_pct = match (values.first(), values.last()) {
@@ -354,378 +348,9 @@ pub fn render_markdown(groups: &[ConfigGroup], warnings: &[String]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// The statistical gate
-// ---------------------------------------------------------------------
-
-/// Knobs of the noise-aware gate.
-#[derive(Debug, Clone, Copy)]
-pub struct StatGateConfig {
-    /// Significance level for the permutation test. The default 0.1 is
-    /// the granularity floor of a 3-vs-3 exact permutation test (the
-    /// smallest achievable two-sided p is 2/20).
-    pub alpha: f64,
-    /// Minimum robust effect size (median shift in MAD-derived σ) for
-    /// a significant shift to count as a regression.
-    pub min_effect: f64,
-}
-
-impl Default for StatGateConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.1,
-            min_effect: 0.5,
-        }
-    }
-}
-
-/// How a gate row was decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateMode {
-    /// Permutation test + effect size over replicate samples.
-    Statistical,
-    /// Fixed tolerance band only (a side had < 2 samples).
-    Band,
-}
-
-/// One gated metric's verdict.
-#[derive(Debug, Clone)]
-pub struct StatGateRow {
-    /// Metric key.
-    pub metric: &'static str,
-    /// Baseline median (None when absent).
-    pub baseline: Option<f64>,
-    /// Current median (None when absent).
-    pub current: Option<f64>,
-    /// Sample counts (baseline, current).
-    pub n: (usize, usize),
-    /// Permutation p-value, when the statistical path ran.
-    pub p: Option<f64>,
-    /// Robust effect size (current − baseline, in σ), when computed.
-    pub effect: Option<f64>,
-    /// Whether the median shift left the fixed tolerance band in the
-    /// worse direction.
-    pub band_exceeded: bool,
-    /// Decision path.
-    pub mode: GateMode,
-    /// Verdict.
-    pub status: GateStatus,
-}
-
-/// Result of [`stat_gate`].
-#[derive(Debug, Clone)]
-pub struct StatGateReport {
-    /// Per-gate rows.
-    pub rows: Vec<StatGateRow>,
-    /// Whether baseline and current hash different configurations.
-    pub config_mismatch: bool,
-    /// The knobs that produced this report.
-    pub cfg: StatGateConfig,
-}
-
-impl StatGateReport {
-    /// Regressed rows.
-    pub fn regressions(&self) -> Vec<&StatGateRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.status == GateStatus::Regressed)
-            .collect()
-    }
-
-    /// Rows whose metric was missing on either side.
-    pub fn missing(&self) -> Vec<&StatGateRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.status == GateStatus::Missing)
-            .collect()
-    }
-
-    /// Rows the statistical path *excused*: outside the fixed band but
-    /// not a significant shift — exactly the false alarms the
-    /// single-run gate would have raised.
-    pub fn excused(&self) -> Vec<&StatGateRow> {
-        self.rows
-            .iter()
-            .filter(|r| {
-                r.status == GateStatus::Ok && r.band_exceeded && r.mode == GateMode::Statistical
-            })
-            .collect()
-    }
-
-    /// Renders the gate as a fixed-width terminal table plus verdict.
-    pub fn render(&self, baseline_name: &str, current_name: &str) -> String {
-        let mut out = format!(
-            "== obs gate ==  baseline: {baseline_name}   current: {current_name}\n\
-             significance α = {}, min effect = {} σ\n",
-            self.cfg.alpha, self.cfg.min_effect
-        );
-        if self.config_mismatch {
-            out.push_str("!! config hash differs from the baseline\n");
-        }
-        let _ = writeln!(
-            out,
-            "{:<34} {:>13} {:>13} {:>7} {:>8} {:>8} {:>6}  status",
-            "metric", "base med", "cur med", "n", "p", "effect", "mode"
-        );
-        for r in &self.rows {
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.6}"));
-            let _ = writeln!(
-                out,
-                "{:<34} {:>13} {:>13} {:>3}v{:<3} {:>8} {:>8} {:>6}  {}",
-                r.metric,
-                fmt(r.baseline),
-                fmt(r.current),
-                r.n.0,
-                r.n.1,
-                r.p.map_or("-".to_string(), |p| format!("{p:.3}")),
-                r.effect.map_or("-".to_string(), |e| format!("{e:+.2}")),
-                match r.mode {
-                    GateMode::Statistical => "stat",
-                    GateMode::Band => "band",
-                },
-                match r.status {
-                    GateStatus::Ok if r.band_exceeded => "ok (excused: not significant)",
-                    GateStatus::Ok => "ok",
-                    GateStatus::Regressed => "REGRESSED",
-                    GateStatus::Missing => "missing",
-                }
-            );
-        }
-        let reg = self.regressions();
-        if reg.is_empty() {
-            let _ = writeln!(out, "PASS: no significant regression");
-        } else {
-            for r in &reg {
-                let _ = writeln!(
-                    out,
-                    "FAIL: {} regressed — median {} -> {}, effect {} σ{}",
-                    r.metric,
-                    r.baseline.map_or("-".into(), |v| format!("{v:.6}")),
-                    r.current.map_or("-".into(), |v| format!("{v:.6}")),
-                    r.effect.map_or("n/a (band)".into(), |e| format!("{e:+.2}")),
-                    r.p.map_or(String::new(), |p| format!(", p = {p:.3}")),
-                );
-            }
-        }
-        out
-    }
-
-    /// Renders the gate as a Markdown section for the committed report
-    /// artifact.
-    pub fn render_markdown(&self, baseline_name: &str, current_name: &str) -> String {
-        let mut out = format!(
-            "# Statistical regression gate\n\nBaseline `{baseline_name}` vs current \
-             `{current_name}` — α = {}, min effect = {} σ.\n\n",
-            self.cfg.alpha, self.cfg.min_effect
-        );
-        if self.config_mismatch {
-            out.push_str("> **Warning:** config hash differs from the baseline.\n\n");
-        }
-        out.push_str("| metric | base med | cur med | n | p | effect σ | mode | verdict |\n");
-        out.push_str("|---|---:|---:|---|---:|---:|---|---|\n");
-        for r in &self.rows {
-            let fmt = |v: Option<f64>| v.map_or("—".to_string(), |v| format!("{v:.6}"));
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} | {}v{} | {} | {} | {} | {} |",
-                r.metric,
-                fmt(r.baseline),
-                fmt(r.current),
-                r.n.0,
-                r.n.1,
-                r.p.map_or("—".to_string(), |p| format!("{p:.3}")),
-                r.effect.map_or("—".to_string(), |e| format!("{e:+.2}")),
-                match r.mode {
-                    GateMode::Statistical => "stat",
-                    GateMode::Band => "band",
-                },
-                match r.status {
-                    GateStatus::Ok if r.band_exceeded => "ok *(excused)*",
-                    GateStatus::Ok => "ok",
-                    GateStatus::Regressed => "**REGRESSED**",
-                    GateStatus::Missing => "missing",
-                }
-            );
-        }
-        let reg = self.regressions();
-        let _ = writeln!(
-            out,
-            "\n**{}** — {} gate(s), {} regression(s), {} excused by statistics.",
-            if reg.is_empty() { "PASS" } else { "FAIL" },
-            self.rows.len(),
-            reg.len(),
-            self.excused().len()
-        );
-        out
-    }
-}
-
-/// The noise-aware regression gate. Per gated metric:
-///
-/// 1. compare the **median** shift against the gate's fixed
-///    [`Tolerance`] band (medians of replicated records, the single
-///    value otherwise) — inside the band is always OK;
-/// 2. outside the band, when both sides carry ≥ 2 samples, require the
-///    shift to also be *statistically significant* (permutation
-///    p ≤ `alpha`) with at least `min_effect` robust σ — otherwise the
-///    excursion is classified as noise and excused;
-/// 3. with fewer than 2 samples a side there is no spread information,
-///    so the band alone decides (single-run `bench_compare` semantics).
-///
-/// Missing metrics are reported but never fail, matching
-/// [`crate::runrec::compare`].
-pub fn stat_gate(
-    baseline: &RunRecord,
-    current: &RunRecord,
-    gates: &[Gate],
-    cfg: StatGateConfig,
-) -> StatGateReport {
-    let rows = gates
-        .iter()
-        .map(|g| {
-            let b = baseline.samples(g.metric);
-            let c = current.samples(g.metric);
-            if b.is_empty() || c.is_empty() {
-                return StatGateRow {
-                    metric: g.metric,
-                    baseline: (!b.is_empty()).then(|| median(&b)),
-                    current: (!c.is_empty()).then(|| median(&c)),
-                    n: (b.len(), c.len()),
-                    p: None,
-                    effect: None,
-                    band_exceeded: false,
-                    mode: GateMode::Band,
-                    status: GateStatus::Missing,
-                };
-            }
-            let med_b = median(&b);
-            let med_c = median(&c);
-            let worse = if g.higher_is_worse {
-                med_c - med_b
-            } else {
-                med_b - med_c
-            };
-            let band_exceeded = worse > band_slack(&g.tol, med_b);
-            let statistical = b.len() >= 2 && c.len() >= 2;
-            let (p, effect, status) = if statistical {
-                let d = drift(&b, &c, fnv1a(g.metric));
-                let status = if band_exceeded && d.significant(cfg.alpha, cfg.min_effect) {
-                    GateStatus::Regressed
-                } else {
-                    GateStatus::Ok
-                };
-                (Some(d.p), Some(d.effect), status)
-            } else {
-                let status = if band_exceeded {
-                    GateStatus::Regressed
-                } else {
-                    GateStatus::Ok
-                };
-                (None, None, status)
-            };
-            StatGateRow {
-                metric: g.metric,
-                baseline: Some(med_b),
-                current: Some(med_c),
-                n: (b.len(), c.len()),
-                p,
-                effect,
-                band_exceeded,
-                mode: if statistical {
-                    GateMode::Statistical
-                } else {
-                    GateMode::Band
-                },
-                status,
-            }
-        })
-        .collect();
-    StatGateReport {
-        rows,
-        config_mismatch: baseline.config_hash != current.config_hash,
-        cfg,
-    }
-}
-
-fn band_slack(tol: &Tolerance, baseline: f64) -> f64 {
-    tol.slack(baseline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replicate::fold_replicates;
-    use crate::runrec::DEFAULT_GATES;
-
-    fn replicated(exec: &[f64], temp: &[f64]) -> RunRecord {
-        let runs: Vec<RunRecord> = exec
-            .iter()
-            .zip(temp)
-            .map(|(&e, &t)| {
-                let mut r = RunRecord::new("g", "cfg");
-                r.push("exec_s", e);
-                r.push("max_peak_dram_c", t);
-                r
-            })
-            .collect();
-        let seeds: Vec<u64> = (0..runs.len() as u64).collect();
-        fold_replicates("g", "cfg", &seeds, &runs)
-    }
-
-    #[test]
-    fn identical_replicate_sets_pass() {
-        let base = replicated(&[1.0, 1.1, 0.9], &[80.0, 81.0, 79.0]);
-        let rep = stat_gate(&base, &base, DEFAULT_GATES, StatGateConfig::default());
-        assert!(rep.regressions().is_empty(), "{}", rep.render("b", "c"));
-    }
-
-    #[test]
-    fn inflated_metric_fails_with_named_effect() {
-        let base = replicated(&[1.0, 1.05, 0.95], &[80.0, 81.0, 79.0]);
-        let cur = replicated(&[1.5, 1.55, 1.45], &[80.0, 81.0, 79.0]);
-        let rep = stat_gate(&base, &cur, DEFAULT_GATES, StatGateConfig::default());
-        let reg = rep.regressions();
-        assert_eq!(reg.len(), 1, "{}", rep.render("b", "c"));
-        assert_eq!(reg[0].metric, "exec_s");
-        assert!(reg[0].effect.unwrap() > 1.0);
-        assert!(reg[0].p.unwrap() <= 0.1);
-        assert!(rep.render("b", "c").contains("FAIL: exec_s"));
-    }
-
-    #[test]
-    fn noise_outside_band_is_excused_when_not_significant() {
-        // Baseline spread straddles the current values: the medians
-        // differ by ~8 % (outside the 5 % exec_s band) but the samples
-        // interleave, so no permutation split is extreme → excused.
-        let base = replicated(&[1.0, 1.2, 0.8], &[80.0, 80.0, 80.0]);
-        let cur = replicated(&[1.08, 0.9, 1.19], &[80.0, 80.0, 80.0]);
-        let rep = stat_gate(&base, &cur, DEFAULT_GATES, StatGateConfig::default());
-        assert!(rep.regressions().is_empty(), "{}", rep.render("b", "c"));
-        assert_eq!(rep.excused().len(), 1, "{}", rep.render("b", "c"));
-        assert!(rep.render("b", "c").contains("excused"));
-    }
-
-    #[test]
-    fn single_replicates_fall_back_to_the_band() {
-        let mut base = RunRecord::new("s", "cfg");
-        base.push("exec_s", 1.0);
-        let mut cur = RunRecord::new("s", "cfg");
-        cur.push("exec_s", 1.2); // +20 % > 5 % band
-        let rep = stat_gate(&base, &cur, DEFAULT_GATES, StatGateConfig::default());
-        let reg = rep.regressions();
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg[0].mode, GateMode::Band);
-        assert!(reg[0].p.is_none());
-    }
-
-    #[test]
-    fn missing_metrics_report_but_do_not_fail() {
-        let base = replicated(&[1.0, 1.0, 1.0], &[80.0, 80.0, 80.0]);
-        let cur = RunRecord::new("empty", "cfg");
-        let rep = stat_gate(&base, &cur, DEFAULT_GATES, StatGateConfig::default());
-        assert!(rep.regressions().is_empty());
-        assert!(!rep.missing().is_empty());
-    }
 
     #[test]
     fn trends_classify_step_noise_and_flat() {

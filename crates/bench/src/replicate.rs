@@ -4,8 +4,8 @@
 //! every metric the replicates produced:
 //!
 //! * the **headline value** under the plain metric name — the median
-//!   across replicates, so `bench_compare` and every existing tolerance
-//!   gate keep working unchanged on replicated records;
+//!   across replicates, so every `obs gate` ceiling and band works
+//!   unchanged on replicated records;
 //! * a **distribution block** under `dist.<metric>.*`: sample count
 //!   (`n`), MAD (`mad`), extremes (`min`/`max`), the bootstrap 95 % CI
 //!   on the median (`lo`/`hi`), and the raw per-replicate samples
@@ -147,7 +147,7 @@ mod tests {
         assert!(rec.is_replicated());
         assert_eq!(rec.replicates, 3);
         assert_eq!(rec.seeds, vec![1, 2, 3]);
-        // Headline = median, bench_compare-compatible.
+        // Headline = median, what every gate reads.
         assert_eq!(rec.metric("exec_s"), Some(2.0));
         let d = rec.distribution("exec_s").expect("distribution");
         assert_eq!(d.summary.n, 3);

@@ -1,23 +1,21 @@
-//! Versioned per-run records and the cross-run regression gate.
+//! Versioned per-run records.
 //!
 //! Every driver (`sim`, `eval_all`, the wall-clock harness) can append a
 //! snapshot of one run — config hash, headline metrics, telemetry
 //! counters/gauges/histogram summaries, and the wall-clock profile — to
-//! `results/runs/*.json` as one flat JSON object. `bench_compare` diffs
-//! such a record against a named baseline with per-metric tolerance
-//! bands and exits non-zero on regression, which is what CI gates on.
+//! `results/runs/*.json` as one flat JSON object. `obs gate` checks
+//! such a record against a named baseline and the ceilings of a gate
+//! set (see `crate::gate`), which is what CI gates on.
 //!
 //! Records are self-describing: a `schema_version` field lets future
 //! schema changes detect (and refuse, rather than mis-read) old files,
-//! and a `config_hash` over the run configuration lets the comparator
-//! warn when a baseline was captured under different settings.
+//! and a `config_hash` over the run configuration lets the gate warn
+//! when a baseline was captured under different settings.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use coolpim_core::cosim::CoSimResult;
 use coolpim_telemetry::json::{parse_flat_object, FlatValue, JsonBuilder};
-use coolpim_telemetry::Tolerance;
 
 /// Version stamped into every record; bump on incompatible layout
 /// changes so the comparator can refuse mixed-version diffs.
@@ -201,9 +199,14 @@ impl RunRecord {
             ) {
                 continue;
             }
-            if let FlatValue::Num(n) = v {
-                rec.metrics.push((k.to_string(), *n));
-            }
+            // `null` is how the writer encodes a non-finite value; keep
+            // it as NaN so a gate sees (and fails) it instead of a gap.
+            let value = match v {
+                FlatValue::Num(n) => *n,
+                FlatValue::Null => f64::NAN,
+                FlatValue::Str(_) => continue,
+            };
+            rec.metrics.push((k.to_string(), value));
         }
         Ok(rec)
     }
@@ -236,203 +239,6 @@ impl RunRecord {
         let path = dir.join(format!("{slug}-{}.json", self.unix_time_s));
         self.write_to(&path)?;
         Ok(path)
-    }
-}
-
-/// One gated metric: a [`Tolerance`] band around the baseline value —
-/// the same `abs + rel·|baseline|` vocabulary the lockstep oracle and
-/// the solver equivalence tests use. A move past the band's slack in
-/// the *worse* direction is a regression, any move in the better
-/// direction never is.
-#[derive(Debug, Clone, Copy)]
-pub struct Gate {
-    /// Metric key in the record.
-    pub metric: &'static str,
-    /// Tolerance band around the baseline.
-    pub tol: Tolerance,
-    /// Whether larger values are worse (execution time, temperature) as
-    /// opposed to smaller-is-worse throughput metrics.
-    pub higher_is_worse: bool,
-}
-
-/// The default regression gate: the headline CoolPIM quality and
-/// performance metrics with tolerances sized to simulation determinism
-/// (tight) and log2 histogram granularity (a factor of two).
-pub const DEFAULT_GATES: &[Gate] = &[
-    Gate {
-        metric: "exec_s",
-        tol: Tolerance::rel(0.05),
-        higher_is_worse: true,
-    },
-    Gate {
-        metric: "max_peak_dram_c",
-        tol: Tolerance::abs(0.5),
-        higher_is_worse: true,
-    },
-    Gate {
-        metric: "avg_pim_rate_op_ns",
-        tol: Tolerance::rel(0.05),
-        higher_is_worse: false,
-    },
-    Gate {
-        metric: "ext_data_bytes",
-        tol: Tolerance::rel(0.05),
-        higher_is_worse: true,
-    },
-    Gate {
-        metric: "throttle_steps",
-        tol: Tolerance::abs(2.0),
-        higher_is_worse: true,
-    },
-    Gate {
-        metric: "shutdown",
-        tol: Tolerance::EXACT,
-        higher_is_worse: true,
-    },
-    Gate {
-        // Log2-bucketed percentile: identical behaviour can move one
-        // bucket, so allow a full factor of two.
-        metric: "hist.warning_to_action_ps.p50",
-        tol: Tolerance::rel(1.0),
-        higher_is_worse: true,
-    },
-    Gate {
-        // Wall-clock share, so inherently noisy across machines: the
-        // band matches the absolute CI budget (< 3 %) rather than the
-        // baseline value. The hard ceiling is asserted separately via
-        // `bench_compare --assert-max`.
-        metric: "telemetry_overhead_pct",
-        tol: Tolerance::abs(3.0),
-        higher_is_worse: true,
-    },
-    Gate {
-        // Dump count is deterministic for a fixed seed; a small slack
-        // absorbs trigger-ordering changes near the threshold.
-        metric: "postmortem_dumps",
-        tol: Tolerance::abs(2.0),
-        higher_is_worse: true,
-    },
-];
-
-/// Verdict for one gated metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateStatus {
-    /// Within the tolerance band.
-    Ok,
-    /// Beyond tolerance in the worse direction.
-    Regressed,
-    /// Metric absent from one of the records.
-    Missing,
-}
-
-/// One row of a comparison.
-#[derive(Debug, Clone)]
-pub struct GateRow {
-    /// Metric key.
-    pub metric: &'static str,
-    /// Baseline value, if present.
-    pub baseline: Option<f64>,
-    /// Current value, if present.
-    pub current: Option<f64>,
-    /// Verdict.
-    pub status: GateStatus,
-}
-
-/// Result of [`compare`].
-#[derive(Debug, Clone)]
-pub struct CompareReport {
-    /// Per-gate rows, in gate order.
-    pub rows: Vec<GateRow>,
-    /// Whether the two records hash different configurations (a warning,
-    /// not a failure — baselines legitimately age across config changes).
-    pub config_mismatch: bool,
-}
-
-impl CompareReport {
-    /// Number of regressed gates.
-    pub fn regressions(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.status == GateStatus::Regressed)
-            .count()
-    }
-
-    /// Renders the comparison as a fixed-width table plus verdict line.
-    pub fn render(&self, baseline_name: &str, current_name: &str) -> String {
-        let mut out =
-            format!("== bench_compare ==  baseline: {baseline_name}   current: {current_name}\n");
-        if self.config_mismatch {
-            out.push_str("!! config hash differs from the baseline (tolerances still apply)\n");
-        }
-        let _ = writeln!(
-            out,
-            "{:<34} {:>14} {:>14} {:>9}  status",
-            "metric", "baseline", "current", "delta%"
-        );
-        for r in &self.rows {
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.6}"));
-            let delta = match (r.baseline, r.current) {
-                (Some(b), Some(c)) if b.abs() > 1e-12 => format!("{:+.2}", 100.0 * (c - b) / b),
-                _ => "-".to_string(),
-            };
-            let status = match r.status {
-                GateStatus::Ok => "ok",
-                GateStatus::Regressed => "REGRESSED",
-                GateStatus::Missing => "missing",
-            };
-            let _ = writeln!(
-                out,
-                "{:<34} {:>14} {:>14} {:>9}  {}",
-                r.metric,
-                fmt(r.baseline),
-                fmt(r.current),
-                delta,
-                status
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{} gate(s), {} regression(s)",
-            self.rows.len(),
-            self.regressions()
-        );
-        out
-    }
-}
-
-/// Diffs `current` against `baseline` over `gates` (use
-/// [`DEFAULT_GATES`] for the standard CI set). A missing metric on
-/// either side is reported but never counts as a regression — gates on
-/// metrics a configuration does not produce (e.g. the warning→action
-/// histogram of a run whose loop never engaged) would otherwise flap.
-pub fn compare(baseline: &RunRecord, current: &RunRecord, gates: &[Gate]) -> CompareReport {
-    let rows = gates
-        .iter()
-        .map(|g| {
-            let b = baseline.metric(g.metric);
-            let c = current.metric(g.metric);
-            let status = match (b, c) {
-                (Some(b), Some(c)) => {
-                    let worse = if g.higher_is_worse { c - b } else { b - c };
-                    if worse > g.tol.slack(b) {
-                        GateStatus::Regressed
-                    } else {
-                        GateStatus::Ok
-                    }
-                }
-                _ => GateStatus::Missing,
-            };
-            GateRow {
-                metric: g.metric,
-                baseline: b,
-                current: c,
-                status,
-            }
-        })
-        .collect();
-    CompareReport {
-        rows,
-        config_mismatch: baseline.config_hash != current.config_hash,
     }
 }
 
@@ -491,6 +297,16 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_metrics_round_trip_as_nan() {
+        let r = record(&[("exec_s", f64::NAN), ("ok", 1.0)]);
+        let json = r.to_json();
+        assert!(json.contains("\"exec_s\":null"), "{json}");
+        let back = RunRecord::from_json(&json).expect("parses");
+        assert!(back.metric("exec_s").is_some_and(f64::is_nan));
+        assert_eq!(back.metric("ok"), Some(1.0));
+    }
+
+    #[test]
     fn unknown_schema_versions_are_refused() {
         let txt = r#"{"schema_version":99,"name":"x","config_hash":1,"unix_time_s":0}"#;
         let err = RunRecord::from_json(txt).unwrap_err();
@@ -505,75 +321,6 @@ mod tests {
         assert_ne!(fnv1a("abc"), fnv1a("abd"));
         // Known FNV-1a vector.
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn compare_passes_inside_the_band() {
-        let base = record(&[("exec_s", 1.0), ("max_peak_dram_c", 80.0)]);
-        let cur = record(&[("exec_s", 1.04), ("max_peak_dram_c", 80.4)]);
-        let rep = compare(&base, &cur, DEFAULT_GATES);
-        assert_eq!(rep.regressions(), 0);
-        assert!(!rep.config_mismatch);
-    }
-
-    #[test]
-    fn compare_flags_worse_direction_only() {
-        let base = record(&[
-            ("exec_s", 1.0),
-            ("avg_pim_rate_op_ns", 1.0),
-            ("shutdown", 0.0),
-        ]);
-        // exec_s regressed (+10% > 5%), PIM rate improved (higher is
-        // better), shutdown appeared (zero tolerance).
-        let cur = record(&[
-            ("exec_s", 1.10),
-            ("avg_pim_rate_op_ns", 2.0),
-            ("shutdown", 1.0),
-        ]);
-        let rep = compare(&base, &cur, DEFAULT_GATES);
-        let status = |m: &str| {
-            rep.rows
-                .iter()
-                .find(|r| r.metric == m)
-                .map(|r| r.status)
-                .unwrap()
-        };
-        assert_eq!(status("exec_s"), GateStatus::Regressed);
-        assert_eq!(status("avg_pim_rate_op_ns"), GateStatus::Ok);
-        assert_eq!(status("shutdown"), GateStatus::Regressed);
-        assert_eq!(rep.regressions(), 2);
-        let table = rep.render("base", "cur");
-        assert!(table.contains("REGRESSED"));
-        assert!(table.contains("2 regression(s)"));
-    }
-
-    #[test]
-    fn improvements_in_lower_is_better_metrics_pass() {
-        let base = record(&[("exec_s", 1.0), ("ext_data_bytes", 1e9)]);
-        let cur = record(&[("exec_s", 0.5), ("ext_data_bytes", 0.2e9)]);
-        assert_eq!(compare(&base, &cur, DEFAULT_GATES).regressions(), 0);
-    }
-
-    #[test]
-    fn missing_metrics_report_but_do_not_fail() {
-        let base = record(&[("exec_s", 1.0)]);
-        let cur = record(&[]);
-        let rep = compare(&base, &cur, DEFAULT_GATES);
-        assert_eq!(rep.regressions(), 0);
-        assert!(rep.rows.iter().all(|r| r.status != GateStatus::Regressed));
-        assert!(rep
-            .rows
-            .iter()
-            .any(|r| r.metric == "exec_s" && r.status == GateStatus::Missing));
-    }
-
-    #[test]
-    fn config_mismatch_is_surfaced_as_warning() {
-        let base = RunRecord::new("a", "cfg-a");
-        let cur = RunRecord::new("a", "cfg-b");
-        let rep = compare(&base, &cur, DEFAULT_GATES);
-        assert!(rep.config_mismatch);
-        assert!(rep.render("a", "b").contains("config hash differs"));
     }
 
     #[test]

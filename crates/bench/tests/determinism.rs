@@ -1,14 +1,15 @@
 //! Determinism guard: two runs with identical seed + configuration must
 //! produce the identical `config_hash` and bit-identical gated metrics.
 //!
-//! This is the property the CI `stat-gate` job leans on — it gates a
-//! freshly-run replicate set against a committed baseline produced with
-//! the *same seeds*, so any non-determinism in the stack (graph draw,
-//! co-sim scheduling, replicate folding) would surface here first, as a
-//! flaking gate.
+//! This is the property CI's `obs gate run` on replicated records leans
+//! on — it gates a freshly-run replicate set against a committed
+//! baseline produced with the *same seeds*, so any non-determinism in
+//! the stack (graph draw, co-sim scheduling, replicate folding) would
+//! surface here first, as a flaking gate.
 
+use coolpim_bench::gate::RUN;
 use coolpim_bench::replicate::fold_replicates;
-use coolpim_bench::runrec::{RunRecord, DEFAULT_GATES};
+use coolpim_bench::runrec::RunRecord;
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::experiment::run_replicates;
 use coolpim_core::policy::Policy;
@@ -58,9 +59,9 @@ fn identical_seeds_and_config_fold_to_identical_records() {
         );
     }
     // And specifically every gated metric that exists in the record.
-    for gate in DEFAULT_GATES {
-        if let (Some(x), Some(y)) = (a.metric(gate.metric), b.metric(gate.metric)) {
-            assert_eq!(x.to_bits(), y.to_bits(), "gated metric {}", gate.metric);
+    for gate in RUN {
+        if let (Some(x), Some(y)) = (a.metric(gate.key), b.metric(gate.key)) {
+            assert_eq!(x.to_bits(), y.to_bits(), "gated metric {}", gate.key);
         }
     }
 }

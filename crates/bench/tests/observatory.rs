@@ -43,10 +43,10 @@ fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
 
     // Unchanged tree, ≥ 3 replicates a side: the gate must pass.
     let out = Command::new(env!("CARGO_BIN_EXE_obs"))
-        .args(["gate", "--baseline"])
-        .arg(&a)
-        .arg("--current")
+        .args(["gate", "run"])
         .arg(&b)
+        .arg("--baseline")
+        .arg(&a)
         .output()
         .expect("spawn obs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -60,10 +60,10 @@ fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
     // Synthetically inflated metric: non-zero exit, FAIL line naming
     // the metric and its effect size.
     let out = Command::new(env!("CARGO_BIN_EXE_obs"))
-        .args(["gate", "--baseline"])
-        .arg(&a)
-        .arg("--current")
+        .args(["gate", "run"])
         .arg(&b)
+        .arg("--baseline")
+        .arg(&a)
         .args(["--inflate", "exec_s=1.5"])
         .output()
         .expect("spawn obs");
@@ -85,10 +85,10 @@ fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
     // Self-test inversion: with --expect-regression the same invocation
     // succeeds (and would fail on a quiet gate).
     let status = Command::new(env!("CARGO_BIN_EXE_obs"))
-        .args(["gate", "--baseline"])
-        .arg(&a)
-        .arg("--current")
+        .args(["gate", "run"])
         .arg(&b)
+        .arg("--baseline")
+        .arg(&a)
         .args(["--inflate", "exec_s=1.5", "--expect-regression"])
         .status()
         .expect("spawn obs");
@@ -97,10 +97,10 @@ fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
         "--expect-regression must succeed on a fired gate"
     );
     let status = Command::new(env!("CARGO_BIN_EXE_obs"))
-        .args(["gate", "--baseline"])
-        .arg(&a)
-        .arg("--current")
+        .args(["gate", "run"])
         .arg(&b)
+        .arg("--baseline")
+        .arg(&a)
         .arg("--expect-regression")
         .status()
         .expect("spawn obs");

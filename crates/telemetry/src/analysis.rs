@@ -138,9 +138,9 @@ impl ControlLoopReport {
     }
 
     /// Parses a report serialized by [`Self::to_json`] — the read side
-    /// of `analyze --json`, so downstream tooling (`profile_diff`, CI
-    /// gates) consumes the KPIs without scraping tables. Labels go
-    /// through [`crate::event::intern`]; ones outside the vocabulary
+    /// of `analyze --json`, so downstream tooling (`obs gate
+    /// control-loop`) consumes the KPIs without scraping tables. Labels
+    /// go through [`crate::event::intern`]; ones outside the vocabulary
     /// read back as `"?"`.
     pub fn from_json(line: &str) -> Option<Self> {
         let o = crate::json::parse_flat_object(line)?;

@@ -1,5 +1,5 @@
 //! The one tolerance-band vocabulary shared by every comparator in the
-//! workspace: the run-record regression gates (`bench_compare`), the
+//! workspace: the run-record regression gates (`obs gate`), the
 //! lockstep oracle (`coolpim-validate`), and the solver equivalence
 //! tests.
 //!

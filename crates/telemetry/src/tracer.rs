@@ -852,13 +852,23 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         }
                         *pos += 1;
                     }
-                    Some(_) => {
-                        // Advance over one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&b[*pos..])
-                            .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                        let c = rest.chars().next().ok_or("unterminated string")?;
+                    Some(&lead) => {
+                        // Advance over one UTF-8 scalar, decoding only its
+                        // own bytes (the lead byte gives the width), so a
+                        // long document parses in linear time.
+                        let width = match lead {
+                            0..=0x7f => 1,
+                            0xc0..=0xdf => 2,
+                            0xe0..=0xef => 3,
+                            _ => 4,
+                        };
+                        let c = b
+                            .get(*pos..*pos + width)
+                            .and_then(|w| std::str::from_utf8(w).ok())
+                            .and_then(|w| w.chars().next())
+                            .ok_or_else(|| format!("invalid UTF-8 at byte {pos}"))?;
                         s.push(c);
-                        *pos += c.len_utf8();
+                        *pos += width;
                     }
                 }
             }
@@ -1274,6 +1284,8 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
         assert_eq!(v.get("o").unwrap().get("b"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("o").unwrap().get("n"), Some(&JsonValue::Null));
+        // Multi-byte scalars of every width decode in place.
+        assert_eq!(parse_json("\"aé→𝄞\"").unwrap().as_str(), Some("aé→𝄞"));
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("[1,").is_err());
     }
