@@ -29,9 +29,8 @@
 //! `--flight-recorder`) dumps that ring as a versioned JSONL bundle
 //! whenever a thermal warning, phase change, or overshoot episode
 //! fires — inspect bundles with the `postmortem` bin.
-//! `--flight-capacity N` and `--flight-every N` tune the ring depth and
-//! sampling stride. `--trace-rotate-mb MB` caps the `--trace` file by
-//! rotating it into numbered parts, keeping only the newest few.
+//! `--trace-rotate-mb MB` caps the `--trace` file by rotating it into
+//! numbered parts, keeping only the newest few.
 //!
 //! `--trace-timeline FILE` records a hierarchical trace timeline of the
 //! run — nested epoch/thermal/scheduling spans on per-component tracks,
@@ -107,8 +106,6 @@ struct Args {
     run_record: Option<String>,
     flight_recorder: bool,
     postmortem_dir: Option<String>,
-    flight_capacity: Option<u64>,
-    flight_every: Option<u64>,
     trace_rotate_mb: Option<u64>,
     trace_timeline: Option<String>,
     monitor: Option<String>,
@@ -131,7 +128,6 @@ fn usage() -> ! {
          \x20          [--warning-threshold C] [--metrics-out json-file]\n\
          \x20          [--run-record dir]\n\
          \x20          [--flight-recorder] [--postmortem-dir dir]\n\
-         \x20          [--flight-capacity N] [--flight-every N]\n\
          \x20          [--trace-rotate-mb MB] [--trace-timeline json-file]\n\
          \x20          [--monitor addr:port] [--heartbeat secs]\n\
          \x20          [--replicates N] [--seed-list a,b,c]\n\
@@ -181,8 +177,6 @@ fn parse_args() -> Args {
         run_record: None,
         flight_recorder: false,
         postmortem_dir: None,
-        flight_capacity: None,
-        flight_every: None,
         trace_rotate_mb: None,
         trace_timeline: None,
         monitor: None,
@@ -228,12 +222,6 @@ fn parse_args() -> Args {
             "--run-record" => args.run_record = Some(take(&mut i)),
             "--flight-recorder" => args.flight_recorder = true,
             "--postmortem-dir" => args.postmortem_dir = Some(take(&mut i)),
-            "--flight-capacity" => {
-                args.flight_capacity = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--flight-every" => {
-                args.flight_every = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
             "--trace-rotate-mb" => {
                 args.trace_rotate_mb = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
             }
@@ -262,6 +250,53 @@ fn parse_args() -> Args {
         i += 1;
     }
     args
+}
+
+/// The co-sim configuration: `--cooling` plus the `--warning-threshold`
+/// override.
+fn cosim_config(args: &Args) -> CoSimConfig {
+    let base = CoSimConfig::default();
+    CoSimConfig {
+        cooling: args.cooling,
+        warning_threshold_c: args.warning_threshold_c.unwrap_or(base.warning_threshold_c),
+        ..base
+    }
+}
+
+/// The R-MAT graph `--scale`, `--degree` and `--seed` describe.
+fn graph_spec(args: &Args) -> GraphSpec {
+    GraphSpec {
+        scale: args.scale,
+        avg_degree: args.degree,
+        seed: args.seed,
+        ..GraphSpec::ldbc_like()
+    }
+}
+
+/// Writes `record` to `--metrics-out` and appends it to the run store
+/// (`--run-record DIR`, else `COOLPIM_RUN_RECORD`), exiting 1 on an I/O
+/// error.
+fn write_record(args: &Args, record: &RunRecord) {
+    if let Some(path) = &args.metrics_out {
+        if let Err(e) = record.write_to(std::path::Path::new(path)) {
+            eprintln!("failed to write metrics to {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+    let record_dir = args
+        .run_record
+        .clone()
+        .map(Into::into)
+        .or_else(run_record_dir);
+    if let Some(dir) = record_dir {
+        match record.save_to_dir(&dir) {
+            Ok(path) => eprintln!("# run record: {}", path.display()),
+            Err(e) => {
+                eprintln!("failed to append run record under {}: {e}", dir.display());
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// Resolves `--replicates` / `--seed-list` into the replicate seed set;
@@ -316,20 +351,8 @@ fn run_replicated(args: &Args, seeds: &[u64]) {
         );
         std::process::exit(2);
     }
-    let mut cfg = CoSimConfig {
-        cooling: args.cooling,
-        ..CoSimConfig::default()
-    };
-    if let Some(t) = args.warning_threshold_c {
-        cfg.warning_threshold_c = t;
-    }
+    let cfg = cosim_config(args);
     let threshold_c = cfg.warning_threshold_c;
-    let spec = GraphSpec {
-        scale: args.scale,
-        avg_degree: args.degree,
-        seed: args.seed,
-        ..GraphSpec::ldbc_like()
-    };
     let seed_desc = seeds
         .iter()
         .map(u64::to_string)
@@ -344,7 +367,7 @@ fn run_replicated(args: &Args, seeds: &[u64]) {
         seed_desc,
         args.cooling.name()
     );
-    let results = run_replicates(spec, args.workload, args.policy, cfg, seeds);
+    let results = run_replicates(graph_spec(args), args.workload, args.policy, cfg, seeds);
 
     // The shared configuration carries the seed *list* — two replicated
     // runs with the same seed set hash to the same config, which is what
@@ -366,26 +389,7 @@ fn run_replicated(args: &Args, seeds: &[u64]) {
         .collect();
     let record = fold_replicates(&record_name, &config_desc, seeds, &runs);
 
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = record.write_to(std::path::Path::new(path)) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    let record_dir = args
-        .run_record
-        .clone()
-        .map(Into::into)
-        .or_else(run_record_dir);
-    if let Some(dir) = record_dir {
-        match record.save_to_dir(&dir) {
-            Ok(path) => eprintln!("# run record: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to append run record under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    write_record(args, &record);
 
     println!("workload           {}", args.workload.name());
     println!("policy             {}", args.policy.name());
@@ -417,13 +421,7 @@ fn load_graph(args: &Args) -> Csr {
             eprintln!("failed to read {path}: {e}");
             std::process::exit(1);
         }),
-        None => GraphSpec {
-            scale: args.scale,
-            avg_degree: args.degree,
-            seed: args.seed,
-            ..GraphSpec::ldbc_like()
-        }
-        .build(),
+        None => graph_spec(args).build(),
     }
 }
 
@@ -454,13 +452,7 @@ fn load_replay_trace(path: &str) -> Arc<WorkloadTrace> {
 /// each cell regenerates graph + kernel (the honest live baseline the
 /// BENCH_7 replay-speedup ratio is measured against).
 fn run_matrix_mode(args: &Args) {
-    let mut cfg = CoSimConfig {
-        cooling: args.cooling,
-        ..CoSimConfig::default()
-    };
-    if let Some(t) = args.warning_threshold_c {
-        cfg.warning_threshold_c = t;
-    }
+    let cfg = cosim_config(args);
     let cells = SweepCell::matrix8(cfg.warning_threshold_c);
     let started = std::time::Instant::now();
     let (workload_name, results) = match &args.replay {
@@ -475,12 +467,7 @@ fn run_matrix_mode(args: &Args) {
             (name, sweep)
         }
         None => {
-            let spec = GraphSpec {
-                scale: args.scale,
-                avg_degree: args.degree,
-                seed: args.seed,
-                ..GraphSpec::ldbc_like()
-            };
+            let spec = graph_spec(args);
             let workload = args.workload;
             let sweep =
                 run_source_sweep(|| make_kernel(workload, &spec.build()), &cells, cfg.clone());
@@ -560,13 +547,7 @@ fn main() {
     } else {
         None
     };
-    let mut cfg = CoSimConfig {
-        cooling: args.cooling,
-        ..CoSimConfig::default()
-    };
-    if let Some(t) = args.warning_threshold_c {
-        cfg.warning_threshold_c = t;
-    }
+    let cfg = cosim_config(&args);
 
     let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
     if let Some(path) = &args.trace {
@@ -641,23 +622,16 @@ fn main() {
     // Observers run in attach order: the flight recorder first, so an
     // epoch's FlightDump still streams ahead of its Heartbeat.
     if flight_on {
-        let mut fcfg = FlightConfig {
-            postmortem_dir: args.postmortem_dir.clone().map(Into::into),
-            ..FlightConfig::default()
-        };
-        if let Some(cap) = args.flight_capacity {
-            fcfg.capacity = cap.max(1) as usize;
-        }
-        if let Some(every) = args.flight_every {
-            fcfg.every_epochs = every.max(1);
-        }
         if let Some(dir) = &args.postmortem_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("failed to create postmortem dir {dir}: {e}");
                 std::process::exit(1);
             }
         }
-        cosim = cosim.with_observer(FlightObserver::new(fcfg));
+        cosim = cosim.with_observer(FlightObserver::new(FlightConfig {
+            postmortem_dir: args.postmortem_dir.clone().map(Into::into),
+            ..FlightConfig::default()
+        }));
     }
     let mut server = None;
     if let Some(addr) = &args.monitor {
@@ -697,13 +671,7 @@ fn main() {
             let config_hash = if args.graph_file.is_some() {
                 fnv1a(&config_desc)
             } else {
-                GraphSpec {
-                    scale: args.scale,
-                    avg_degree: args.degree,
-                    seed: args.seed,
-                    ..GraphSpec::ldbc_like()
-                }
-                .config_hash()
+                graph_spec(&args).config_hash()
             };
             let trace = recorder.finish(config_hash, &config_desc);
             let bytes = trace.encode();
@@ -784,26 +752,7 @@ fn main() {
             record.push(&format!("tprof.{path}.calls"), calls as f64);
         }
     }
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = record.write_to(std::path::Path::new(path)) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    let record_dir = args
-        .run_record
-        .clone()
-        .map(Into::into)
-        .or_else(run_record_dir);
-    if let Some(dir) = record_dir {
-        match record.save_to_dir(&dir) {
-            Ok(path) => eprintln!("# run record: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to append run record under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    write_record(&args, &record);
 
     println!("workload           {}", r.workload);
     println!("policy             {}", r.policy.name());

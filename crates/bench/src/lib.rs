@@ -8,7 +8,7 @@
 //! the workload × policy matrix once at the configured scale. Scale is
 //! controlled by the `COOLPIM_SCALE` environment variable:
 //!
-//! * `full` (default) — the paper-scale LDBC-like graph (2^21 vertices);
+//! * `full` (default) — the paper-scale LDBC-like graph (2^20 vertices);
 //!   the full matrix takes a few minutes on a multicore host;
 //! * `quick` — a 2^16 graph for smoke runs (~seconds; thermal effects are
 //!   muted at this scale, so shapes are only indicative);
@@ -25,7 +25,7 @@ pub mod obs;
 pub mod replicate;
 pub mod runrec;
 
-pub use eval::{eval_graph_spec, monitor_addr_requested, profiling_requested, run_eval_matrix};
+pub use eval::{eval_graph_spec, run_eval_matrix};
 pub use gate::{Gate, SETS};
 pub use harness::{Runner, Stats};
 pub use replicate::{fold_replicates, Distribution};

@@ -1,18 +1,21 @@
 //! Parallel experiment harness: the matrix of workloads × policies
-//! behind the paper's Figures 10–13.
+//! behind the paper's Figures 10–13, plus the replicate and
+//! (policy × cooling × threshold) sweeps.
 //!
-//! Each cell is an independent co-simulated run; cells fan out over a
-//! bounded worker pool (a shared atomic task index over scoped threads —
-//! no external runtime needed) and results are gathered
-//! deterministically by index.
+//! Every runner here is a thin caller of one private pool: each item is
+//! an independent co-simulated run, items fan out over a bounded set of
+//! scoped worker threads claiming indices from a shared atomic (no
+//! external runtime needed), and results are gathered deterministically
+//! by index.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
-use coolpim_telemetry::{MetricsSnapshot, MonitorHub, Tracer};
+use coolpim_telemetry::{MetricsSnapshot, Tracer};
 
 use crate::cosim::{CoSim, CoSimConfig, CoSimResult};
 use crate::policy::Policy;
@@ -49,148 +52,41 @@ impl WorkloadResults {
     }
 }
 
-/// Runs the full matrix in parallel. Results keep the order of
-/// `workloads` and, within each, of `policies`.
-pub fn run_matrix(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, None, None, None)
-}
-
-/// [`run_matrix`] with a hierarchical trace timeline: each pool worker
-/// owns a `worker-N` track on `tracer` and brackets every cell it claims
-/// in a span named after the cell's workload, so the exported timeline
-/// shows how the matrix fanned out over threads — which worker ran
-/// what, when, and where the pool sat idle.
-pub fn run_matrix_traced(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-    tracer: &Tracer,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, None, Some(tracer), None)
-}
-
-/// [`run_matrix_traced`] plus every cell's own `sim`/`gpu`/`hmc` tracks
-/// on `tracer` (see [`CoSim::with_tracer`]), so [`Tracer::profile`]
-/// folds one span tree over the whole matrix.
-pub fn run_matrix_span_tree(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-    tracer: &Tracer,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(
-        graph,
-        workloads,
-        policies,
-        cfg,
-        None,
-        Some(tracer),
-        Some(tracer),
-    )
-}
-
-/// [`run_matrix`] with every run publishing live epoch observations
-/// into `hub`. The cells run concurrently, so the hub shows an
-/// interleaved view of whichever runs are in flight — status identity
-/// (run id, config hash) should be stamped by the caller via
-/// [`MonitorHub::begin_run`] before the matrix starts. Each cell runs
-/// under its own tracer, so it reports `telemetry_overhead_pct`.
-pub fn run_matrix_monitored(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-    hub: MonitorHub,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, Some(hub), None, None)
-}
-
-/// The matrix pool. `worker_tracer` gets the per-worker cell spans,
-/// `cell_tracer` every cell's own tracks.
-fn run_matrix_inner(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-    hub: Option<MonitorHub>,
-    worker_tracer: Option<&Tracer>,
-    cell_tracer: Option<&Tracer>,
-) -> Vec<WorkloadResults> {
-    let cfg = &cfg;
-    if let Some(hub) = &hub {
-        hub.expect_runs((workloads.len() * policies.len()) as u64);
-    }
-    let tasks: Vec<(usize, Workload, usize, Policy)> = workloads
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, &w)| {
-            policies
-                .iter()
-                .enumerate()
-                .map(move |(pi, &p)| (wi, w, pi, p))
-        })
-        .collect();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let threads = threads.min(tasks.len()).max(1);
-
-    // Work distribution: each worker claims the next unclaimed task
-    // index. Slots are pre-sized so workers write disjoint cells and the
-    // output order is independent of scheduling.
+/// The one co-sim pool: runs `job` once per item on
+/// `min(cores, items)` scoped workers, each claiming the next unclaimed
+/// item index from one shared atomic. Results come back in item order
+/// regardless of scheduling.
+///
+/// With a `tracer`, every worker opens a `worker-N` track up front and
+/// brackets each item it claims in a span named `label(item)`, so the
+/// timeline shows which worker ran what, when, and where the pool sat
+/// idle.
+fn pool<T: Sync, R: Send>(
+    items: &[T],
+    tracer: Option<&Tracer>,
+    label: impl Fn(&T) -> &'static str + Sync,
+    job: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(items.len())
+        .max(1);
     let next = AtomicUsize::new(0);
-    let results = Mutex::new(vec![Vec::<Option<CoSimResult>>::new(); workloads.len()]);
-    {
-        let mut guard = results.lock().expect("results poisoned");
-        for slot in guard.iter_mut() {
-            slot.resize_with(policies.len(), || None);
-        }
-    }
-
-    // Workers borrow the one shared `&Csr` — scoped threads make the
-    // lifetime work without a per-worker clone of the graph.
+    let results = Mutex::new(items.iter().map(|_| None).collect::<Vec<Option<R>>>());
+    // Workers borrow the items (and whatever `job` captures, e.g. one
+    // shared `&Csr`) — scoped threads make the lifetimes work without a
+    // per-worker clone.
     std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let next = &next;
-            let tasks = &tasks;
-            let results = &results;
-            let hub = hub.clone();
+        for worker in 0..workers {
+            let (next, results, label, job) = (&next, &results, &label, &job);
             scope.spawn(move || {
-                // Per-worker timeline track: one span per claimed cell,
-                // named after the cell's workload. The gaps between
-                // spans are the pool's idle/imbalance time.
-                let mut track = worker_tracer.map(|t| t.track(&format!("worker-{worker}")));
+                let mut track = tracer.map(|t| t.track(&format!("worker-{worker}")));
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(wi, w, pi, p)) = tasks.get(i) else {
-                        break;
-                    };
-                    let tok = track.as_mut().map(|t| t.begin(w.name()));
-                    let started = std::time::Instant::now();
-                    let mut kernel = make_kernel(w, graph);
-                    let mut sim = CoSim::new(p, cfg.clone());
-                    if let Some(t) = cell_tracer {
-                        sim = sim.with_tracer(t);
-                    }
-                    if let Some(hub) = hub.clone() {
-                        sim = sim.with_tracer(&Tracer::new()).with_observer(hub);
-                    }
-                    let r = sim.run(kernel.as_mut());
-                    eprintln!(
-                        "# {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
-                        w.name(),
-                        p.name(),
-                        r.exec_s * 1e3,
-                        started.elapsed().as_secs_f64()
-                    );
-                    results.lock().expect("results poisoned")[wi][pi] = Some(r);
+                    let Some(item) = items.get(i) else { break };
+                    let tok = track.as_mut().map(|t| t.begin(label(item)));
+                    let r = job(item);
+                    results.lock().expect("results poisoned")[i] = Some(r);
                     if let (Some(t), Some(tok)) = (track.as_mut(), tok) {
                         t.end(tok);
                     }
@@ -201,15 +97,76 @@ fn run_matrix_inner(
             });
         }
     });
-
     results
         .into_inner()
         .expect("results poisoned")
         .into_iter()
-        .zip(workloads)
-        .map(|(runs, &workload)| WorkloadResults {
+        .map(|r| r.expect("every pool item runs"))
+        .collect()
+}
+
+/// Runs the full matrix in parallel. Results keep the order of
+/// `workloads` and, within each, of `policies`.
+pub fn run_matrix(
+    graph: &Csr,
+    workloads: &[Workload],
+    policies: &[Policy],
+    cfg: CoSimConfig,
+) -> Vec<WorkloadResults> {
+    run_matrix_with(graph, workloads, policies, cfg, None, |s| s)
+}
+
+/// [`run_matrix`] with instruments. `worker_tracer` gets one `worker-N`
+/// track per pool worker with one span per claimed cell, named after
+/// the cell's workload. `attach` instruments every cell's [`CoSim`]
+/// before it runs:
+///
+/// * `|s| s.with_tracer(t)` adds every cell's own `sim`/`gpu`/`hmc`
+///   tracks to `t` (see [`CoSim::with_tracer`]), so [`Tracer::profile`]
+///   folds one span tree over the whole matrix;
+/// * `|s| s.with_tracer(&Tracer::new()).with_observer(hub.clone())`
+///   publishes every cell's epochs into a
+///   [`MonitorHub`](coolpim_telemetry::MonitorHub), each cell reporting
+///   its own `telemetry_overhead_pct`. The cells run concurrently, so
+///   the hub shows an interleaved view of whichever runs are in flight;
+///   the caller stamps the run identity with `begin_run` and declares
+///   the cell count with `expect_runs` before the matrix starts.
+pub fn run_matrix_with(
+    graph: &Csr,
+    workloads: &[Workload],
+    policies: &[Policy],
+    cfg: CoSimConfig,
+    worker_tracer: Option<&Tracer>,
+    attach: impl Fn(CoSim) -> CoSim + Sync,
+) -> Vec<WorkloadResults> {
+    let cells: Vec<(Workload, Policy)> = workloads
+        .iter()
+        .flat_map(|&w| policies.iter().map(move |&p| (w, p)))
+        .collect();
+    let runs = pool(
+        &cells,
+        worker_tracer,
+        |c| c.0.name(),
+        |&(w, p)| {
+            let started = Instant::now();
+            let mut kernel = make_kernel(w, graph);
+            let r = attach(CoSim::new(p, cfg.clone())).run(kernel.as_mut());
+            eprintln!(
+                "# {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
+                w.name(),
+                p.name(),
+                r.exec_s * 1e3,
+                started.elapsed().as_secs_f64()
+            );
+            r
+        },
+    );
+    let mut runs = runs.into_iter();
+    workloads
+        .iter()
+        .map(|&workload| WorkloadResults {
             workload,
-            runs: runs.into_iter().map(|r| r.expect("missing run")).collect(),
+            runs: runs.by_ref().take(policies.len()).collect(),
         })
         .collect()
 }
@@ -222,8 +179,8 @@ fn run_matrix_inner(
 /// This is the engine behind `sim --replicates` / `bench --replicates`:
 /// the co-simulator itself is deterministic for a fixed graph, so the
 /// only run-to-run variation the stack exposes is the graph draw — each
-/// replicate therefore needs its own [`GraphSpec::build`], which is why
-/// this pool cannot share [`run_matrix`]'s single borrowed `&Csr`.
+/// replicate therefore needs its own [`GraphSpec::build`] instead of
+/// [`run_matrix`]'s single borrowed `&Csr`.
 pub fn run_replicates(
     spec: GraphSpec,
     workload: Workload,
@@ -231,48 +188,25 @@ pub fn run_replicates(
     cfg: CoSimConfig,
     seeds: &[u64],
 ) -> Vec<CoSimResult> {
-    let cfg = &cfg;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(seeds.len())
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new({
-        let mut v = Vec::<Option<CoSimResult>>::new();
-        v.resize_with(seeds.len(), || None);
-        v
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let results = &results;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else {
-                    break;
-                };
-                let started = std::time::Instant::now();
-                let graph = GraphSpec { seed, ..spec }.build();
-                let mut kernel = make_kernel(workload, &graph);
-                let r = CoSim::new(policy, cfg.clone()).run(kernel.as_mut());
-                eprintln!(
-                    "# replicate seed={seed:<6} {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
-                    workload.name(),
-                    policy.name(),
-                    r.exec_s * 1e3,
-                    started.elapsed().as_secs_f64()
-                );
-                results.lock().expect("results poisoned")[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|r| r.expect("missing replicate"))
-        .collect()
+    pool(
+        seeds,
+        None,
+        |_| workload.name(),
+        |&seed| {
+            let started = Instant::now();
+            let graph = GraphSpec { seed, ..spec }.build();
+            let mut kernel = make_kernel(workload, &graph);
+            let r = CoSim::new(policy, cfg.clone()).run(kernel.as_mut());
+            eprintln!(
+                "# replicate seed={seed:<6} {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
+                workload.name(),
+                policy.name(),
+                r.exec_s * 1e3,
+                started.elapsed().as_secs_f64()
+            );
+            r
+        },
+    )
 }
 
 /// One point of a (policy × cooling × warning-threshold) sweep over a
@@ -318,8 +252,11 @@ impl SweepCell {
 /// ROADMAP-item-2 "record once, replay everywhere" sweep. The factory
 /// returns any owning pointer to an
 /// [`coolpim_gpu::InstructionSource`] — `Box<dyn Kernel>` and a boxed
-/// replay source both fit. Results come back in cell order regardless
-/// of scheduling.
+/// replay source both fit. Each cell calls `make_source` once, on the
+/// worker that runs it, and drops the source before that worker claims
+/// its next cell, so a cell's wall time includes building and dropping
+/// its source. Results come back in cell order regardless of
+/// scheduling.
 pub fn run_source_sweep<S, F>(
     make_source: F,
     cells: &[SweepCell],
@@ -330,45 +267,20 @@ where
     S::Target: coolpim_gpu::InstructionSource,
     F: Fn() -> S + Sync,
 {
-    let cfg = &cfg;
-    let make_source = &make_source;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cells.len())
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new({
-        let mut v = Vec::<Option<CoSimResult>>::new();
-        v.resize_with(cells.len(), || None);
-        v
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let results = &results;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let cell_cfg = CoSimConfig {
-                    cooling: cell.cooling,
-                    warning_threshold_c: cell.warning_threshold_c,
-                    ..cfg.clone()
-                };
-                let mut source = make_source();
-                let r = CoSim::new(cell.policy, cell_cfg).run(&mut *source);
-                results.lock().expect("results poisoned")[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|r| r.expect("missing sweep cell"))
-        .collect()
+    pool(
+        cells,
+        None,
+        |c| c.policy.name(),
+        |cell| {
+            let cell_cfg = CoSimConfig {
+                cooling: cell.cooling,
+                warning_threshold_c: cell.warning_threshold_c,
+                ..cfg.clone()
+            };
+            let mut source = make_source();
+            CoSim::new(cell.policy, cell_cfg).run(&mut *source)
+        },
+    )
 }
 
 /// Arithmetic mean of per-workload speedups for `policy` (the paper's
@@ -511,12 +423,13 @@ mod tests {
     fn span_tree_matrix_folds_every_cell_into_one_tree() {
         let g = GraphSpec::tiny().build();
         let tracer = Tracer::new();
-        let res = run_matrix_span_tree(
+        let res = run_matrix_with(
             &g,
             &[Workload::Dc],
             &[Policy::NonOffloading, Policy::CoolPimSw],
             CoSimConfig::default(),
-            &tracer,
+            Some(&tracer),
+            |s| s.with_tracer(&tracer),
         );
         let epochs: u64 = res[0].runs.iter().map(|r| r.timeline.len() as u64).sum();
         let tree = tracer.profile();
@@ -529,5 +442,100 @@ mod tests {
         assert_eq!(calls("epoch"), epochs, "every cell's epochs in one tree");
         assert_eq!(calls("epoch/gpu_advance"), epochs);
         assert_eq!(calls("dc"), 2, "one worker span per cell");
+    }
+
+    #[test]
+    fn traced_matrix_matches_the_plain_matrix_bit_for_bit() {
+        let g = GraphSpec::tiny().build();
+        let workloads = [Workload::Dc, Workload::KCore];
+        let policies = [Policy::NonOffloading, Policy::CoolPimSw];
+        let tracer = Tracer::new();
+        let traced = run_matrix_with(
+            &g,
+            &workloads,
+            &policies,
+            CoSimConfig::default(),
+            Some(&tracer),
+            |s| s.with_tracer(&tracer),
+        );
+        assert!(
+            tracer.profile().total_s("epoch/gpu_advance") > 0.0,
+            "a traced matrix must record hot-phase spans"
+        );
+        let plain = run_matrix(&g, &workloads, &policies, CoSimConfig::default());
+        for (t, p) in traced.iter().zip(&plain) {
+            assert_eq!(t.workload, p.workload);
+            for (t, p) in t.runs.iter().zip(&p.runs) {
+                assert_eq!(p.telemetry_overhead_pct, 0.0);
+                assert_eq!(t.exec_s.to_bits(), p.exec_s.to_bits());
+                assert_eq!(t.max_peak_dram_c.to_bits(), p.max_peak_dram_c.to_bits());
+            }
+        }
+    }
+
+    /// A source that logs its construction and drop, with the thread
+    /// each happened on.
+    struct Logged<'a> {
+        kernel: Box<dyn coolpim_gpu::Kernel>,
+        log: &'a Mutex<Vec<(std::thread::ThreadId, bool)>>,
+    }
+
+    impl Drop for Logged<'_> {
+        fn drop(&mut self) {
+            let me = std::thread::current().id();
+            self.log.lock().unwrap().push((me, false));
+        }
+    }
+
+    impl std::ops::Deref for Logged<'_> {
+        type Target = dyn coolpim_gpu::Kernel;
+        fn deref(&self) -> &Self::Target {
+            self.kernel.as_ref()
+        }
+    }
+
+    impl std::ops::DerefMut for Logged<'_> {
+        fn deref_mut(&mut self) -> &mut Self::Target {
+            self.kernel.as_mut()
+        }
+    }
+
+    #[test]
+    fn source_sweep_builds_and_drops_one_source_per_cell_on_its_worker() {
+        let g = GraphSpec::tiny().build();
+        let cells = SweepCell::matrix8(85.0);
+        let log = Mutex::new(Vec::new());
+        let sweep = run_source_sweep(
+            || {
+                log.lock()
+                    .unwrap()
+                    .push((std::thread::current().id(), true));
+                Logged {
+                    kernel: make_kernel(Workload::Dc, &g),
+                    log: &log,
+                }
+            },
+            &cells,
+            CoSimConfig::default(),
+        );
+        assert_eq!(sweep.len(), cells.len());
+        let log = log.into_inner().unwrap();
+        let made = log.iter().filter(|e| e.1).count();
+        assert_eq!(made, cells.len(), "one make_source call per cell");
+        assert_eq!(log.len(), 2 * cells.len(), "every source dropped");
+        let caller = std::thread::current().id();
+        assert!(log.iter().all(|e| e.0 != caller), "sources live on workers");
+        // Per worker, builds and drops alternate: a worker drops its
+        // source before it claims (and builds) the next cell's.
+        let mut threads = Vec::new();
+        for e in &log {
+            if !threads.contains(&e.0) {
+                threads.push(e.0);
+            }
+        }
+        for t in threads {
+            let seq: Vec<bool> = log.iter().filter(|e| e.0 == t).map(|e| e.1).collect();
+            assert!(seq.chunks(2).all(|c| c == [true, false]), "{seq:?}");
+        }
     }
 }

@@ -80,14 +80,9 @@ pub trait EpochObserver {
 }
 
 /// Flight-recorder configuration (see [`coolpim_telemetry::flight`]):
-/// sampling cadence, ring depth, and where anomaly dumps go.
+/// where anomaly dumps go and how often they may fire.
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
-    /// Frames retained in the ring (default 64 — 6.4 ms of history at
-    /// the default 100 µs epoch and cadence 1).
-    pub capacity: usize,
-    /// Sample every N co-sim epochs (default 1; floored at 1).
-    pub every_epochs: u64,
     /// Directory for post-mortem bundles (None keeps dumps in-memory
     /// only: the `FlightDump` event and `flight_dumps` counter still
     /// fire).
@@ -102,8 +97,6 @@ pub struct FlightConfig {
 impl Default for FlightConfig {
     fn default() -> Self {
         Self {
-            capacity: 64,
-            every_epochs: 1,
             postmortem_dir: None,
             max_dumps: 8,
             min_gap_epochs: 16,
@@ -112,9 +105,9 @@ impl Default for FlightConfig {
 }
 
 /// The spatial flight recorder as an observer: samples per-vault frames
-/// every `cfg.every_epochs` epochs into a fixed ring and snapshots it to
-/// a post-mortem bundle on a thermal anomaly (warning raised, phase
-/// change out of Normal, overshoot-episode start).
+/// every epoch into a fixed 64-frame ring and snapshots it to a
+/// post-mortem bundle on a thermal anomaly (warning raised, phase change
+/// out of Normal, overshoot-episode start).
 pub struct FlightObserver {
     cfg: FlightConfig,
     /// Sized to the cube on the first epoch.
@@ -128,6 +121,10 @@ pub struct FlightObserver {
 }
 
 impl FlightObserver {
+    /// Frames retained in the ring: 6.4 ms of history at the default
+    /// 100 µs epoch.
+    const CAPACITY: usize = 64;
+
     /// A recorder with configuration `cfg`.
     pub fn new(cfg: FlightConfig) -> Self {
         Self {
@@ -147,27 +144,25 @@ impl EpochObserver for FlightObserver {
     }
 
     fn on_epoch(&mut self, v: &EpochView<'_>, out: &mut Vec<TelemetryEvent>) {
-        let rec = self.rec.get_or_insert_with(|| {
-            FlightRecorder::new(self.cfg.capacity.max(1), v.hmc.config().vaults)
-        });
-        if v.epoch.is_multiple_of(self.cfg.every_epochs.max(1)) {
-            let pool = v.metrics.gauge_value("token_pool_size");
-            let cap = v.metrics.gauge_value("warp_cap_slots");
-            let frame = rec.record();
-            frame.t_ps = v.t_ps;
-            frame.epoch = v.epoch;
-            frame.peak_dram_c = v.readout.peak_dram_c;
-            frame.logic_c = v.readout.peak_logic_c;
-            frame.phase = v.phase.name();
-            frame.pool_size = pool.map(|p| p.max(0.0) as u64);
-            frame.warp_cap = cap.map(|c| c.max(0.0) as u64);
-            for (i, s) in frame.vaults.iter_mut().enumerate() {
-                s.peak_dram_c = v.vault_peak_dram_c.get(i).copied().unwrap_or(f64::NAN);
-                s.ops = v.window.vault_ops[i];
-                s.pim_ops = v.window.vault_pim_ops[i];
-                s.flits = v.window.vault_flits[i];
-                s.queue_wait_ps = v.window.vault_queue_wait_ps[i];
-            }
+        let rec = self
+            .rec
+            .get_or_insert_with(|| FlightRecorder::new(Self::CAPACITY, v.hmc.config().vaults));
+        let pool = v.metrics.gauge_value("token_pool_size");
+        let cap = v.metrics.gauge_value("warp_cap_slots");
+        let frame = rec.record();
+        frame.t_ps = v.t_ps;
+        frame.epoch = v.epoch;
+        frame.peak_dram_c = v.readout.peak_dram_c;
+        frame.logic_c = v.readout.peak_logic_c;
+        frame.phase = v.phase.name();
+        frame.pool_size = pool.map(|p| p.max(0.0) as u64);
+        frame.warp_cap = cap.map(|c| c.max(0.0) as u64);
+        for (i, s) in frame.vaults.iter_mut().enumerate() {
+            s.peak_dram_c = v.vault_peak_dram_c.get(i).copied().unwrap_or(f64::NAN);
+            s.ops = v.window.vault_ops[i];
+            s.pim_ops = v.window.vault_pim_ops[i];
+            s.flits = v.window.vault_flits[i];
+            s.queue_wait_ps = v.window.vault_queue_wait_ps[i];
         }
         let mut trigger: Option<(&'static str, Option<u64>)> = None;
         for ev in v.events {

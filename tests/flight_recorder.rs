@@ -143,7 +143,6 @@ fn max_dumps_caps_dumps_taken_even_without_a_postmortem_dir() {
             postmortem_dir: None,
             max_dumps: 2,
             min_gap_epochs: 1,
-            ..FlightConfig::default()
         }))
         .run(k.as_mut());
     // Nothing was written, yet the cap still counts every dump taken.

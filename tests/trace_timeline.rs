@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use coolpim::core::cosim::{CoSim, CoSimConfig};
-use coolpim::core::experiment::run_matrix_traced;
+use coolpim::core::experiment::run_matrix_with;
 use coolpim::hmc::ns_to_ps;
 use coolpim::prelude::*;
 use coolpim::telemetry::{validate_trace_json, Tracer};
@@ -33,12 +33,13 @@ fn matrix_workers_get_separate_tracks() {
         max_sim_time: ns_to_ps(1.0e9),
         ..CoSimConfig::default()
     };
-    run_matrix_traced(
+    run_matrix_with(
         &g,
         &[Workload::Dc, Workload::KCore],
         &[Policy::NonOffloading, Policy::NaiveOffloading],
         cfg,
-        &tracer,
+        Some(&tracer),
+        |s| s,
     );
     let summary = validate_trace_json(&tracer.to_chrome_json()).expect("matrix trace valid");
     // The pool sizes itself to min(cores, cells); every worker opens its
