@@ -87,7 +87,7 @@ impl WarpOp {
 }
 
 /// The instruction stream of one warp.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct WarpTrace {
     /// Operations in program order.
     pub ops: Vec<WarpOp>,
@@ -115,8 +115,70 @@ impl WarpTrace {
     }
 }
 
+// `clone_from` refills the target's buffers in place (the derived one
+// would allocate new ones): that is how a recycled block takes a
+// replayed block's contents.
+impl Clone for WarpTrace {
+    fn clone(&self) -> Self {
+        Self {
+            ops: self.ops.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ops.clone_from(&source.ops);
+    }
+}
+
+/// Copies `items` into a new buffer with room for at least one element.
+///
+/// Fresh block buffers are made this way, so that refilling a recycled
+/// block never allocates from nothing: an idle warp's op list, or an idle
+/// block's arena, takes a busy one's contents by reallocation.
+pub fn fresh_buffer<T: Copy>(items: &[T]) -> Vec<T> {
+    let mut v = Vec::with_capacity(items.len().max(1));
+    v.extend_from_slice(items);
+    v
+}
+
+/// Buffers of at most this many elements are never trimmed
+/// ([`BlockTrace::trim`]): reallocating them would cost more than it
+/// saves.
+const TRIM_FLOOR: usize = 64;
+
+/// Spent blocks kept for reuse by a block source.
+///
+/// It keeps at most [`SpareBlocks::KEEP`] and drops the rest. A source
+/// needs about one spare per block it builds, since the engine returns a
+/// block each time it finishes one; but at the end of a launch every
+/// resident block comes back at once, and holding all of them would tie
+/// up memory the kernel's next launch could reuse.
+#[derive(Debug, Default, Clone)]
+pub struct SpareBlocks(Vec<BlockTrace>);
+
+impl SpareBlocks {
+    /// Spares kept at most.
+    pub const KEEP: usize = 8;
+
+    /// Keeps `spent` if there is room, else drops it.
+    pub fn put(&mut self, spent: BlockTrace) {
+        if self.0.len() < Self::KEEP {
+            self.0.push(spent);
+        }
+    }
+
+    /// The most recently kept spare, if any.
+    pub fn take(&mut self) -> Option<BlockTrace> {
+        self.0.pop()
+    }
+}
+
 /// The instruction streams of all warps of one thread block.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A block's buffers can be reused: the engine hands a spent block back
+/// to its source ([`crate::InstructionSource::recycle`]), which builds a
+/// later block in the same vectors.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct BlockTrace {
     /// One trace per warp.
     pub warps: Vec<WarpTrace>,
@@ -124,7 +186,54 @@ pub struct BlockTrace {
     pub addrs: Vec<u64>,
 }
 
+impl Clone for BlockTrace {
+    fn clone(&self) -> Self {
+        Self {
+            warps: self.warps.clone(),
+            addrs: self.addrs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.warps.clone_from(&source.warps);
+        self.addrs.clone_from(&source.addrs);
+    }
+}
+
 impl BlockTrace {
+    /// A copy in new buffers made by [`fresh_buffer`]: one allocation
+    /// for the warp list, one per warp and one for the arena.
+    pub fn fresh_copy(&self) -> Self {
+        Self {
+            warps: self
+                .warps
+                .iter()
+                .map(|w| WarpTrace {
+                    ops: fresh_buffer(&w.ops),
+                })
+                .collect(),
+            addrs: fresh_buffer(&self.addrs),
+        }
+    }
+
+    /// Shrinks every buffer that is more than a quarter larger than what
+    /// it holds (and past a small floor) to fit. A refilled
+    /// buffer only grows, so a block built in a recycled one is trimmed
+    /// before it goes out: blocks in flight then hold about what a block
+    /// of fresh, exact buffers would, not the largest block their buffers
+    /// ever held.
+    pub fn trim(&mut self) {
+        fn trim<T>(v: &mut Vec<T>) {
+            if v.capacity() > (v.len() + v.len() / 4).max(TRIM_FLOOR) {
+                v.shrink_to(v.len().max(1));
+            }
+        }
+        trim(&mut self.addrs);
+        for w in &mut self.warps {
+            trim(&mut w.ops);
+        }
+    }
+
     /// Number of warps.
     pub fn warp_count(&self) -> usize {
         self.warps.len()
@@ -202,6 +311,34 @@ mod tests {
         };
         assert_eq!(t.atomic_lane_ops(), 3);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn clone_from_refills_the_target_buffers_in_place() {
+        let mut src = BlockTrace::default();
+        let lanes = src.push_lanes([1, 2, 3]);
+        src.warps.push(WarpTrace {
+            ops: vec![WarpOp::Load(lanes), WarpOp::Compute(4)],
+        });
+        src.warps.push(WarpTrace::default());
+        let mut spare = src.fresh_copy();
+        spare.warps[0].ops.push(WarpOp::Compute(9));
+        spare.addrs.extend([7; 64]);
+        let (ops, addrs) = (spare.warps[0].ops.as_ptr(), spare.addrs.as_ptr());
+        spare.clone_from(&src);
+        assert_eq!(spare, src);
+        assert_eq!(spare.warps[0].ops.as_ptr(), ops);
+        assert_eq!(spare.addrs.as_ptr(), addrs);
+    }
+
+    #[test]
+    fn fresh_copies_leave_room_in_every_buffer() {
+        let mut b = BlockTrace::default();
+        b.warps.push(WarpTrace::default());
+        let copy = b.fresh_copy();
+        assert_eq!(copy, b);
+        assert!(copy.warps[0].ops.capacity() >= 1);
+        assert!(copy.addrs.capacity() >= 1);
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! blocks. The engine asks for one [`BlockTrace`] per dispatched block;
 //! the kernel runs its algorithm functionally while emitting the trace.
 //!
-//! `pim_enabled` selects between the PIM-enabled body and the pre-built
-//! non-PIM shadow body (§IV-B "Code Generation for Non-PIM Code"). The
-//! addresses and control flow are identical — only the atomic encoding
-//! differs — so the SW token pool can swap entry points freely.
+//! A PIM-enabled block and its non-PIM shadow (§IV-B "Code Generation for
+//! Non-PIM Code") have identical addresses and control flow; only the
+//! atomic encoding differs. So a kernel emits one stream for both, and
+//! the engine chooses the encoding when it issues each atomic, from the
+//! block's PIM grant (`WarpRun::pim_enabled` in [`crate::system`]). No
+//! in-tree kernel reads the `pim_enabled` argument of
+//! [`Kernel::block_trace`], which is what lets a block stream be
+//! recorded once and replayed, or generated ahead of the engine on
+//! another thread ([`crate::source::PrefetchKernel`]).
 
 use crate::isa::BlockTrace;
 
@@ -36,9 +41,17 @@ pub trait Kernel {
     fn warps_per_block(&self) -> usize;
 
     /// Generates the trace for `block` of the current launch, running the
-    /// algorithm functionally. `pim_enabled` selects the PIM body vs the
-    /// non-PIM shadow body.
+    /// algorithm functionally. `pim_enabled` is the block's PIM grant; the
+    /// stream must not depend on it (the engine applies the grant at issue
+    /// time, see the module docs).
     fn block_trace(&mut self, block: usize, pim_enabled: bool) -> BlockTrace;
+
+    /// Takes back a block this kernel produced once the engine is done
+    /// with it, so that a later block can be built in its buffers. The
+    /// default drops it.
+    fn recycle(&mut self, spent: BlockTrace) {
+        drop(spent);
+    }
 
     /// Advances to the next launch (e.g. the next BFS level). Returns
     /// `false` when the workload is complete. Called after every block of

@@ -1,6 +1,6 @@
 //! Warp-trace emission helpers shared by the workloads.
 
-use coolpim_gpu::isa::{BlockTrace, Lanes, WarpOp, WarpTrace};
+use coolpim_gpu::isa::{fresh_buffer, BlockTrace, Lanes, SpareBlocks, WarpOp, WarpTrace};
 use coolpim_hmc::PimOp;
 
 /// Warp width (threads per warp, Table IV).
@@ -11,15 +11,28 @@ pub const WARP: usize = 32;
 ///
 /// Memory ops take their addresses from any iterator and append them to
 /// the block's address arena; nothing is allocated per op. A kernel keeps
-/// one builder for its whole run: its scratch buffers are reused and only
-/// grow (to the largest block seen), so a finished block costs one
-/// allocation for its warp list, one per non-empty warp's ops and one for
-/// its address arena. `default()` is an empty placeholder that allocates
-/// nothing, for moving a kernel's builder out while it builds a block.
+/// one builder for its whole run, and the builder builds each block in a
+/// spent block handed back through [`Self::recycle`] when it has one: the
+/// block then costs no fresh allocation, only a reallocation where a
+/// buffer must grow or is trimmed to fit
+/// ([`coolpim_gpu::isa::BlockTrace::trim`]). Without one it builds in its
+/// own scratch buffers,
+/// which only grow (to the largest block seen), and returns a copy in
+/// fresh buffers ([`coolpim_gpu::isa::fresh_buffer`]): one allocation for
+/// the warp list, one per warp and one for the arena. `default()` is an
+/// empty placeholder that allocates nothing, for moving a kernel's
+/// builder out while it builds a block.
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
-    /// The current block: its finished warps and its address arena.
+    /// The block being built: its first `warps_done` warps are finished.
+    /// Warp slots past them are left from a recycled block's earlier use
+    /// and are overwritten.
     block: BlockTrace,
+    warps_done: usize,
+    /// The builder's own scratch block while `block` is a recycled one.
+    parked: Option<BlockTrace>,
+    /// Spent blocks handed back for reuse.
+    spares: SpareBlocks,
     /// The current warp's ops.
     ops: Vec<WarpOp>,
     pending_compute: u32,
@@ -34,7 +47,7 @@ impl TraceBuilder {
                 addrs: Vec::with_capacity(1024),
             },
             ops: Vec::with_capacity(64),
-            pending_compute: 0,
+            ..Self::default()
         }
     }
 
@@ -83,15 +96,23 @@ impl TraceBuilder {
     /// next one.
     pub fn end_warp(&mut self) {
         self.flush_compute();
-        self.block.warps.push(WarpTrace {
-            ops: self.ops.as_slice().to_vec(),
-        });
+        match self.block.warps.get_mut(self.warps_done) {
+            Some(slot) => slot.ops.clone_from(&self.ops),
+            None => self.block.warps.push(WarpTrace {
+                ops: fresh_buffer(&self.ops),
+            }),
+        }
+        self.warps_done += 1;
         self.ops.clear();
     }
 
     /// Builds one block of `warps` warps, `warp(self, i)` emitting warp
-    /// `i`'s ops.
+    /// `i`'s ops, in a recycled block if one is spare.
     pub fn block(&mut self, warps: usize, mut warp: impl FnMut(&mut Self, usize)) -> BlockTrace {
+        if let Some(mut spare) = self.spares.take() {
+            spare.addrs.clear();
+            self.parked = Some(std::mem::replace(&mut self.block, spare));
+        }
         for i in 0..warps {
             warp(self, i);
             self.end_warp();
@@ -106,12 +127,25 @@ impl TraceBuilder {
             self.ops.is_empty() && self.pending_compute == 0,
             "finish_block with an unfinished warp"
         );
+        let warps = std::mem::take(&mut self.warps_done);
+        if let Some(scratch) = self.parked.take() {
+            let mut block = std::mem::replace(&mut self.block, scratch);
+            block.warps.truncate(warps);
+            block.trim();
+            return block;
+        }
         let block = BlockTrace {
             warps: self.block.warps.drain(..).collect(),
-            addrs: self.block.addrs.as_slice().to_vec(),
+            addrs: fresh_buffer(&self.block.addrs),
         };
         self.block.addrs.clear();
         block
+    }
+
+    /// Takes back a block this builder produced once its consumer is done
+    /// with it; a later [`Self::block`] is built in its buffers.
+    pub fn recycle(&mut self, spent: BlockTrace) {
+        self.spares.put(spent);
     }
 }
 
@@ -205,6 +239,34 @@ mod tests {
             second.warps[0].ops[0],
             WarpOp::Load(Lanes { start: 0, len: 1 })
         );
+    }
+
+    #[test]
+    fn recycled_blocks_are_rebuilt_in_place_without_stale_contents() {
+        let mut b = TraceBuilder::new();
+        let first = b.block(3, |b, w| {
+            b.load((0..40).map(|i| i * 64 + w as u64));
+            b.compute(2);
+        });
+        let arena = first.addrs.as_ptr();
+        b.recycle(first);
+        let second = b.block(2, |b, w| {
+            if w == 1 {
+                b.store([5]);
+            }
+        });
+        assert_eq!(second.addrs.as_ptr(), arena, "built in the spent block");
+        assert_eq!(second.warps.len(), 2);
+        assert!(second.warps[0].is_empty());
+        assert_eq!(
+            second.warps[1].ops,
+            [WarpOp::Store(Lanes { start: 0, len: 1 })]
+        );
+        assert_eq!(second.addrs, [5]);
+        // The builder's own scratch is back for a block with no spare.
+        let third = b.block(1, |b, _| b.load([8]));
+        assert_eq!(third.addrs, [8]);
+        assert_ne!(third.addrs.as_ptr(), arena);
     }
 
     #[test]

@@ -228,6 +228,10 @@ impl Kernel for BfsKernel {
         trace
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         self.cur_level += 1;
         self.frontier = std::mem::take(&mut self.next_frontier);

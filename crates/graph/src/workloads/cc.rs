@@ -117,6 +117,10 @@ impl Kernel for CcKernel {
         })
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         self.rounds += 1;
         std::mem::take(&mut self.changed)

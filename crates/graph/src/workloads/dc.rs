@@ -68,6 +68,10 @@ impl Kernel for DcKernel {
         })
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         self.done = true;
         false

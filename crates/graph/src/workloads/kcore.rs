@@ -132,6 +132,10 @@ impl Kernel for KCoreKernel {
         })
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         match self.phase {
             Phase::Scan => {

@@ -20,6 +20,7 @@ pub mod kcore;
 pub mod pagerank;
 pub mod sssp;
 
+use coolpim_gpu::source::PrefetchKernel;
 use coolpim_gpu::Kernel;
 
 use crate::csr::Csr;
@@ -100,44 +101,30 @@ impl Workload {
 
 /// Instantiates the kernel for `workload` over `graph` with default
 /// parameters (hub source for traversals, k=8 for k-core, 3 PageRank
-/// iterations).
+/// iterations), behind a [`PrefetchKernel`]: when the run has a spare
+/// core to itself, the kernel generates its blocks on that core, ahead
+/// of the engine; otherwise it runs inline. The block stream is the same
+/// either way.
 pub fn make_kernel(workload: Workload, graph: &Csr) -> Box<dyn Kernel> {
+    Box::new(PrefetchKernel::new(inline_kernel(workload, graph)))
+}
+
+/// The kernel [`make_kernel`] wraps, unwrapped: it generates every block
+/// on the caller's thread, when the engine asks for it.
+pub fn inline_kernel(workload: Workload, graph: &Csr) -> Box<dyn Kernel + Send> {
     let src = default_source(graph);
+    let g = graph.clone();
     match workload {
-        Workload::Dc => Box::new(dc::DcKernel::new(graph.clone())),
-        Workload::BfsTa => Box::new(bfs::BfsKernel::new(graph.clone(), bfs::BfsVariant::Ta, src)),
-        Workload::BfsDwc => Box::new(bfs::BfsKernel::new(
-            graph.clone(),
-            bfs::BfsVariant::Dwc,
-            src,
-        )),
-        Workload::BfsTwc => Box::new(bfs::BfsKernel::new(
-            graph.clone(),
-            bfs::BfsVariant::Twc,
-            src,
-        )),
-        Workload::BfsTtc => Box::new(bfs::BfsKernel::new(
-            graph.clone(),
-            bfs::BfsVariant::Ttc,
-            src,
-        )),
-        Workload::KCore => Box::new(kcore::KCoreKernel::new(graph.clone(), 8)),
-        Workload::PageRank => Box::new(pagerank::PageRankKernel::new(graph.clone(), 3)),
-        Workload::SsspDtc => Box::new(sssp::SsspKernel::new(
-            graph.clone(),
-            sssp::SsspVariant::Dtc,
-            src,
-        )),
-        Workload::SsspDwc => Box::new(sssp::SsspKernel::new(
-            graph.clone(),
-            sssp::SsspVariant::Dwc,
-            src,
-        )),
-        Workload::SsspTwc => Box::new(sssp::SsspKernel::new(
-            graph.clone(),
-            sssp::SsspVariant::Twc,
-            src,
-        )),
+        Workload::Dc => Box::new(dc::DcKernel::new(g)),
+        Workload::BfsTa => Box::new(bfs::BfsKernel::new(g, bfs::BfsVariant::Ta, src)),
+        Workload::BfsDwc => Box::new(bfs::BfsKernel::new(g, bfs::BfsVariant::Dwc, src)),
+        Workload::BfsTwc => Box::new(bfs::BfsKernel::new(g, bfs::BfsVariant::Twc, src)),
+        Workload::BfsTtc => Box::new(bfs::BfsKernel::new(g, bfs::BfsVariant::Ttc, src)),
+        Workload::KCore => Box::new(kcore::KCoreKernel::new(g, 8)),
+        Workload::PageRank => Box::new(pagerank::PageRankKernel::new(g, 3)),
+        Workload::SsspDtc => Box::new(sssp::SsspKernel::new(g, sssp::SsspVariant::Dtc, src)),
+        Workload::SsspDwc => Box::new(sssp::SsspKernel::new(g, sssp::SsspVariant::Dwc, src)),
+        Workload::SsspTwc => Box::new(sssp::SsspKernel::new(g, sssp::SsspVariant::Twc, src)),
     }
 }
 
@@ -145,6 +132,7 @@ pub fn make_kernel(workload: Workload, graph: &Csr) -> Box<dyn Kernel> {
 mod tests {
     use super::*;
     use crate::generate::GraphSpec;
+    use coolpim_gpu::isa::BlockTrace;
 
     #[test]
     fn names_round_trip() {
@@ -152,6 +140,59 @@ mod tests {
             assert_eq!(Workload::from_name(w.name()), Some(w));
         }
         assert_eq!(Workload::from_name("nope"), None);
+    }
+
+    /// Drives `k` to completion in the engine's order, `grant(n)` being
+    /// the `n`-th block's `pim_enabled`; returns each launch's blocks.
+    /// With `recycle`, every block goes back to the kernel once copied,
+    /// as the engine returns it after retiring it.
+    fn stream(
+        mut k: Box<dyn Kernel + Send>,
+        grant: impl Fn(usize) -> bool,
+        recycle: bool,
+    ) -> Vec<Vec<BlockTrace>> {
+        let mut launches = Vec::new();
+        let mut n = 0;
+        loop {
+            let mut blocks = Vec::with_capacity(k.grid_blocks());
+            for b in 0..k.grid_blocks() {
+                let t = k.block_trace(b, grant(n));
+                n += 1;
+                blocks.push(t.clone());
+                if recycle {
+                    k.recycle(t);
+                }
+            }
+            launches.push(blocks);
+            if !k.next_launch() {
+                return launches;
+            }
+        }
+    }
+
+    /// Prefetching and record/replay both rely on this: a kernel's launch
+    /// geometry and block stream do not depend on the PIM grant (or on
+    /// buffer reuse).
+    #[test]
+    fn block_streams_ignore_the_pim_grant() {
+        let g = GraphSpec::tiny().build();
+        let kernels = || {
+            Workload::ALL
+                .iter()
+                .map(|&w| (w.name(), inline_kernel(w, &g)))
+                .chain(std::iter::once((
+                    "cc",
+                    Box::new(cc::CcKernel::new(g.clone())) as Box<dyn Kernel + Send>,
+                )))
+        };
+        let all_on = kernels().map(|(name, k)| (name, stream(k, |_| true, false)));
+        let all_off = kernels().map(|(_, k)| stream(k, |_| false, false));
+        let alternating = kernels().map(|(_, k)| stream(k, |n| n % 2 == 0, true));
+        for (((name, on), off), alt) in all_on.zip(all_off).zip(alternating) {
+            assert!(on.iter().map(Vec::len).sum::<usize>() > 1, "{name}");
+            assert!(on == off, "{name}: the stream depends on the grant");
+            assert!(on == alt, "{name}: alternating grants change the stream");
+        }
     }
 
     #[test]

@@ -84,6 +84,10 @@ impl Kernel for PageRankKernel {
         })
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         self.iterations_left -= 1;
         let n = self.g.vertices();

@@ -187,6 +187,10 @@ impl Kernel for SsspKernel {
         trace
     }
 
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.tb.recycle(spent);
+    }
+
     fn next_launch(&mut self) -> bool {
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
         self.next_frontier.clear();

@@ -66,6 +66,9 @@ impl<K: InstructionSource + ?Sized> InstructionSource for RecordingSource<'_, K>
         launch[block] = Some(trace.clone());
         trace
     }
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.inner.recycle(spent);
+    }
     fn next_launch(&mut self) -> bool {
         let more = self.inner.next_launch();
         if more {

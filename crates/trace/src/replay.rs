@@ -10,24 +10,31 @@
 
 use std::sync::Arc;
 
-use coolpim_gpu::isa::BlockTrace;
+use coolpim_gpu::isa::{BlockTrace, SpareBlocks};
 use coolpim_gpu::kernel::KernelProfile;
 use coolpim_gpu::source::InstructionSource;
 
 use crate::format::{read_header, read_op, Reader, TraceError, WorkloadTrace};
 
 /// Replays an eagerly decoded trace. Cheap to construct per sweep cell:
-/// the trace itself is shared immutably via [`Arc`].
+/// the trace itself is shared immutably via [`Arc`]. Each dispatched block
+/// is a copy, made in a spent block's buffers when the engine has handed
+/// one back.
 #[derive(Debug, Clone)]
 pub struct TraceReplaySource {
     trace: Arc<WorkloadTrace>,
     launch: usize,
+    spares: SpareBlocks,
 }
 
 impl TraceReplaySource {
     /// A replay source positioned at the first launch.
     pub fn new(trace: Arc<WorkloadTrace>) -> Self {
-        Self { trace, launch: 0 }
+        Self {
+            trace,
+            launch: 0,
+            spares: SpareBlocks::default(),
+        }
     }
 
     /// The shared trace this source replays.
@@ -47,7 +54,18 @@ impl InstructionSource for TraceReplaySource {
         self.trace.warps_per_block
     }
     fn block_trace(&mut self, block: usize, _pim_enabled: bool) -> BlockTrace {
-        self.trace.launches[self.launch][block].clone()
+        let recorded = &self.trace.launches[self.launch][block];
+        match self.spares.take() {
+            Some(mut spare) => {
+                spare.clone_from(recorded);
+                spare.trim();
+                spare
+            }
+            None => recorded.fresh_copy(),
+        }
+    }
+    fn recycle(&mut self, spent: BlockTrace) {
+        self.spares.put(spent);
     }
     fn next_launch(&mut self) -> bool {
         if self.launch + 1 < self.trace.launches.len() {

@@ -1,14 +1,19 @@
-//! Allocation probe for the instruction front end: producing one block
-//! trace costs at most `warps_per_block + 2` heap allocations — the warp
-//! list, one op list per warp and the block's address arena — whether the
-//! block comes from a live kernel or from a replayed recording. Memory ops
-//! are headers into the arena, so their number does not matter.
+//! Allocation probe for the instruction front end. Producing one block
+//! trace from scratch costs at most `warps_per_block + 2` heap
+//! allocations — the warp list, one op list per warp and the block's
+//! address arena — whether the block comes from a live kernel or from a
+//! replayed recording. Memory ops are headers into the arena, so their
+//! number does not matter. A block built after the engine handed a spent
+//! one back through `recycle` costs no fresh allocation at all.
 //!
 //! The probe is a counting global allocator, armed per thread so that
 //! tests running in parallel do not count each other's allocations. It
 //! counts fresh allocations and reallocations apart: a live kernel's
 //! reusable trace builder grows its scratch by reallocation, a few times
-//! per run, to the largest block seen so far.
+//! per run, to the largest block seen so far, and a recycled block is
+//! resized to each block it holds by reallocation. Because the counts are per thread, the live kernels are probed
+//! through `inline_kernel`, which generates on the calling thread;
+//! `make_kernel` may move generation to a producer thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +21,7 @@ use std::sync::Arc;
 
 use coolpim::gpu::InstructionSource;
 use coolpim::graph::generate::GraphSpec;
-use coolpim::graph::workloads::{make_kernel, Workload};
+use coolpim::graph::workloads::{inline_kernel, Workload};
 use coolpim::trace::{RecordingSource, TraceReplaySource};
 
 thread_local! {
@@ -68,26 +73,40 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 /// What driving one source to completion cost.
 struct Probe {
     blocks: usize,
-    /// The most fresh allocations any one `block_trace` call made.
-    worst_allocs: usize,
+    /// The most fresh allocations a `block_trace` call made with no spent
+    /// block to reuse.
+    worst_fresh: usize,
+    /// The most fresh allocations a `block_trace` call made after a spent
+    /// block was recycled (`None` when nothing was recycled).
+    worst_recycled: Option<usize>,
     /// Reallocations over the whole run.
     reallocs: usize,
 }
 
 /// Drives `src` to completion the way the engine does: blocks in id
-/// order, then the next launch.
-fn probe<S: InstructionSource + ?Sized>(src: &mut S) -> Probe {
+/// order, then the next launch. With `recycle`, each block goes back to
+/// the source as soon as it is built, so every block after the first is
+/// built in a spent one.
+fn probe<S: InstructionSource + ?Sized>(src: &mut S, recycle: bool) -> Probe {
     let mut p = Probe {
         blocks: 0,
-        worst_allocs: 0,
+        worst_fresh: 0,
+        worst_recycled: None,
         reallocs: 0,
     };
     loop {
         for b in 0..src.grid_blocks() {
             let (trace, allocs, reallocs) = allocs_during(|| src.block_trace(b, true));
-            drop(trace);
+            let worst = if recycle && p.blocks > 0 {
+                p.worst_recycled.get_or_insert(0)
+            } else {
+                &mut p.worst_fresh
+            };
+            *worst = (*worst).max(allocs);
+            if recycle {
+                src.recycle(trace);
+            }
             p.blocks += 1;
-            p.worst_allocs = p.worst_allocs.max(allocs);
             p.reallocs += reallocs;
         }
         if !src.next_launch() {
@@ -100,9 +119,34 @@ fn assert_within_budget(what: &str, p: &Probe, warps_per_block: usize) {
     assert!(p.blocks > 100, "{what}: only {} blocks probed", p.blocks);
     let budget = warps_per_block + 2;
     assert!(
-        p.worst_allocs <= budget,
+        p.worst_fresh <= budget,
         "{what}: a block trace took {} allocations, budget {budget}",
-        p.worst_allocs
+        p.worst_fresh
+    );
+}
+
+/// Without recycling only the builder's scratch grows, geometrically, a
+/// few times per run. A recycled block is refilled to its new contents
+/// and trimmed to fit them, so it may reallocate a buffer or two per
+/// block, never once per op.
+fn assert_reallocs_bounded(what: &str, p: &Probe, recycle: bool) {
+    let within = if recycle {
+        p.reallocs <= 2 * p.blocks
+    } else {
+        p.reallocs * 100 < p.blocks
+    };
+    assert!(
+        within,
+        "{what}: {} reallocations over {} blocks",
+        p.reallocs, p.blocks
+    );
+}
+
+fn assert_recycling_is_free(what: &str, p: &Probe) {
+    assert_eq!(
+        p.worst_recycled,
+        Some(0),
+        "{what}: a block built in a recycled one allocated"
     );
 }
 
@@ -110,32 +154,34 @@ fn assert_within_budget(what: &str, p: &Probe, warps_per_block: usize) {
 fn live_kernels_allocate_per_warp_not_per_op() {
     let g = GraphSpec::test_medium().build();
     for w in [Workload::SsspDwc, Workload::PageRank] {
-        let mut k = make_kernel(w, &g);
-        let wpb = k.warps_per_block();
-        let p = probe(&mut *k);
-        assert_within_budget(w.name(), &p, wpb);
-        // Only the builder's scratch grows, geometrically.
-        assert!(
-            p.reallocs * 100 < p.blocks,
-            "{}: {} reallocations over {} blocks",
-            w.name(),
-            p.reallocs,
-            p.blocks
-        );
+        for recycle in [false, true] {
+            let mut k = inline_kernel(w, &g);
+            let wpb = k.warps_per_block();
+            let p = probe(&mut *k, recycle);
+            assert_within_budget(w.name(), &p, wpb);
+            if recycle {
+                assert_recycling_is_free(w.name(), &p);
+            }
+            assert_reallocs_bounded(w.name(), &p, recycle);
+        }
     }
 }
 
 #[test]
 fn replayed_blocks_allocate_per_warp_not_per_op() {
     let g = GraphSpec::test_medium().build();
-    let mut k = make_kernel(Workload::SsspDwc, &g);
+    let mut k = inline_kernel(Workload::SsspDwc, &g);
     let trace = {
         let mut rec = RecordingSource::new(&mut *k);
-        probe(&mut rec);
-        rec.finish(GraphSpec::test_medium().config_hash(), "alloc probe")
+        probe(&mut rec, false);
+        Arc::new(rec.finish(GraphSpec::test_medium().config_hash(), "alloc probe"))
     };
     let wpb = trace.warps_per_block;
-    let p = probe(&mut TraceReplaySource::new(Arc::new(trace)));
+    let p = probe(&mut TraceReplaySource::new(Arc::clone(&trace)), false);
     assert_within_budget("replay", &p, wpb);
-    assert_eq!(p.reallocs, 0, "replay clones blocks at their exact size");
+    assert_eq!(p.reallocs, 0, "replay copies blocks at their exact size");
+    let p = probe(&mut TraceReplaySource::new(trace), true);
+    assert_within_budget("replay", &p, wpb);
+    assert_recycling_is_free("replay", &p);
+    assert_reallocs_bounded("replay", &p, true);
 }
