@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use coolpim_gpu::source::RunSlots;
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
@@ -71,6 +72,9 @@ fn pool<T: Sync, R: Send>(
         .map_or(4, |n| n.get())
         .min(items.len())
         .max(1);
+    // Counted as runners for the pool's whole life, so a kernel's
+    // spare-core rule sees every worker, idle moments between items too.
+    let slots = RunSlots::reserve(workers);
     let next = AtomicUsize::new(0);
     let results = Mutex::new(items.iter().map(|_| None).collect::<Vec<Option<R>>>());
     // Workers borrow the items (and whatever `job` captures, e.g. one
@@ -78,22 +82,24 @@ fn pool<T: Sync, R: Send>(
     // per-worker clone.
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let (next, results, label, job) = (&next, &results, &label, &job);
+            let (slots, next, results, label, job) = (&slots, &next, &results, &label, &job);
             scope.spawn(move || {
-                let mut track = tracer.map(|t| t.track(&format!("worker-{worker}")));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let tok = track.as_mut().map(|t| t.begin(label(item)));
-                    let r = job(item);
-                    results.lock().expect("results poisoned")[i] = Some(r);
-                    if let (Some(t), Some(tok)) = (track.as_mut(), tok) {
-                        t.end(tok);
+                slots.work(|| {
+                    let mut track = tracer.map(|t| t.track(&format!("worker-{worker}")));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let tok = track.as_mut().map(|t| t.begin(label(item)));
+                        let r = job(item);
+                        results.lock().expect("results poisoned")[i] = Some(r);
+                        if let (Some(t), Some(tok)) = (track.as_mut(), tok) {
+                            t.end(tok);
+                        }
                     }
-                }
-                if let Some(t) = track.as_mut() {
-                    t.flush();
-                }
+                    if let Some(t) = track.as_mut() {
+                        t.flush();
+                    }
+                })
             });
         }
     });
