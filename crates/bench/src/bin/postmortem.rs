@@ -13,13 +13,16 @@
 //!   above the warning threshold integrated over the recorded window —
 //!   the spatial "who overheated, and for how long" view;
 //! - the SM attribution table, ranking source SMs by PIM ops sent to
-//!   the hot vaults — the causal "who heated them" view.
+//!   the hot vaults — the causal "who heated them" view;
+//! - the per-vault heat map of the newest frame, on the glyph ramp of
+//!   the Fig. 3 heat map.
 //!
 //! Together the two tables turn a thermal warning into an actionable
 //! statement: *vault V crossed the threshold because SMs S₀, S₁ kept
 //! offloading atomics into it.*
 
-use coolpim_telemetry::PostmortemBundle;
+use coolpim_bench::heatmap::{render_vault_rows, vault_grid};
+use coolpim_telemetry::{FlightFrame, PostmortemBundle};
 
 fn usage() -> ! {
     eprintln!("usage: postmortem BUNDLE.jsonl [BUNDLE.jsonl ...]");
@@ -93,6 +96,41 @@ fn print_bundle(path: &str, b: &PostmortemBundle) {
     if rows.is_empty() {
         println!("  (no attribution rows)");
     }
+
+    if let Some(frame) = b.frames.last() {
+        println!();
+        print_heat_map(path, b, frame);
+    }
+}
+
+/// The per-vault peak-DRAM map of the bundle's newest frame.
+fn print_heat_map(path: &str, b: &PostmortemBundle, frame: &FlightFrame) {
+    println!(
+        "== Vault heat map from dump (trigger {}, t = {:.3} ms, threshold {:.1} °C) ==",
+        b.trigger,
+        b.t_ps as f64 / 1e9,
+        b.threshold_c
+    );
+    let temps: Vec<f64> = frame.vaults.iter().map(|v| v.peak_dram_c).collect();
+    let (lo, hi) = temps
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| {
+            (l.min(v), h.max(v))
+        });
+    let (nx, ny) = vault_grid(temps.len());
+    println!(
+        "Per-vault peak DRAM temp, newest frame ({nx}x{ny} vaults, {lo:.1}–{hi:.1} °C, '.'=cool '#'=hot):"
+    );
+    for line in render_vault_rows(&temps, lo, hi) {
+        println!("  {line}");
+    }
+    if let Some(hot) = b.hottest_vault() {
+        println!(
+            "\nHottest vault at dump time: {hot} ({:.2} °C); run `postmortem {path}`",
+            temps.get(hot).copied().unwrap_or(f64::NAN)
+        );
+        println!("for the °C·s ranking and the SM attribution tables.");
+    }
 }
 
 fn main() {
@@ -110,8 +148,9 @@ fn main() {
                 first = false;
                 print_bundle(path, &b);
             }
+            // The load error already names the file.
             Err(e) => {
-                eprintln!("postmortem: {path}: {e}");
+                eprintln!("postmortem: {e}");
                 std::process::exit(1);
             }
         }

@@ -12,10 +12,11 @@
 //! (runtime, PIM rate, bandwidth, peak temperature, energy). `--graph`
 //! loads a plain-text edge list instead of generating an R-MAT graph;
 //! `--timeline` dumps the per-epoch telemetry as CSV to stdout,
-//! `--timeline-out FILE` writes the same CSV to a file, `--trace FILE`
-//! streams the full event log (warnings, phase moves, pool resizes,
-//! kernel lifecycle, epoch samples) as JSONL, and `--profile` prints the
-//! run's span tree (self and total time per phase, critical path).
+//! `--timeline-out FILE` writes the same CSV to a file when the run
+//! ends, `--trace FILE` streams the full event log (warnings, phase
+//! moves, pool resizes, kernel lifecycle, epoch samples) as JSONL, and
+//! `--profile` prints the run's span tree (self and total time per
+//! phase, critical path).
 //!
 //! `--warning-threshold` overrides the ERRSTAT trigger temperature
 //! (small-scale CI runs lower it so the feedback loop engages).
@@ -77,16 +78,17 @@ use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::experiment::{run_replicates, run_source_sweep, SweepCell};
 use coolpim_core::observer::{FlightConfig, FlightObserver, Heartbeat};
 use coolpim_core::policy::Policy;
+use coolpim_core::report::timeline_csv;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_graph::Csr;
 use coolpim_telemetry::{
-    CsvSink, JsonlSink, MonitorHub, MonitorServer, MultiSink, RotatingJsonlSink, Sink, Telemetry,
-    Tracer, CSV_TIMELINE_HEADER,
+    JsonlSink, MonitorHub, MonitorServer, RotatingJsonlSink, Sink, Telemetry, Tracer,
 };
 use coolpim_thermal::cooling::Cooling;
 use coolpim_trace::{RecordingSource, TraceReplaySource, WorkloadTrace};
 
+use std::io::Write;
 use std::sync::Arc;
 
 struct Args {
@@ -549,7 +551,7 @@ fn main() {
     };
     let cfg = cosim_config(&args);
 
-    let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
+    let mut telemetry = Telemetry::disabled();
     if let Some(path) = &args.trace {
         // With a rotation budget the trace goes through the size-capped
         // rotating sink (numbered parts, newest kept) instead of one
@@ -560,27 +562,22 @@ fn main() {
             None => JsonlSink::create(path).map(|s| Box::new(s) as Box<dyn Sink>),
         };
         match sink {
-            Ok(s) => sinks.push(s),
+            Ok(s) => telemetry = Telemetry::with_sink(s),
             Err(e) => {
                 eprintln!("failed to create trace file {path}: {e}");
                 std::process::exit(1);
             }
         }
     }
-    if let Some(path) = &args.timeline_out {
-        match CsvSink::create(path) {
-            Ok(s) => sinks.push(Box::new(s)),
-            Err(e) => {
-                eprintln!("failed to create timeline file {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let telemetry = match sinks.len() {
-        0 => Telemetry::disabled(),
-        1 => Telemetry::with_sink(sinks.pop().expect("one sink")),
-        _ => Telemetry::with_sink(Box::new(MultiSink::new(sinks))),
-    };
+    // Created up front so a bad path fails before the run; the CSV is
+    // written when the run ends.
+    let timeline_file = args.timeline_out.as_ref().map(|path| {
+        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+            eprintln!("failed to create timeline file {path}: {e}");
+            std::process::exit(1);
+        });
+        (path, file)
+    });
     let flight_on = args.flight_recorder || args.postmortem_dir.is_some();
     let monitor_on = args.monitor.is_some();
 
@@ -731,6 +728,13 @@ fn main() {
         }
     }
 
+    if let Some((path, mut file)) = timeline_file {
+        if let Err(e) = file.write_all(timeline_csv(&r.timeline).as_bytes()) {
+            eprintln!("failed to write timeline file {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+
     let mut record = RunRecord::from_cosim(&record_name, &config_desc, &r);
     if let Some((bytes, ops, blocks, launches)) = recorded_trace {
         record.push("trace.file_bytes", bytes as f64);
@@ -783,16 +787,6 @@ fn main() {
         print!("{}", r.metrics.render());
     }
     if args.timeline {
-        println!("{CSV_TIMELINE_HEADER}");
-        for s in &r.timeline {
-            println!(
-                "{:.3},{:.3},{:.1},{:.2},{:?}",
-                s.t_s * 1e3,
-                s.pim_rate_op_ns,
-                s.data_bw / 1e9,
-                s.peak_dram_c,
-                s.phase
-            );
-        }
+        print!("{}", timeline_csv(&r.timeline));
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Polls `/status`, `/metrics`, and `/series` and renders a refreshing
 //! dashboard: run header, progress bar with ETA, the 8x4 vault-temp
-//! heat map (same glyph ramp as `fig3_heatmap`), a peak-temperature
+//! heat map (same glyph ramp as the Fig. 3 artifact), a peak-temperature
 //! sparkline over the run's recent history, and the throttle state
 //! (SW-DynT pool tokens / HW-DynT warp cap). Exits when `/status`
 //! reports the run done (or after one frame with `--once`).

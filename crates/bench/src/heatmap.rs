@@ -1,5 +1,5 @@
 //! Shared ASCII heat-map cells: the glyph ramp and vault-grid layout
-//! used by the `fig3_heatmap` figure and the `watch` live dashboard,
+//! used by the Fig. 3 artifact, `postmortem` and the `watch` live dashboard,
 //! plus a one-line sparkline for time series.
 
 /// The cool→hot glyph ramp (`.` coolest … `#` hottest).

@@ -1,12 +1,15 @@
 //! # coolpim-bench
 //!
-//! Reproduction harness: one binary per table and figure of the CoolPIM
-//! paper (see `src/bin/`), plus wall-clock micro-benchmarks of the
-//! substrates (`benches/`, driven by the in-tree [`harness`]).
+//! Reproduction harness: every table, figure and ablation of the CoolPIM
+//! paper this repository reproduces, in one registry ([`repro`], driven
+//! by the `repro` binary), the drivers around the co-simulator (`sim`,
+//! `analyze`, `obs`, `postmortem`, `watch`, `bench` in `src/bin/`), and
+//! wall-clock micro-benchmarks of the substrates (`benches/`, driven by
+//! the in-tree [`harness`]).
 //!
-//! The evaluation binaries (`fig10`–`fig14`) share [`eval`], which runs
-//! the workload × policy matrix once at the configured scale. Scale is
-//! controlled by the `COOLPIM_SCALE` environment variable:
+//! The graph-based artifacts share one [`repro::EvalGraph`], built at most
+//! once per process at the scale set by the `COOLPIM_SCALE` environment
+//! variable:
 //!
 //! * `full` (default) — the paper-scale LDBC-like graph (2^20 vertices);
 //!   the full matrix takes a few minutes on a multicore host;
@@ -17,15 +20,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod eval;
 pub mod gate;
 pub mod harness;
 pub mod heatmap;
 pub mod obs;
 pub mod replicate;
+pub mod repro;
 pub mod runrec;
 
-pub use eval::{eval_graph_spec, run_eval_matrix};
 pub use gate::{Gate, SETS};
 pub use harness::{Runner, Stats};
 pub use replicate::{fold_replicates, Distribution};

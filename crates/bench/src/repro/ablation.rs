@@ -1,0 +1,246 @@
+//! Ablations of the design knobs the paper fixes: SW-DynT's control
+//! factor and Eq. 1 margin, graduated warnings, the cooling solution
+//! and the thermal epoch.
+
+use coolpim_core::cosim::{CoSim, CoSimConfig};
+use coolpim_core::estimate::HardwareProfile;
+use coolpim_core::hw_dynt::{HwDynT, HwDynTConfig};
+use coolpim_core::multi_level::GraduatedHwDynT;
+use coolpim_core::report::{f, Table};
+use coolpim_core::sw_dynt::{SwDynT, SwDynTConfig};
+use coolpim_core::Policy;
+use coolpim_gpu::controller::OffloadController;
+use coolpim_graph::workloads::{make_kernel, Workload};
+use coolpim_hmc::ns_to_ps;
+use coolpim_thermal::cooling::Cooling;
+
+use super::EvalGraph;
+
+/// Ablation: SW-DynT control-factor sweep (DESIGN.md §IV-B trade-off —
+/// "a larger CF allows a fast cooldown but risks under-tuning; a small
+/// CF takes longer to settle").
+pub(super) fn ablation_cf(graph: &EvalGraph) -> String {
+    let mut t = Table::new(
+        "Ablation — SW-DynT control factor (bfs-dwc workload)",
+        &[
+            "CF (blocks)",
+            "Runtime (ms)",
+            "Avg PIM rate",
+            "Peak DRAM (°C)",
+            "Shrink steps",
+        ],
+    );
+    for cf in [1usize, 2, 4, 8, 16] {
+        let mut kernel = make_kernel(Workload::BfsDwc, graph.csr());
+        let mut ctrl = SwDynT::new(
+            SwDynTConfig {
+                control_factor: cf,
+                ..SwDynTConfig::default()
+            },
+            &HardwareProfile::paper(),
+            &kernel.profile(),
+        );
+        let r = CoSim::new(Policy::CoolPimSw, CoSimConfig::default()).run_with_controller(
+            kernel.as_mut(),
+            &mut ctrl,
+            true,
+        );
+        t.row(&[
+            format!("{cf}"),
+            f(r.exec_s * 1e3, 3),
+            f(r.avg_pim_rate_op_ns, 2),
+            f(r.max_peak_dram_c, 1),
+            format!("{}", ctrl.shrink_steps()),
+        ]);
+    }
+    format!(
+        "{}\n\
+         Small CF needs more steps (longer over-threshold exposure); large CF\n\
+         over-throttles and gives up offloading benefit — CF≈4 balances, as the paper picks.\n",
+        t.render()
+    )
+}
+
+/// Ablation: CoolPIM under the four Table II cooling solutions — how the
+/// throttling equilibrium tracks the thermal headroom.
+pub(super) fn ablation_cooling(graph: &EvalGraph) -> String {
+    let mut t = Table::new(
+        "Ablation — CoolPIM(HW) equilibrium vs cooling solution (dc)",
+        &[
+            "Cooling",
+            "R (°C/W)",
+            "Runtime (ms)",
+            "Avg PIM rate",
+            "Peak DRAM (°C)",
+            "Fan (W)",
+            "Outcome",
+        ],
+    );
+    for cooling in Cooling::TABLE2 {
+        let mut kernel = make_kernel(Workload::Dc, graph.csr());
+        let cfg = CoSimConfig {
+            cooling,
+            ..CoSimConfig::default()
+        };
+        let r = CoSim::new(Policy::CoolPimHw, cfg).run(kernel.as_mut());
+        t.row(&[
+            cooling.name().into(),
+            f(cooling.resistance_c_per_w(), 1),
+            f(r.exec_s * 1e3, 3),
+            f(r.avg_pim_rate_op_ns, 2),
+            f(r.max_peak_dram_c, 1),
+            f(cooling.fan_power_w(), 1),
+            if r.shutdown {
+                "thermal shutdown".into()
+            } else {
+                "completed".into()
+            },
+        ]);
+    }
+    format!(
+        "{}\n\
+         Better sinks leave more thermal headroom, so the same feedback loop\n\
+         settles at higher offloading intensity — throttling adapts to the\n\
+         platform without re-tuning (the premise of source-side control).\n\
+         Passive/low-end sinks cannot keep the loaded cube inside its operating\n\
+         range at all (Fig. 4): even full throttling ends in thermal shutdown.\n",
+        t.render()
+    )
+}
+
+/// Ablation: thermal-epoch length sensitivity of the co-simulation.
+pub(super) fn ablation_epoch(graph: &EvalGraph) -> String {
+    let mut t = Table::new(
+        "Ablation — thermal epoch length (dc, CoolPIM(HW))",
+        &[
+            "Epoch (µs)",
+            "Runtime (ms)",
+            "Avg PIM rate",
+            "Peak DRAM (°C)",
+        ],
+    );
+    for epoch_us in [25.0, 50.0, 100.0, 200.0, 400.0] {
+        let mut kernel = make_kernel(Workload::Dc, graph.csr());
+        let cfg = CoSimConfig {
+            epoch: ns_to_ps(epoch_us * 1000.0),
+            ..CoSimConfig::default()
+        };
+        let r = CoSim::new(Policy::CoolPimHw, cfg).run(kernel.as_mut());
+        t.row(&[
+            f(epoch_us, 0),
+            f(r.exec_s * 1e3, 3),
+            f(r.avg_pim_rate_op_ns, 2),
+            f(r.max_peak_dram_c, 1),
+        ]);
+    }
+    format!(
+        "{}\n\
+         Results are stable across epoch lengths well below the ~1 ms thermal\n\
+         time constant — the 100 µs default is safely converged.\n",
+        t.render()
+    )
+}
+
+/// Ablation: Eq. 1 initialisation margin for SW-DynT ("we add a small
+/// margin ... in order to be not conservative; we use a margin of 4").
+pub(super) fn ablation_margin(graph: &EvalGraph) -> String {
+    let mut t = Table::new(
+        "Ablation — Eq. 1 PTP initialisation margin (dc workload)",
+        &[
+            "Margin (blocks)",
+            "Initial pool",
+            "Final pool",
+            "Runtime (ms)",
+            "Peak DRAM (°C)",
+        ],
+    );
+    for margin in [0usize, 2, 4, 8, 16, 32] {
+        let mut kernel = make_kernel(Workload::Dc, graph.csr());
+        let mut ctrl = SwDynT::new(
+            SwDynTConfig {
+                margin,
+                ..SwDynTConfig::default()
+            },
+            &HardwareProfile::paper(),
+            &kernel.profile(),
+        );
+        let initial = ctrl.pool_size();
+        let r = CoSim::new(Policy::CoolPimSw, CoSimConfig::default()).run_with_controller(
+            kernel.as_mut(),
+            &mut ctrl,
+            true,
+        );
+        t.row(&[
+            format!("{margin}"),
+            format!("{initial}"),
+            format!("{}", ctrl.pool_size()),
+            f(r.exec_s * 1e3, 3),
+            f(r.max_peak_dram_c, 1),
+        ]);
+    }
+    format!(
+        "{}\n\
+         The feedback loop only shrinks the pool, so a conservative (small) start\n\
+         cannot be corrected upward — the margin buys back performance at a small\n\
+         thermal overshoot, which the warnings then trim.\n",
+        t.render()
+    )
+}
+
+/// Ablation: single-level vs graduated (multi-level) thermal warnings —
+/// the HMC 2.0 extension the paper's §IV-B footnote suggests.
+pub(super) fn ablation_warning_levels(graph: &EvalGraph) -> String {
+    let mut t = Table::new(
+        "Ablation — single-level vs graduated thermal warnings (HW-DynT, dc)",
+        &[
+            "Controller",
+            "Runtime (ms)",
+            "Avg PIM rate",
+            "Peak DRAM (°C)",
+            "Updates",
+        ],
+    );
+    // Both start from a deliberately fine-grained CF of 1 slot so the
+    // grading is what differs.
+    let cfg = HwDynTConfig {
+        control_factor_slots: 1,
+        ..HwDynTConfig::default()
+    };
+    let run = |ctrl: &mut dyn OffloadController| {
+        let mut kernel = make_kernel(Workload::Dc, graph.csr());
+        CoSim::new(Policy::CoolPimHw, CoSimConfig::default()).run_with_controller(
+            kernel.as_mut(),
+            ctrl,
+            true,
+        )
+    };
+    let mut single = HwDynT::new(cfg);
+    let mut graded = GraduatedHwDynT::new(cfg);
+    let rows = [
+        (
+            "single-level (ERRSTAT=0x01)",
+            run(&mut single),
+            single.update_steps(),
+        ),
+        (
+            "graduated (0x01/0x02/0x03)",
+            run(&mut graded),
+            graded.update_steps(),
+        ),
+    ];
+    for (controller, r, updates) in rows {
+        t.row(&[
+            controller.into(),
+            f(r.exec_s * 1e3, 3),
+            f(r.avg_pim_rate_op_ns, 2),
+            f(r.max_peak_dram_c, 1),
+            format!("{updates}"),
+        ]);
+    }
+    format!(
+        "{}\n\
+         Grading the control factor by severity converges in fewer updates and\n\
+         spends less time above the threshold when the initial overshoot is large.\n",
+        t.render()
+    )
+}

@@ -1,6 +1,6 @@
 //! Versioned per-run records.
 //!
-//! Every driver (`sim`, `eval_all`, the wall-clock harness) can append a
+//! Every driver (`sim`, `repro eval_all`, the wall-clock harness) can append a
 //! snapshot of one run — config hash, headline metrics, telemetry
 //! counters/gauges/histogram summaries, and the wall-clock profile — to
 //! `results/runs/*.json` as one flat JSON object. `obs gate` checks

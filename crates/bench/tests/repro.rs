@@ -1,0 +1,65 @@
+//! One producer per result: the `repro` registry names every committed
+//! `results/*.txt` exactly once, and the binary reproduces them.
+
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::process::Command;
+
+use coolpim_bench::repro::ARTIFACTS;
+
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+#[test]
+fn registry_names_are_unique_and_match_the_committed_results() {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    let unique: BTreeSet<&str> = names.iter().copied().collect();
+    assert_eq!(unique.len(), names.len(), "duplicate names in {names:?}");
+
+    let stems: BTreeSet<String> = std::fs::read_dir(results_dir())
+        .expect("results/ is readable")
+        .map(|e| e.expect("results/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| {
+            p.file_stem()
+                .expect("a .txt file has a stem")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let names: BTreeSet<String> = unique.iter().map(|n| n.to_string()).collect();
+    assert_eq!(names, stems);
+    assert_eq!(names.len(), 16);
+}
+
+#[test]
+fn a_scale_independent_artifact_matches_its_committed_file_without_reading_the_scale() {
+    // An unusable scale would make the graph build exit 2, so success
+    // here also shows the artifact never touches the evaluation graph.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1_flits")
+        .env("COOLPIM_SCALE", "abc")
+        .output()
+        .expect("run repro");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let committed = std::fs::read(results_dir().join("table1_flits.txt")).expect("committed file");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&committed)
+    );
+}
+
+#[test]
+fn unknown_artifacts_are_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("fig10_speedup")
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown artifact \"fig10_speedup\""));
+}

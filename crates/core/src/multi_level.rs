@@ -7,7 +7,7 @@
 //! from how far the peak DRAM temperature sits above the threshold, and
 //! a graduated hardware throttler scales its control factor with
 //! severity — large steps when badly overheated, fine steps near the
-//! boundary. The `ablation_warning_levels` bench binary quantifies the
+//! boundary. The `repro ablation_warning_levels` artifact quantifies the
 //! benefit.
 
 use coolpim_gpu::controller::OffloadController;

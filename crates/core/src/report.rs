@@ -1,8 +1,13 @@
 //! Fixed-format tabular output for the reproduction binaries.
 //!
-//! Every `fig*`/`table*` binary prints through these helpers so the
-//! regenerated tables share one layout: a title line, an aligned header,
-//! aligned rows, and a trailing blank line.
+//! Every `repro` artifact renders its tables through these helpers so
+//! the regenerated tables share one layout: a title line, an aligned
+//! header, aligned rows, and a trailing blank line. [`timeline_csv`] is
+//! the machine-readable per-epoch series behind `sim --timeline`.
+
+use std::fmt::Write;
+
+use crate::cosim::TimelineSample;
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -76,9 +81,31 @@ pub fn gbps(v: f64) -> String {
     format!("{:.1}", v / 1e9)
 }
 
+/// Column headers of [`timeline_csv`].
+const CSV_TIMELINE_HEADER: &str = "t_ms,pim_rate_op_ns,data_bw_gbps,peak_dram_c,phase";
+
+/// Renders a run's per-epoch timeline as CSV with a header row — the
+/// machine-readable form of the paper's Fig. 14 time series.
+pub fn timeline_csv(timeline: &[TimelineSample]) -> String {
+    let mut out = format!("{CSV_TIMELINE_HEADER}\n");
+    for s in timeline {
+        let _ = writeln!(
+            out,
+            "{:.3},{:.3},{:.1},{:.2},{:?}",
+            s.t_s * 1e3,
+            s.pim_rate_op_ns,
+            s.data_bw / 1e9,
+            s.peak_dram_c,
+            s.phase
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coolpim_hmc::TempPhase;
 
     #[test]
     fn renders_aligned_columns() {
@@ -112,6 +139,28 @@ mod tests {
         let s = t.render();
         assert!(s.contains("a  bb"), "got {s:?}");
         assert_eq!(s.lines().count(), 3, "title, header, rule — no rows");
+    }
+
+    #[test]
+    fn timeline_csv_writes_a_header_and_one_row_per_epoch() {
+        let sample = |t_s, phase| TimelineSample {
+            t_s,
+            pim_rate_op_ns: 1.0,
+            data_bw: 2.0e9,
+            peak_dram_c: 80.0,
+            phase,
+        };
+        let csv = timeline_csv(&[
+            sample(1e-3, TempPhase::Normal),
+            sample(2e-3, TempPhase::Extended),
+        ]);
+        assert_eq!(
+            csv,
+            "t_ms,pim_rate_op_ns,data_bw_gbps,peak_dram_c,phase\n\
+             1.000,1.000,2.0,80.00,Normal\n\
+             2.000,1.000,2.0,80.00,Extended\n"
+        );
+        assert_eq!(timeline_csv(&[]), format!("{CSV_TIMELINE_HEADER}\n"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   launch/retire — all stamped with simulation time;
 //! * [`sink`] — where events go: [`NullSink`] (default, one branch on
 //!   the emit path), [`RecordingSink`] (in-memory, for tests),
-//!   [`JsonlSink`] and [`CsvSink`] (file streams);
+//!   [`JsonlSink`] and [`RotatingJsonlSink`] (file streams);
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
 //!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
 //! * [`json`] — the shared flat-JSON writer/parser behind the JSONL
@@ -83,10 +83,7 @@ pub use expo::{validate_exposition, ExpoSummary, PromWriter, StatusSnapshot};
 pub use flight::{FlightFrame, FlightRecorder, PostmortemBundle, VaultSample};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{EpochObservation, MonitorHub, MonitorServer};
-pub use sink::{
-    CsvSink, EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink,
-    CSV_TIMELINE_HEADER,
-};
+pub use sink::{EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink};
 pub use stats::{
     bootstrap_ci, change_points, drift, effect_size, median, noise_sigma, permutation_p, summarize,
     Drift, StatsRng, Summary,

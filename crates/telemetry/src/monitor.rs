@@ -107,7 +107,7 @@ struct MonitorState {
     pool_tokens: f64,
     warp_cap: f64,
     /// Runs expected before `/status` reports done (1 for `sim`, the
-    /// matrix size for `eval_all`).
+    /// matrix size for `repro eval_all`).
     expected_runs: u64,
     finished_runs: u64,
 }

@@ -3,7 +3,7 @@
 //! The co-simulator emits [`TelemetryEvent`]s into a `Box<dyn Sink>`;
 //! what happens next is the sink's business: drop them ([`NullSink`]),
 //! keep them in memory for assertions ([`RecordingSink`]), or stream
-//! them to disk as JSONL ([`JsonlSink`]) or CSV ([`CsvSink`]).
+//! them to disk as JSONL ([`JsonlSink`], [`RotatingJsonlSink`]).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -291,7 +291,7 @@ impl Drop for RotatingJsonlSink {
 }
 
 /// Fans one event stream out to several sinks — e.g. a JSONL trace and
-/// a CSV timeline written by the same run.
+/// an in-memory recording of the same run.
 #[derive(Default)]
 pub struct MultiSink {
     sinks: Vec<Box<dyn Sink>>,
@@ -334,80 +334,6 @@ impl Sink for MultiSink {
 
     fn dropped_writes(&self) -> u64 {
         self.sinks.iter().map(|s| s.dropped_writes()).sum()
-    }
-}
-
-/// Column headers of the CSV timeline emitted by [`CsvSink`].
-pub const CSV_TIMELINE_HEADER: &str = "t_ms,pim_rate_op_ns,data_bw_gbps,peak_dram_c,phase";
-
-/// Streams the per-epoch timeline ([`TelemetryEvent::EpochSample`]) as
-/// CSV with a header row; other event kinds are ignored. This is the
-/// machine-readable form of the paper's Fig. 14 time series.
-pub struct CsvSink<W: Write + Send> {
-    w: BufWriter<W>,
-    wrote_header: bool,
-    failures: WriteFailures,
-}
-
-impl CsvSink<File> {
-    /// Creates (truncates) `path` and streams the timeline into it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::new(File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(w: W) -> Self {
-        Self {
-            w: BufWriter::new(w),
-            wrote_header: false,
-            failures: WriteFailures::default(),
-        }
-    }
-}
-
-impl<W: Write + Send> Sink for CsvSink<W> {
-    fn record(&mut self, ev: &TelemetryEvent) {
-        if let TelemetryEvent::EpochSample {
-            t_ps,
-            pim_rate_op_ns,
-            data_bw,
-            peak_dram_c,
-            phase,
-        } = ev
-        {
-            if !self.wrote_header {
-                self.wrote_header = true;
-                let res = writeln!(self.w, "{CSV_TIMELINE_HEADER}");
-                self.failures.note("CSV write", res);
-            }
-            let res = writeln!(
-                self.w,
-                "{:.3},{:.3},{:.1},{:.2},{}",
-                *t_ps as f64 * 1e-9,
-                pim_rate_op_ns,
-                data_bw / 1e9,
-                peak_dram_c,
-                phase
-            );
-            self.failures.note("CSV write", res);
-        }
-    }
-
-    fn flush(&mut self) {
-        let res = self.w.flush();
-        self.failures.note("CSV flush", res);
-    }
-
-    fn dropped_writes(&self) -> u64 {
-        self.failures.dropped
-    }
-}
-
-impl<W: Write + Send> Drop for CsvSink<W> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -460,29 +386,6 @@ mod tests {
         assert_eq!(events[0], sample(5));
     }
 
-    #[test]
-    fn csv_sink_writes_header_and_only_epoch_rows() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = CsvSink::new(&mut buf);
-            sink.record(&TelemetryEvent::KernelLaunch { t_ps: 0, launch: 1 });
-            sink.record(&sample(1_000_000_000)); // 1 ms
-            sink.record(&sample(2_000_000_000));
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], CSV_TIMELINE_HEADER);
-        assert!(lines[1].starts_with("1.000,"), "got {:?}", lines[1]);
-    }
-
-    #[test]
-    fn empty_csv_sink_writes_nothing() {
-        let mut buf = Vec::new();
-        drop(CsvSink::new(&mut buf));
-        assert!(buf.is_empty());
-    }
-
     /// A writer whose every operation fails (disk-full stand-in).
     struct FailingWriter;
 
@@ -505,11 +408,6 @@ mod tests {
         sink.record(&sample(2));
         sink.flush();
         assert!(sink.dropped_writes() >= 1, "flush failure must be counted");
-
-        let mut csv = CsvSink::new(FailingWriter);
-        csv.record(&sample(1));
-        csv.flush();
-        assert!(csv.dropped_writes() >= 1);
 
         // Healthy sinks report zero.
         let mut ok = JsonlSink::new(Vec::new());

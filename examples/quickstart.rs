@@ -42,6 +42,6 @@ fn main() {
     println!();
     println!("Naïve offloading saves bandwidth but overheats the cube (DRAM derating);");
     println!("CoolPIM throttles the offloading intensity at the source and keeps the");
-    println!("stack inside the normal operating range. Run the fig10_speedup binary");
-    println!("(or eval_all) for the full paper-scale evaluation.");
+    println!("stack inside the normal operating range. Run `repro eval_all` (the");
+    println!("coolpim-bench repro binary) for the full paper-scale evaluation.");
 }
