@@ -9,7 +9,11 @@
 //! ```
 //!
 //! Runs one workload under one policy and prints the full metric set
-//! (runtime, PIM rate, bandwidth, peak temperature, energy). `--graph`
+//! (runtime, PIM rate, bandwidth, peak temperature, energy). `--scale`
+//! takes the range `COOLPIM_SCALE` does (`repro::SCALES`, 8..=24); any
+//! other value is a usage error (exit 2). A live run's record carries
+//! its setup times, `setup.graph_s` (graph generation or loading, CSR
+//! build included) and `setup.kernel_s` (`make_kernel`). `--graph`
 //! loads a plain-text edge list instead of generating an R-MAT graph;
 //! `--timeline` dumps the per-epoch telemetry as CSV to stdout,
 //! `--timeline-out FILE` writes the same CSV to a file when the run
@@ -73,6 +77,7 @@
 //! stderr at that wall-clock cadence (first beat on the first epoch).
 
 use coolpim_bench::replicate::fold_replicates;
+use coolpim_bench::repro::check_scale;
 use coolpim_bench::runrec::{fnv1a, run_record_dir, RunRecord};
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::experiment::{run_replicates, run_source_sweep, SweepCell};
@@ -250,6 +255,10 @@ fn parse_args() -> Args {
             }
         }
         i += 1;
+    }
+    if let Err(e) = check_scale("--scale", args.scale) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
     args
 }
@@ -535,8 +544,12 @@ fn main() {
     let replay_trace = args.replay.as_deref().map(load_replay_trace);
     // Replay skips graph generation and kernel construction entirely —
     // the trace *is* the workload.
+    // Setup times (s) of a live run: the graph, then the kernel on it.
+    let mut setup = None;
     let mut kernel = if replay_trace.is_none() {
+        let started = std::time::Instant::now();
         let graph = load_graph(&args);
+        let graph_s = started.elapsed().as_secs_f64();
         eprintln!(
             "# {} under {} on {} vertices / {} edges, {} cooling",
             args.workload.name(),
@@ -545,7 +558,10 @@ fn main() {
             graph.edge_count(),
             args.cooling.name()
         );
-        Some(make_kernel(args.workload, &graph))
+        let started = std::time::Instant::now();
+        let kernel = make_kernel(args.workload, &graph);
+        setup = Some((graph_s, started.elapsed().as_secs_f64()));
+        Some(kernel)
     } else {
         None
     };
@@ -736,6 +752,10 @@ fn main() {
     }
 
     let mut record = RunRecord::from_cosim(&record_name, &config_desc, &r);
+    if let Some((graph_s, kernel_s)) = setup {
+        record.push("setup.graph_s", graph_s);
+        record.push("setup.kernel_s", kernel_s);
+    }
     if let Some((bytes, ops, blocks, launches)) = recorded_trace {
         record.push("trace.file_bytes", bytes as f64);
         record.push("trace.ops", ops as f64);

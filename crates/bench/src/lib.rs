@@ -15,7 +15,8 @@
 //!   the full matrix takes a few minutes on a multicore host;
 //! * `quick` — a 2^16 graph for smoke runs (~seconds; thermal effects are
 //!   muted at this scale, so shapes are only indicative);
-//! * any integer `n` — a 2^n-vertex graph.
+//! * any integer `n` in [`repro::SCALES`] (8..=24) — a 2^n-vertex graph;
+//!   any other value exits 2 with a diagnostic, as `sim --scale` does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

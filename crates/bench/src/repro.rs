@@ -9,6 +9,7 @@
 //! the five ablations run co-simulations on the shared [`EvalGraph`].
 
 use std::cell::OnceCell;
+use std::ops::RangeInclusive;
 
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::Csr;
@@ -86,6 +87,24 @@ impl EvalGraph {
     }
 }
 
+/// The graph scales (log2 of the vertex count) the drivers take, from
+/// `COOLPIM_SCALE` and from `sim --scale`.
+pub const SCALES: RangeInclusive<u32> = 8..=24;
+
+/// `scale` if it lies in [`SCALES`], else a diagnostic naming `what`
+/// (the flag or variable it came from).
+pub fn check_scale(what: &str, scale: u32) -> Result<u32, String> {
+    if SCALES.contains(&scale) {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "{what} {scale} out of range {}..={}",
+            SCALES.start(),
+            SCALES.end()
+        ))
+    }
+}
+
 /// Maps a `COOLPIM_SCALE` value (`None` = unset) to a graph spec,
 /// without reading the environment — testable regardless of what the
 /// test process inherited.
@@ -101,10 +120,7 @@ fn graph_spec_for(scale: Option<&str>) -> Result<GraphSpec, String> {
             let scale: u32 = n.parse().map_err(|_| {
                 format!("COOLPIM_SCALE must be 'full', 'quick', or an integer, got {n:?}")
             })?;
-            if !(8..=24).contains(&scale) {
-                return Err(format!("COOLPIM_SCALE {scale} out of range 8..=24"));
-            }
-            spec.scale = scale;
+            spec.scale = check_scale("COOLPIM_SCALE", scale)?;
         }
     }
     Ok(spec)

@@ -107,10 +107,16 @@ impl GraphSpec {
         h
     }
 
-    /// Generates the graph.
+    /// Generates the graph: the edges, then the CSR, each split over the
+    /// same worker threads.
     pub fn build(&self) -> Csr {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        builder::from_triples(self.vertices(), &self.edges(workers), self.weighted)
+        let workers = builder::workers_for(self.vertices() * self.avg_degree as usize);
+        builder::from_triples(
+            self.vertices(),
+            &self.edges(workers),
+            self.weighted,
+            workers,
+        )
     }
 
     /// The raw `(src, dst, weight)` draws, in draw order, generated on up
@@ -130,12 +136,13 @@ impl GraphSpec {
             GraphKind::RmatSocial => u64::from(self.scale) + 1,
             GraphKind::Uniform => 3,
         };
+        let thresholds = rmat_thresholds(RMAT_SOCIAL);
         let mut edges = vec![(0u32, 0u32, 0u32); m];
-        let chunk = m.div_ceil(workers.max(1)).max(MIN_EDGES_PER_WORKER);
+        let chunk = m.div_ceil(workers.max(1)).max(1);
         let fill = |ci: usize, part: &mut [(u32, u32, u32)]| {
             let mut rng = SplitMix64::at_draw(self.seed, first + (ci * chunk) as u64 * per_edge);
             for e in part {
-                *e = self.edge(&mut rng, &perm);
+                *e = self.edge(&mut rng, &perm, thresholds);
             }
         };
         std::thread::scope(|scope| {
@@ -153,9 +160,9 @@ impl GraphSpec {
 
     /// One edge: its endpoints' draws, then its weight's.
     #[inline]
-    fn edge(&self, rng: &mut SplitMix64, perm: &[u32]) -> (u32, u32, u32) {
+    fn edge(&self, rng: &mut SplitMix64, perm: &[u32], thresholds: [u64; 3]) -> (u32, u32, u32) {
         let (s, d) = match self.kind {
-            GraphKind::RmatSocial => rmat_edge(self.scale, RMAT_SOCIAL, rng),
+            GraphKind::RmatSocial => rmat_edge(self.scale, thresholds, rng),
             GraphKind::Uniform => {
                 let n = perm.len() as u32;
                 (rng.gen_range_u32(0, n), rng.gen_range_u32(0, n))
@@ -165,24 +172,36 @@ impl GraphSpec {
     }
 }
 
-/// Below this many edges per worker, generating on more threads costs
-/// more than it saves.
-const MIN_EDGES_PER_WORKER: usize = 1 << 16;
+/// 2^53, the scale of [`SplitMix64::gen_f64`]'s 53-bit draws.
+const TWO_53: f64 = (1u64 << 53) as f64;
 
-/// One R-MAT edge: per level, one draw `r` picks the quadrant by
-/// `r < a`, `r < a + b`, `r < a + b + c` (top-left, top-right,
-/// bottom-left, else bottom-right). The three comparisons are taken as
-/// bits rather than branches: the source bit is set from the third
-/// quadrant on, the target bit in the second and fourth.
+/// The cumulative R-MAT quadrant probabilities `a`, `a + b`,
+/// `a + b + c` (summed in `f64`, as a float walk would) as integer
+/// thresholds on a 53-bit draw `m`: `gen_f64()` is exactly `m·2^-53`,
+/// so `m·2^-53 < p` holds exactly when `m < ⌈p·2^53⌉`, and scaling by a
+/// power of two loses nothing.
+fn rmat_thresholds((a, b, c, _d): (f64, f64, f64, f64)) -> [u64; 3] {
+    [a, a + b, a + b + c].map(|p| (p * TWO_53).ceil() as u64)
+}
+
+/// One R-MAT edge: per level, one 53-bit draw `m` picks the quadrant by
+/// `m < t_a`, `m < t_ab`, `m < t_abc` ([`rmat_thresholds`]: top-left,
+/// top-right, bottom-left, else bottom-right), the same decisions as
+/// comparing `gen_f64()` against `a`, `a + b`, `a + b + c`. The three
+/// comparisons are taken as bits rather than branches: the source bit is
+/// set from the third quadrant on, the target bit in the second and
+/// fourth.
 #[inline]
-fn rmat_edge(scale: u32, (a, b, c, _d): (f64, f64, f64, f64), rng: &mut SplitMix64) -> (u32, u32) {
-    let (ab, abc) = (a + b, a + b + c);
+fn rmat_edge(scale: u32, [ta, tab, tabc]: [u64; 3], rng: &mut SplitMix64) -> (u32, u32) {
     let mut s = 0u32;
     let mut t = 0u32;
     for _ in 0..scale {
-        let r = rng.gen_f64();
-        let (past_a, past_ab, past_abc) =
-            (u32::from(r >= a), u32::from(r >= ab), u32::from(r >= abc));
+        let m = rng.next_u64() >> 11;
+        let (past_a, past_ab, past_abc) = (
+            u32::from(m >= ta),
+            u32::from(m >= tab),
+            u32::from(m >= tabc),
+        );
         s = s << 1 | past_ab;
         t = t << 1 | (past_a ^ past_ab ^ past_abc);
     }
@@ -268,6 +287,29 @@ mod tests {
     }
 
     #[test]
+    fn integer_thresholds_decide_exactly_as_the_float_comparison() {
+        let mut rng = SplitMix64::seed_from_u64(2024);
+        for params in [RMAT_SOCIAL, (0.57, 0.19, 0.19, 0.05), (0.1, 0.2, 0.3, 0.4)] {
+            let (a, b, c, _) = params;
+            let ps = [a, a + b, a + b + c];
+            for (t, p) in rmat_thresholds(params).into_iter().zip(ps) {
+                let same = |m: u64| (m >= t) == (m as f64 / TWO_53 >= p);
+                for m in [t - 1, t, t + 1] {
+                    assert!(same(m), "{params:?}: m = {m} at threshold {t}");
+                }
+                for _ in 0..100_000 {
+                    // The integer draw and the float one come from the
+                    // same stream position.
+                    let mut twin = rng.clone();
+                    let m = rng.next_u64() >> 11;
+                    assert_eq!(twin.gen_f64(), m as f64 / TWO_53);
+                    assert!(same(m), "{params:?}: m = {m} at threshold {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn built_graphs_match_their_pinned_digests() {
         let uniform = GraphSpec {
             kind: GraphKind::Uniform,
@@ -321,10 +363,20 @@ mod tests {
             scale: 16,
             ..GraphSpec::test_medium()
         };
-        let one = builder::from_triples(spec.vertices(), &spec.edges(1), true);
-        let many = builder::from_triples(spec.vertices(), &spec.edges(5), true);
-        assert_eq!(csr_digest(&one), csr_digest(&many));
-        assert_eq!(csr_digest(&one), csr_digest(&spec.build()));
+        let on = |workers| {
+            let edges = spec.edges(workers);
+            csr_digest(&builder::from_triples(
+                spec.vertices(),
+                &edges,
+                true,
+                workers,
+            ))
+        };
+        let one = on(1);
+        for workers in 2..=8 {
+            assert_eq!(on(workers), one, "{workers} workers");
+        }
+        assert_eq!(csr_digest(&spec.build()), one);
     }
 
     #[test]

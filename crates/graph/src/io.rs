@@ -77,7 +77,12 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     } else {
         max_v as usize + 1
     };
-    Ok(builder::from_triples(n, &edges, any_weight))
+    Ok(builder::from_triples(
+        n,
+        &edges,
+        any_weight,
+        builder::workers_for(edges.len()),
+    ))
 }
 
 /// Reads an edge-list file.
