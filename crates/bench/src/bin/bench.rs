@@ -11,12 +11,6 @@
 //! is the evidence behind PR 5's "≥1.5× fewer sweeps" claim and CI's
 //! `bench-trend` job gates on it staying put.
 //!
-//! PR 6 adds the live-telemetry figures: `telemetry.sample_epoch_s`
-//! (the wall cost of one `MonitorHub::sample` with 32 vault temps and a
-//! populated registry mirror) and `telemetry.overhead_pct` (the
-//! recorded telemetry share of a monitored co-sim run, budgeted < 3 %
-//! by CI).
-//!
 //! PR 10 adds the trace-replay figures: one KCore run at the evaluation
 //! scale is recorded into a `.cptr` trace, then the fixed 8-cell
 //! (policy × cooling × threshold) sweep runs twice — once replaying the
@@ -49,8 +43,6 @@ use coolpim_gpu::GpuConfig;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_hmc::{Hmc, Request};
-use coolpim_telemetry::monitor::EpochObservation;
-use coolpim_telemetry::{MetricsRegistry, MonitorHub, Tracer};
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::floorplan::Floorplan;
 use coolpim_thermal::grid::ThermalGrid;
@@ -145,7 +137,7 @@ fn bench_grid() -> ThermalGrid {
 fn suite_config(seed_desc: &str) -> String {
     format!(
         "bench7 grid=hmc20 graph=test_medium(seed {seed_desc}) cosim=tiny-gpu/10us-epoch \
-         solver-seq=100us-epoch telemetry=monitor-sample/32-vaults \
+         solver-seq=100us-epoch \
          replay=kcore-scale16/8-cell-sweep"
     )
 }
@@ -305,56 +297,6 @@ fn run_suite(graph_seed: u64) -> RunRecord {
     rec.push("cosim.run_dc_medium_s", s.median_s);
     rec.push("cosim.epochs", epochs as f64);
     rec.push("cosim.epoch_s", s.median_s / epochs.max(1) as f64);
-
-    // Live-telemetry sampling: the per-epoch cost of one MonitorHub
-    // sample (32 vault temps plus a populated registry mirror) — the
-    // figure CI holds to a ceiling with `obs gate bench-trend`.
-    let hub = MonitorHub::new();
-    hub.begin_run("bench6-sample", "0");
-    let mut reg = MetricsRegistry::new();
-    reg.count("pim_ops", 1_000_000);
-    reg.gauge("peak_dram_c", 83.4);
-    reg.gauge("token_pool_size", 96.0);
-    for v in 0..4096u64 {
-        reg.observe("vault_queue_wait_ps", v * 97);
-    }
-    let vaults: Vec<f64> = (0..32).map(|i| 70.0 + i as f64 * 0.3).collect();
-    let mut epoch = 0u64;
-    let s = r.bench("telemetry/monitor_sample_epoch", || {
-        epoch += 1;
-        let obs = EpochObservation {
-            t_ps: epoch * 100_000_000,
-            epoch,
-            phase: "Normal",
-            peak_dram_c: 80.0 + (epoch % 7) as f64,
-            pool_tokens: 96.0,
-            warp_cap: 64.0,
-            pim_ops_per_s: 1.0e6,
-            queue_wait_ps: 1.0e4,
-            solver_sweeps: 12.0,
-            epochs_per_s: 5_000.0,
-            eta_s: 10.0,
-            last_warning_id: 0,
-            vault_peak_dram_c: &vaults,
-        };
-        hub.sample(&obs, &reg);
-    });
-    rec.push("telemetry.sample_epoch_s", s.median_s);
-
-    // The same Dc run with a live monitor attached: the recorded
-    // telemetry overhead must stay under the 3 % CI budget.
-    let hub = MonitorHub::new();
-    hub.begin_run("bench6-monitored", "0");
-    let mut k = make_kernel(Workload::Dc, &graph);
-    let res = CoSim::new(Policy::CoolPimSw, cfg.clone())
-        .with_tracer(&Tracer::new())
-        .with_observer(hub.clone())
-        .run(k.as_mut());
-    println!(
-        "cosim/monitored_dc_medium   telemetry overhead {:.3} % (budget < 3 %)",
-        res.telemetry_overhead_pct
-    );
-    rec.push("telemetry.overhead_pct", res.telemetry_overhead_pct);
 
     // Record-once/replay-everywhere: record one KCore run at the
     // evaluation scale into a trace, then fan the fixed 8-cell sweep out

@@ -51,9 +51,11 @@
 //! (schema v2): per metric the median as the headline value plus a
 //! `dist.<metric>.*` block (MAD, extremes, bootstrap 95 % CI, raw
 //! samples). That record is what `obs gate` runs its permutation test
-//! on. Replicated mode is incompatible with `--graph` (a fixed graph
-//! leaves nothing for the seed to vary) and with the per-run
-//! observability flags (`--timeline`, `--trace`, `--monitor`, ...).
+//! on. Both sweep modes, `--replicates` and `--matrix` (below), refuse
+//! `--graph` (they generate their own graphs; for replicates a fixed
+//! graph leaves nothing for the seed to vary) and the per-run flags
+//! (`--timeline`, `--trace`, `--heartbeat`, ...), exiting 2 naming any
+//! they would ignore.
 //!
 //! `--record-trace FILE` tees the workload's exact per-warp instruction
 //! stream — the one this very run executed — into a versioned binary
@@ -66,15 +68,11 @@
 //! pool; combined with `--replay` the cells share one immutable trace
 //! (`Arc`), which is the "record once, replay everywhere" sweep —
 //! BENCH_7 measures it ≥5x faster than live per-cell regeneration.
+//! The matrix writes no run record, so it also refuses `--metrics-out`
+//! and `--run-record`.
 //!
-//! `--monitor ADDR` (e.g. `127.0.0.1:9184`, or `:0` for an ephemeral
-//! port) serves the run's live state over HTTP while it executes —
-//! `/metrics` (Prometheus text format), `/status` (flat JSON),
-//! `/series` (downsampled time-series JSONL) — and prints the bound
-//! address to stderr before the run starts; point the `watch` bin (or
-//! `curl`) at it. The server thread is stopped and joined when the run
-//! finishes. `--heartbeat SECS` prints a one-line progress summary to
-//! stderr at that wall-clock cadence (first beat on the first epoch).
+//! `--heartbeat SECS` prints a one-line progress summary to stderr at
+//! that wall-clock cadence (first beat on the first epoch).
 
 use coolpim_bench::replicate::fold_replicates;
 use coolpim_bench::repro::check_scale;
@@ -87,9 +85,7 @@ use coolpim_core::report::timeline_csv;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_graph::Csr;
-use coolpim_telemetry::{
-    JsonlSink, MonitorHub, MonitorServer, RotatingJsonlSink, Sink, Telemetry, Tracer,
-};
+use coolpim_telemetry::{JsonlSink, RotatingJsonlSink, Sink, Telemetry, Tracer};
 use coolpim_thermal::cooling::Cooling;
 use coolpim_trace::{RecordingSource, TraceReplaySource, WorkloadTrace};
 
@@ -115,7 +111,6 @@ struct Args {
     postmortem_dir: Option<String>,
     trace_rotate_mb: Option<u64>,
     trace_timeline: Option<String>,
-    monitor: Option<String>,
     heartbeat_s: Option<f64>,
     replicates: Option<u64>,
     seed_list: Option<Vec<u64>>,
@@ -136,7 +131,7 @@ fn usage() -> ! {
          \x20          [--run-record dir]\n\
          \x20          [--flight-recorder] [--postmortem-dir dir]\n\
          \x20          [--trace-rotate-mb MB] [--trace-timeline json-file]\n\
-         \x20          [--monitor addr:port] [--heartbeat secs]\n\
+         \x20          [--heartbeat secs]\n\
          \x20          [--replicates N] [--seed-list a,b,c]\n\
          \x20          [--record-trace file.cptr] [--replay file.cptr] [--matrix]"
     );
@@ -186,7 +181,6 @@ fn parse_args() -> Args {
         postmortem_dir: None,
         trace_rotate_mb: None,
         trace_timeline: None,
-        monitor: None,
         heartbeat_s: None,
         replicates: None,
         seed_list: None,
@@ -223,7 +217,15 @@ fn parse_args() -> Args {
             "--timeline-out" => args.timeline_out = Some(take(&mut i)),
             "--profile" => args.profile = true,
             "--warning-threshold" => {
-                args.warning_threshold_c = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
+                let v = take(&mut i);
+                match v.parse::<f64>() {
+                    Ok(c) if c.is_finite() => args.warning_threshold_c = Some(c),
+                    Ok(_) => {
+                        eprintln!("--warning-threshold {v} is not a finite temperature");
+                        std::process::exit(2);
+                    }
+                    Err(_) => usage(),
+                }
             }
             "--metrics-out" => args.metrics_out = Some(take(&mut i)),
             "--run-record" => args.run_record = Some(take(&mut i)),
@@ -233,7 +235,6 @@ fn parse_args() -> Args {
                 args.trace_rotate_mb = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
             }
             "--trace-timeline" => args.trace_timeline = Some(take(&mut i)),
-            "--monitor" => args.monitor = Some(take(&mut i)),
             "--heartbeat" => {
                 args.heartbeat_s = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
             }
@@ -337,31 +338,43 @@ fn replicate_seeds(args: &Args) -> Option<Vec<u64>> {
     }
 }
 
+/// The sweep modes' shared flag check: exits 2 naming every flag given
+/// that only a single run reads, instead of ignoring it. `--graph` is
+/// among them, since both modes generate their own graphs. A mode that
+/// writes no run record (`writes_record` false) also refuses
+/// `--metrics-out` and `--run-record`.
+fn reject_per_run_flags(args: &Args, mode: &str, writes_record: bool) {
+    let no_record = !writes_record;
+    let flags = [
+        ("--graph", args.graph_file.is_some()),
+        ("--timeline", args.timeline),
+        ("--trace", args.trace.is_some()),
+        ("--trace-rotate-mb", args.trace_rotate_mb.is_some()),
+        ("--timeline-out", args.timeline_out.is_some()),
+        ("--trace-timeline", args.trace_timeline.is_some()),
+        ("--profile", args.profile),
+        ("--flight-recorder", args.flight_recorder),
+        ("--postmortem-dir", args.postmortem_dir.is_some()),
+        ("--heartbeat", args.heartbeat_s.is_some()),
+        ("--record-trace", args.record_trace.is_some()),
+        ("--metrics-out", no_record && args.metrics_out.is_some()),
+        ("--run-record", no_record && args.run_record.is_some()),
+    ];
+    let given: Vec<&str> = flags.iter().filter(|f| f.1).map(|f| f.0).collect();
+    if !given.is_empty() {
+        eprintln!(
+            "{mode} makes many runs and would ignore the per-run flag(s) {}; \
+             use them on a single run",
+            given.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
 /// The replicated-run mode: N seed-varied runs folded into one schema
 /// v2 record with per-metric distributions.
 fn run_replicated(args: &Args, seeds: &[u64]) {
-    if args.graph_file.is_some() {
-        eprintln!(
-            "--replicates is incompatible with --graph: the co-sim is deterministic \
-             for a fixed graph, so seeds would vary nothing"
-        );
-        std::process::exit(2);
-    }
-    if args.timeline
-        || args.trace.is_some()
-        || args.timeline_out.is_some()
-        || args.trace_timeline.is_some()
-        || args.monitor.is_some()
-        || args.flight_recorder
-        || args.postmortem_dir.is_some()
-    {
-        eprintln!(
-            "--replicates cannot combine with per-run observability flags \
-             (--timeline/--trace/--timeline-out/--trace-timeline/--monitor/\
-             --flight-recorder/--postmortem-dir)"
-        );
-        std::process::exit(2);
-    }
+    reject_per_run_flags(args, "--replicates", true);
     let cfg = cosim_config(args);
     let threshold_c = cfg.warning_threshold_c;
     let seed_desc = seeds
@@ -463,6 +476,7 @@ fn load_replay_trace(path: &str) -> Arc<WorkloadTrace> {
 /// each cell regenerates graph + kernel (the honest live baseline the
 /// BENCH_7 replay-speedup ratio is measured against).
 fn run_matrix_mode(args: &Args) {
+    reject_per_run_flags(args, "--matrix", false);
     let cfg = cosim_config(args);
     let cells = SweepCell::matrix8(cfg.warning_threshold_c);
     let started = std::time::Instant::now();
@@ -530,8 +544,8 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(seeds) = replicate_seeds(&args) {
-        if args.record_trace.is_some() || args.replay.is_some() {
-            eprintln!("--replicates regenerates the graph per seed; record or replay a single run instead");
+        if args.replay.is_some() {
+            eprintln!("--replicates regenerates the graph per seed; replay a single run instead");
             std::process::exit(2);
         }
         run_replicated(&args, &seeds);
@@ -595,13 +609,10 @@ fn main() {
         (path, file)
     });
     let flight_on = args.flight_recorder || args.postmortem_dir.is_some();
-    let monitor_on = args.monitor.is_some();
 
     let threshold_c = cfg.warning_threshold_c;
 
-    // One record serves the snapshot dump, the run store, and the live
-    // monitor's /status identity — computed before the run so the
-    // monitor can serve it from the first epoch.
+    // One record serves the snapshot dump and the run store.
     // A replayed run is identified by the trace's recorded workload name
     // and the trace file path — not the (ignored) --workload/--graph.
     let workload_name = match &replay_trace {
@@ -626,9 +637,8 @@ fn main() {
 
     let mut cosim = CoSim::new(args.policy, cfg).with_telemetry(telemetry);
     // One tracer serves the timeline export, the --profile span tree, and
-    // the flight recorder's and monitor's self-overhead figure.
-    let tracer = (args.trace_timeline.is_some() || args.profile || flight_on || monitor_on)
-        .then(Tracer::new);
+    // the flight recorder's self-overhead figure.
+    let tracer = (args.trace_timeline.is_some() || args.profile || flight_on).then(Tracer::new);
     if let Some(t) = &tracer {
         cosim = cosim.with_tracer(t);
     }
@@ -645,24 +655,6 @@ fn main() {
             postmortem_dir: args.postmortem_dir.clone().map(Into::into),
             ..FlightConfig::default()
         }));
-    }
-    let mut server = None;
-    if let Some(addr) = &args.monitor {
-        let hub = MonitorHub::new();
-        hub.begin_run(&record_name, &format!("{:016x}", fnv1a(&config_desc)));
-        match MonitorServer::start(addr, hub.clone()) {
-            Ok(s) => {
-                // Printed before the run starts so scrapers can attach
-                // and land mid-run (the CI live-monitor job greps this).
-                eprintln!("# monitor: http://{}", s.local_addr());
-                server = Some(s);
-            }
-            Err(e) => {
-                eprintln!("failed to bind monitor on {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-        cosim = cosim.with_observer(hub);
     }
     if let Some(secs) = args.heartbeat_s {
         cosim = cosim.with_observer(Heartbeat::every(secs));
@@ -710,14 +702,6 @@ fn main() {
             cosim.run(kernel.as_mut())
         }
     };
-
-    // Clean monitor shutdown: the run is over, so stop the accept loop
-    // and join the server thread — a finished sim must not keep a
-    // listener (and the process) alive.
-    if let Some(mut s) = server.take() {
-        s.stop();
-        eprintln!("# monitor stopped");
-    }
 
     for path in &r.postmortem_dumps {
         eprintln!("# postmortem bundle: {}", path.display());
@@ -792,7 +776,7 @@ fn main() {
     println!("offload fraction   {:.3}", r.gpu.offload_fraction());
     println!("kernel launches    {}", r.gpu.launches);
     println!("throttle steps     {}", r.throttle_steps);
-    if flight_on || monitor_on {
+    if flight_on {
         println!("telemetry overhead {:.2} %", r.telemetry_overhead_pct);
     }
     if flight_on {

@@ -145,8 +145,6 @@ pub const BENCH_TREND: &[Gate] = &[
     Gate::max("solver.max_temp_dev_c", 0.1),
     Gate::max("thermal.step_100us_s", 0.05),
     Gate::max("cosim.epoch_s", 0.1),
-    Gate::max("telemetry.sample_epoch_s", 0.00001),
-    Gate::max("telemetry.overhead_pct", 3.0),
     Gate::max("replay.replay_over_live_wall", 0.2),
 ];
 

@@ -1,6 +1,6 @@
 //! Shared ASCII heat-map cells: the glyph ramp and vault-grid layout
-//! used by the Fig. 3 artifact, `postmortem` and the `watch` live dashboard,
-//! plus a one-line sparkline for time series.
+//! used by the Fig. 3 artifact and `postmortem`, plus a one-line
+//! sparkline for time series (the `obs` history view).
 
 /// The cool→hot glyph ramp (`.` coolest … `#` hottest).
 pub const GLYPHS: [u8; 9] = [b'.', b':', b'-', b'=', b'+', b'*', b'%', b'@', b'#'];
@@ -67,23 +67,6 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// Renders a `[0,1]` progress fraction as `[####....] 42%` of the given
-/// bar width.
-pub fn progress_bar(fraction: f64, width: usize) -> String {
-    let f = if fraction.is_finite() {
-        fraction.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let filled = (f * width as f64).round() as usize;
-    format!(
-        "[{}{}] {:3.0}%",
-        "#".repeat(filled),
-        ".".repeat(width.saturating_sub(filled)),
-        f * 100.0
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +107,5 @@ mod tests {
         assert!(s.contains('#'), "spike lost in {s:?}");
         assert_eq!(sparkline(&[], 10), "");
         assert_eq!(sparkline(&[1.0, 2.0], 10).chars().count(), 2);
-    }
-
-    #[test]
-    fn progress_bar_is_bounded() {
-        assert_eq!(progress_bar(0.0, 4), "[....]   0%");
-        assert_eq!(progress_bar(1.0, 4), "[####] 100%");
-        assert_eq!(progress_bar(2.0, 4), "[####] 100%");
-        assert!(progress_bar(f64::NAN, 4).contains("0%"));
     }
 }

@@ -3,7 +3,7 @@
 //! Reproduction harness: every table, figure and ablation of the CoolPIM
 //! paper this repository reproduces, in one registry ([`repro`], driven
 //! by the `repro` binary), the drivers around the co-simulator (`sim`,
-//! `analyze`, `obs`, `postmortem`, `watch`, `bench` in `src/bin/`), and
+//! `analyze`, `obs`, `postmortem`, `bench` in `src/bin/`), and
 //! wall-clock micro-benchmarks of the substrates (`benches/`, driven by
 //! the in-tree [`harness`]).
 //!

@@ -12,7 +12,7 @@ use coolpim_core::report::{f, Table};
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_graph::Csr;
-use coolpim_telemetry::{MonitorHub, MonitorServer, TraceProfile, Tracer};
+use coolpim_telemetry::{TraceProfile, Tracer};
 
 use super::EvalGraph;
 use crate::runrec::{run_record_dir, RunRecord};
@@ -103,12 +103,8 @@ impl Figure {
 /// Runs the full evaluation matrix (all ten workloads × the five system
 /// configurations) on `graph`.
 ///
-/// Two environment variables instrument it. `COOLPIM_PROFILE=1` (or
-/// `true`) records every cell's span tree on one tracer and returns the
-/// tree of the whole matrix with the results. `COOLPIM_MONITOR=ADDR`
-/// (e.g. `127.0.0.1:9090`) instead serves `/metrics`, `/status` and
-/// `/series` for the duration of the matrix — point `watch --addr` at
-/// it.
+/// `COOLPIM_PROFILE=1` (or `true`) records every cell's span tree on
+/// one tracer and returns the tree of the whole matrix with the results.
 fn run_eval_matrix(graph: &Csr) -> (Vec<WorkloadResults>, Option<TraceProfile>) {
     let (workloads, policies) = (&Workload::ALL, &Policy::ALL);
     let cells = workloads.len() * policies.len();
@@ -119,24 +115,9 @@ fn run_eval_matrix(graph: &Csr) -> (Vec<WorkloadResults>, Option<TraceProfile>) 
         cells
     );
     let cfg = CoSimConfig::default();
-    let env = |name| std::env::var(name).ok().filter(|v| !v.is_empty());
-    let tracer = matches!(env("COOLPIM_PROFILE").as_deref(), Some("1" | "true")).then(Tracer::new);
-    let results = if let Some(addr) = env("COOLPIM_MONITOR") {
-        let hub = MonitorHub::new();
-        hub.begin_run("eval-matrix", "0");
-        hub.expect_runs(cells as u64);
-        let mut server = MonitorServer::start(&addr, hub.clone()).unwrap_or_else(|e| {
-            eprintln!("failed to bind monitor on {addr}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("# monitor: http://{}", server.local_addr());
-        let results = run_matrix_with(graph, workloads, policies, cfg, None, |s| {
-            s.with_tracer(&Tracer::new()).with_observer(hub.clone())
-        });
-        server.stop();
-        eprintln!("# monitor stopped");
-        results
-    } else if let Some(t) = &tracer {
+    let profile = std::env::var("COOLPIM_PROFILE");
+    let tracer = matches!(profile.as_deref(), Ok("1" | "true")).then(Tracer::new);
+    let results = if let Some(t) = &tracer {
         run_matrix_with(graph, workloads, policies, cfg, Some(t), |s| {
             s.with_tracer(t)
         })

@@ -1,5 +1,7 @@
-//! `sim` at its command line: scales outside the accepted range are
-//! usage errors, and a live run's record times its setup.
+//! `sim` at its command line: scales outside the accepted range and
+//! non-finite warning thresholds are usage errors, the sweep modes refuse
+//! the per-run flags they would ignore, and a live run's record times
+//! its setup.
 
 use std::process::Command;
 
@@ -20,6 +22,95 @@ fn scales_outside_the_accepted_range_exit_2_with_a_diagnostic() {
         );
         assert!(!stderr.contains("panicked"), "--scale {scale}: {stderr}");
     }
+}
+
+/// Runs `sim` with `args`, expecting exit 2 with a diagnostic that
+/// contains `needle` and no panic.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sim"))
+        .args(args)
+        .output()
+        .expect("spawn sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn non_finite_warning_thresholds_exit_2() {
+    for c in ["nan", "inf", "-inf", "NaN"] {
+        assert_usage_error(
+            &["--warning-threshold", c],
+            &format!("--warning-threshold {c} is not a finite temperature"),
+        );
+    }
+}
+
+/// Every flag only a single run reads, with a value where it takes one.
+const PER_RUN_FLAGS: &[&[&str]] = &[
+    &["--graph", "edges.txt"],
+    &["--timeline"],
+    &["--trace", "t.jsonl"],
+    &["--trace-rotate-mb", "8"],
+    &["--timeline-out", "t.csv"],
+    &["--trace-timeline", "t.json"],
+    &["--profile"],
+    &["--flight-recorder"],
+    &["--postmortem-dir", "pm"],
+    &["--heartbeat", "5"],
+    &["--record-trace", "t.cptr"],
+];
+
+#[test]
+fn sweep_modes_refuse_the_per_run_flags_they_would_ignore() {
+    let record_flags: &[&[&str]] = &[&["--metrics-out", "m.json"], &["--run-record", "runs"]];
+    for flag in PER_RUN_FLAGS.iter().chain(record_flags) {
+        let mut args = vec!["--matrix", "--scale", "10"];
+        args.extend_from_slice(flag);
+        assert_usage_error(
+            &args,
+            &format!(
+                "--matrix makes many runs and would ignore the per-run flag(s) {}",
+                flag[0]
+            ),
+        );
+    }
+    for flag in PER_RUN_FLAGS {
+        let mut args = vec!["--replicates", "2", "--scale", "10"];
+        args.extend_from_slice(flag);
+        assert_usage_error(
+            &args,
+            &format!(
+                "--replicates makes many runs and would ignore the per-run flag(s) {}",
+                flag[0]
+            ),
+        );
+    }
+    // Every ignored flag is named, not just the first.
+    assert_usage_error(
+        &["--seed-list", "1,2", "--profile", "--heartbeat", "1"],
+        "per-run flag(s) --profile --heartbeat;",
+    );
+}
+
+#[test]
+fn replicates_keep_their_run_record() {
+    let path = std::env::temp_dir().join(format!("coolpim-sim-reps-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_sim"))
+        .args(["--workload", "dc", "--scale", "10", "--replicates", "2"])
+        .arg("--metrics-out")
+        .arg(&path)
+        .output()
+        .expect("spawn sim");
+    assert!(
+        out.status.success(),
+        "sim --replicates failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let record = RunRecord::load(&path).expect("the replicated record parses");
+    std::fs::remove_file(&path).ok();
+    assert!(record.metric("exec_s").is_some_and(|s| s > 0.0));
 }
 
 #[test]

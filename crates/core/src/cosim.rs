@@ -236,8 +236,8 @@ impl<S: ThermalSolve> CoSim<S> {
 
     /// Attaches a per-epoch observer — a
     /// [`crate::observer::FlightObserver`], a
-    /// [`coolpim_telemetry::MonitorHub`], a [`crate::observer::Heartbeat`],
-    /// or any other [`EpochObserver`]. Observers run in attach order.
+    /// [`crate::observer::Heartbeat`], or any other [`EpochObserver`].
+    /// Observers run in attach order.
     pub fn with_observer(mut self, observer: impl EpochObserver + 'static) -> Self {
         self.observers.push(Box::new(observer));
         self
@@ -296,7 +296,6 @@ impl<S: ThermalSolve> CoSim<S> {
         let fan_power_w = self.cfg.cooling.fan_power_w();
         // Per-vault temperatures for the observers (no per-epoch alloc).
         let mut vault_temps: Vec<f64> = Vec::new();
-        let mut prev_sweeps = self.thermal.solver_stats().sweeps;
 
         self.sys.start(kernel, ctrl, 0);
         let mut horizon = 0;
@@ -360,8 +359,7 @@ impl<S: ThermalSolve> CoSim<S> {
             ctrl.drain_control_events(&mut batch);
             let metrics = &mut self.telemetry.metrics;
             for ev in &batch {
-                // A throttle action: its time and the warning it answers.
-                let action = match ev {
+                match ev {
                     TelemetryEvent::ThermalWarningRaised {
                         t_ps, warning_id, ..
                     } => {
@@ -372,46 +370,29 @@ impl<S: ThermalSolve> CoSim<S> {
                                 t.flow_start("thermal_warning", *warning_id)
                             });
                         }
-                        None
                     }
                     TelemetryEvent::ThermalWarningCleared { .. } => {
                         metrics.count("thermal_warnings_cleared", 1);
-                        None
                     }
                     TelemetryEvent::ThermalWarningDelivered { .. } => {
                         metrics.count("thermal_warnings_accepted", 1);
-                        None
                     }
-                    TelemetryEvent::TokenPoolResize {
-                        t_ps,
-                        new,
-                        trigger,
-                        warning_id,
-                        ..
-                    } => {
+                    TelemetryEvent::TokenPoolResize { new, trigger, .. } => {
                         metrics.gauge("token_pool_size", *new as f64);
-                        (*trigger == "thermal_warning").then(|| {
+                        if *trigger == "thermal_warning" {
                             metrics.count("token_pool_shrinks", 1);
-                            (*t_ps, *warning_id)
-                        })
+                        }
                     }
-                    TelemetryEvent::WarpCapUpdate {
-                        t_ps,
-                        new_slots,
-                        warning_id,
-                        ..
-                    } => {
+                    TelemetryEvent::WarpCapUpdate { new_slots, .. } => {
                         metrics.count("warp_cap_updates", 1);
                         metrics.gauge("warp_cap_slots", *new_slots as f64);
-                        Some((*t_ps, *warning_id))
                     }
                     TelemetryEvent::Shutdown { .. } => {
                         metrics.count("shutdowns", 1);
-                        None
                     }
-                    _ => None,
-                };
-                if let Some((t_ps, warning_id)) = action {
+                    _ => {}
+                }
+                if let Some((t_ps, warning_id)) = ev.throttle_action() {
                     throttle_steps += 1;
                     if let Some(id) = warning_id {
                         if let Some(t) = self.sim_trace.as_mut() {
@@ -439,7 +420,6 @@ impl<S: ThermalSolve> CoSim<S> {
 
             if !self.observers.is_empty() {
                 self.thermal.vault_peak_dram_temps_into(&mut vault_temps);
-                let sweeps = self.thermal.solver_stats().sweeps;
                 let view = EpochView {
                     epoch: epoch_idx,
                     t_ps: now,
@@ -447,16 +427,12 @@ impl<S: ThermalSolve> CoSim<S> {
                     readout,
                     phase,
                     window: &window,
-                    window_s: dur_s,
                     vault_peak_dram_c: &vault_temps,
-                    solver_sweeps: sweeps.saturating_sub(prev_sweeps),
-                    last_warning_id: raised_at.last().map_or(0, |(id, _)| *id),
                     events: &batch,
                     metrics: &self.telemetry.metrics,
                     hmc: self.sys.hmc(),
                     cfg: &self.cfg,
                 };
-                prev_sweeps = sweeps;
                 for obs in &mut self.observers {
                     span(&mut self.sim_trace, obs.name(), || {
                         obs.on_epoch(&view, &mut observed)
@@ -607,7 +583,6 @@ mod tests {
     use coolpim_gpu::GpuConfig;
     use coolpim_graph::generate::GraphSpec;
     use coolpim_graph::workloads::{make_kernel, Workload};
-    use coolpim_telemetry::MonitorHub;
 
     fn tiny_cosim(policy: Policy) -> CoSim {
         let mut hmc = Hmc::hmc20();
@@ -684,7 +659,7 @@ mod tests {
         // tracer.
         let r = tiny_cosim(Policy::NaiveOffloading)
             .with_observer(FlightObserver::new(FlightConfig::default()))
-            .with_observer(MonitorHub::new())
+            .with_observer(Heartbeat::every(30.0))
             .run(k.as_mut());
         assert_eq!(r.telemetry_overhead_pct, 0.0);
         assert_eq!(r.metrics.gauge("telemetry_overhead_pct"), Some(0.0));
@@ -751,34 +726,19 @@ mod tests {
     }
 
     #[test]
-    fn observers_are_timed_and_the_monitor_reports_done() {
-        use coolpim_telemetry::StatusSnapshot;
-
+    fn observers_are_timed_under_their_own_spans() {
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
-        let hub = MonitorHub::new();
-        hub.begin_run("dc+CoolPIM(SW)", "cafef00d");
         let tracer = Tracer::new();
         let r = tiny_cosim(Policy::CoolPimSw)
             .with_tracer(&tracer)
             .with_observer(FlightObserver::new(FlightConfig::default()))
-            .with_observer(hub.clone())
+            .with_observer(Heartbeat::every(30.0))
             .run(k.as_mut());
-        assert!(hub.is_done(), "CoSim must mark the hub done at run end");
-        let status = StatusSnapshot::from_json(&hub.status_json()).expect("status parses");
-        assert_eq!(status.run_id, "dc+CoolPIM(SW)");
-        assert_eq!(status.config_hash, "cafef00d");
-        assert_eq!(status.epoch as usize, r.timeline.len());
-        assert!(status.done);
-        assert!(status.peak_dram_c > 20.0);
-        // The live series saw every epoch at tier 0 (short run < ring).
-        let (t_ps, peak) = hub.latest("peak_dram_c").expect("series sampled");
-        assert!(t_ps > 0);
-        assert!((peak - r.timeline.last().unwrap().peak_dram_c).abs() < 1e-9);
         // Each observer runs once per epoch under its own span, and the
         // spans count into the overhead figure.
         let tree = tracer.profile();
-        for path in ["epoch/flight_recorder", "epoch/monitor"] {
+        for path in ["epoch/flight_recorder", "epoch/heartbeat"] {
             let calls = tree
                 .flatten()
                 .into_iter()
@@ -791,10 +751,6 @@ mod tests {
             "overhead {} %",
             r.telemetry_overhead_pct
         );
-        // The mirrored registry reached the hub's exposition.
-        let page = hub.metrics_text();
-        coolpim_telemetry::validate_exposition(&page).expect("hub metrics validate");
-        assert!(page.contains("coolpim_epochs_total"));
     }
 
     #[test]

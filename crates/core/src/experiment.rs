@@ -130,13 +130,10 @@ pub fn run_matrix(
 /// * `|s| s.with_tracer(t)` adds every cell's own `sim`/`gpu`/`hmc`
 ///   tracks to `t` (see [`CoSim::with_tracer`]), so [`Tracer::profile`]
 ///   folds one span tree over the whole matrix;
-/// * `|s| s.with_tracer(&Tracer::new()).with_observer(hub.clone())`
-///   publishes every cell's epochs into a
-///   [`MonitorHub`](coolpim_telemetry::MonitorHub), each cell reporting
-///   its own `telemetry_overhead_pct`. The cells run concurrently, so
-///   the hub shows an interleaved view of whichever runs are in flight;
-///   the caller stamps the run identity with `begin_run` and declares
-///   the cell count with `expect_runs` before the matrix starts.
+/// * `|s| s.with_observer(Heartbeat::every(5.0))` gives every cell its
+///   own [`Heartbeat`](crate::observer::Heartbeat) (any
+///   [`EpochObserver`](crate::observer::EpochObserver) attaches the
+///   same way).
 pub fn run_matrix_with(
     graph: &Csr,
     workloads: &[Workload],

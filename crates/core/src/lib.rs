@@ -15,7 +15,7 @@
 //! * [`policy`] — the four evaluated system configurations,
 //! * [`cosim`] — the timing ⟷ thermal co-simulation driver,
 //! * [`observer`] — per-epoch observers of its loop (flight recorder,
-//!   live monitor, heartbeat),
+//!   heartbeat),
 //! * [`experiment`] — the parallel experiment harness behind the
 //!   evaluation figures,
 //! * [`multi_level`] — the paper's multi-error-state extension

@@ -3,13 +3,11 @@
 //! The loop calls every attached [`EpochObserver`] once per thermal
 //! epoch, after the physics step and the event fold, with one shared
 //! [`EpochView`] — the per-vault temperature reduction is done once for
-//! all of them. Three observers ship here:
+//! all of them. Two observers ship here:
 //!
 //! * [`FlightObserver`] — the spatial flight recorder (see
 //!   [`coolpim_telemetry::flight`]): per-vault frames into a fixed ring,
 //!   post-mortem bundles on thermal anomalies;
-//! * [`MonitorHub`] — publishes one [`EpochObservation`] per epoch to a
-//!   live monitor;
 //! * [`Heartbeat`] — a one-line stderr progress summary plus a
 //!   [`TelemetryEvent::Heartbeat`] every few wall seconds.
 
@@ -18,7 +16,7 @@ use std::path::PathBuf;
 use coolpim_hmc::stats::StatsWindow;
 use coolpim_hmc::{Hmc, Ps, TempPhase};
 use coolpim_telemetry::flight::{FlightRecorder, PostmortemBundle};
-use coolpim_telemetry::{EpochObservation, MetricsRegistry, MonitorHub, TelemetryEvent};
+use coolpim_telemetry::{MetricsRegistry, TelemetryEvent};
 use coolpim_thermal::ThermalReadout;
 
 use crate::cosim::{CoSimConfig, CoSimResult};
@@ -37,14 +35,8 @@ pub struct EpochView<'a> {
     pub phase: TempPhase,
     /// The cube's activity window for this epoch.
     pub window: &'a StatsWindow,
-    /// Length of the window (s).
-    pub window_s: f64,
     /// Peak DRAM temperature per vault (°C).
     pub vault_peak_dram_c: &'a [f64],
-    /// Thermal-solver sweeps spent in this epoch.
-    pub solver_sweeps: u64,
-    /// Id of the latest thermal warning raised so far (0 before any).
-    pub last_warning_id: u64,
     /// This epoch's events, already folded into `metrics`, not yet
     /// emitted.
     pub events: &'a [TelemetryEvent],
@@ -228,55 +220,6 @@ impl EpochObserver for FlightObserver {
     /// Hands the written bundle paths to the result, in dump order.
     fn finish(&mut self, result: &mut CoSimResult) {
         result.postmortem_dumps.append(&mut self.dumps);
-    }
-}
-
-/// Publishes one [`EpochObservation`] per epoch into the hub (one mutex
-/// lock, ring pushes and a registry `clone_from`), and marks the hub
-/// done when the run finishes.
-impl EpochObserver for MonitorHub {
-    fn name(&self) -> &'static str {
-        "monitor"
-    }
-
-    fn on_epoch(&mut self, v: &EpochView<'_>, _out: &mut Vec<TelemetryEvent>) {
-        let total_wait_ps: u64 = v.window.vault_queue_wait_ps.iter().sum();
-        let total_ops: u64 = v.window.vault_ops.iter().sum();
-        // ETA is an upper bound: wall time to reach the max_sim_time cap
-        // at the observed sim rate (most runs finish earlier when the
-        // kernel retires).
-        let sim_rate = v.t_ps as f64 / v.wall_s.max(1e-9);
-        let eta_s = if sim_rate > 0.0 {
-            v.cfg.max_sim_time.saturating_sub(v.t_ps) as f64 / sim_rate
-        } else {
-            f64::NAN
-        };
-        let obs = EpochObservation {
-            t_ps: v.t_ps,
-            epoch: v.epoch,
-            phase: v.phase.name(),
-            peak_dram_c: v.readout.peak_dram_c,
-            pool_tokens: v.metrics.gauge_value("token_pool_size").unwrap_or(f64::NAN),
-            warp_cap: v.metrics.gauge_value("warp_cap_slots").unwrap_or(f64::NAN),
-            pim_ops_per_s: v.window.pim_ops as f64 / v.window_s,
-            queue_wait_ps: if total_ops > 0 {
-                total_wait_ps as f64 / total_ops as f64
-            } else {
-                0.0
-            },
-            solver_sweeps: v.solver_sweeps as f64,
-            epochs_per_s: v.epochs_per_s(),
-            eta_s,
-            last_warning_id: v.last_warning_id,
-            vault_peak_dram_c: v.vault_peak_dram_c,
-        };
-        self.sample(&obs, v.metrics);
-    }
-
-    /// Tells watchers the run is over (dashboards stop polling; the
-    /// server is stopped by whoever started it).
-    fn finish(&mut self, _result: &mut CoSimResult) {
-        self.mark_done();
     }
 }
 

@@ -75,8 +75,9 @@ pub struct ControlLoopReport {
     pub warnings_raised: u64,
     /// Warnings accepted by the controller for action.
     pub warnings_delivered: u64,
-    /// Throttle actions (token-pool resizes + warp-cap updates) causally
-    /// tied to a warning.
+    /// Throttle actions ([`TelemetryEvent::throttle_action`]: warning
+    /// shrinks of the token pool, warp-cap updates) causally tied to a
+    /// warning.
     pub actions: u64,
     /// Actions carrying a `warning_id` with no matching raise in the
     /// trace — should be zero; nonzero means a truncated or miswired
@@ -252,6 +253,13 @@ pub fn analyze(events: &[TelemetryEvent]) -> ControlLoopReport {
     for ev in events {
         t_first.get_or_insert(ev.t_ps());
         t_last = t_last.max(ev.t_ps());
+        if let Some((t_ps, Some(id))) = ev.throttle_action() {
+            r.actions += 1;
+            match raise_of(&raised_at, id) {
+                Some(t0) => action.record(t_ps.saturating_sub(t0)),
+                None => r.orphan_actions += 1,
+            }
+        }
         match *ev {
             TelemetryEvent::RunInfo {
                 policy,
@@ -275,38 +283,12 @@ pub fn analyze(events: &[TelemetryEvent]) -> ControlLoopReport {
                     delivery.record(t_ps.saturating_sub(t0));
                 }
             }
-            TelemetryEvent::TokenPoolResize {
-                t_ps,
-                old,
-                new,
-                warning_id,
-                ..
-            } => {
-                if old != new {
-                    let sign: i8 = if new > old { 1 } else { -1 };
-                    if last_delta_sign != 0 && sign != last_delta_sign {
-                        r.pool_oscillations += 1;
-                    }
-                    last_delta_sign = sign;
+            TelemetryEvent::TokenPoolResize { old, new, .. } if old != new => {
+                let sign: i8 = if new > old { 1 } else { -1 };
+                if last_delta_sign != 0 && sign != last_delta_sign {
+                    r.pool_oscillations += 1;
                 }
-                if let Some(id) = warning_id {
-                    r.actions += 1;
-                    match raise_of(&raised_at, id) {
-                        Some(t0) => action.record(t_ps.saturating_sub(t0)),
-                        None => r.orphan_actions += 1,
-                    }
-                }
-            }
-            TelemetryEvent::WarpCapUpdate {
-                t_ps,
-                warning_id: Some(id),
-                ..
-            } => {
-                r.actions += 1;
-                match raise_of(&raised_at, id) {
-                    Some(t0) => action.record(t_ps.saturating_sub(t0)),
-                    None => r.orphan_actions += 1,
-                }
+                last_delta_sign = sign;
             }
             TelemetryEvent::PhaseTransition { t_ps, to, .. } => {
                 if to == "Normal" {
@@ -526,6 +508,27 @@ mod tests {
         // one reversal — but the init itself is not an "action".
         assert_eq!(r.actions, 1);
         assert_eq!(r.pool_oscillations, 1);
+    }
+
+    #[test]
+    fn stale_cancelled_resize_is_not_an_action() {
+        let r = analyze(&[
+            TelemetryEvent::ThermalWarningRaised {
+                t_ps: 10,
+                peak_dram_c: 84.5,
+                warning_id: 1,
+            },
+            TelemetryEvent::TokenPoolResize {
+                t_ps: 500,
+                old: 96,
+                new: 96,
+                trigger: "stale_cancelled",
+                warning_id: Some(1),
+            },
+        ]);
+        assert_eq!(r.actions, 0);
+        assert_eq!(r.orphan_actions, 0);
+        assert_eq!(r.action_latency.count, 0);
     }
 
     #[test]

@@ -153,8 +153,7 @@ pub enum TelemetryEvent {
         launch: u64,
     },
     /// A periodic liveness beat from the co-simulation driver
-    /// (`sim --heartbeat`): one line of progress for headless runs and
-    /// the live monitor.
+    /// (`sim --heartbeat`): one line of progress for headless runs.
     Heartbeat {
         /// Simulation time (ps).
         t_ps: u64,
@@ -213,6 +212,27 @@ impl TelemetryEvent {
             TelemetryEvent::FrequencyDerate { warning_id, .. }
             | TelemetryEvent::TokenPoolResize { warning_id, .. }
             | TelemetryEvent::WarpCapUpdate { warning_id, .. } => warning_id,
+            _ => None,
+        }
+    }
+
+    /// `(t_ps, warning_id)` when the event is a throttle action: a
+    /// warning-triggered token-pool shrink (SW-DynT) or a warp-cap update
+    /// (HW-DynT). Neither the `init` sizing nor a `stale_cancelled`
+    /// resize (which leaves the pool unchanged) is an action. The co-sim
+    /// loop's `throttle_steps` and `warning_to_action_ps`, and
+    /// [`crate::analysis::analyze`], all count by this rule.
+    pub fn throttle_action(&self) -> Option<(u64, Option<u64>)> {
+        match *self {
+            TelemetryEvent::TokenPoolResize {
+                t_ps,
+                trigger: "thermal_warning",
+                warning_id,
+                ..
+            }
+            | TelemetryEvent::WarpCapUpdate {
+                t_ps, warning_id, ..
+            } => Some((t_ps, warning_id)),
             _ => None,
         }
     }
@@ -646,6 +666,30 @@ mod tests {
             TelemetryEvent::KernelLaunch { t_ps: 7, launch: 1 }.warning_id(),
             None
         );
+    }
+
+    #[test]
+    fn throttle_actions_are_warning_shrinks_and_cap_updates() {
+        let resize = |trigger| TelemetryEvent::TokenPoolResize {
+            t_ps: 9,
+            old: 8,
+            new: 4,
+            trigger,
+            warning_id: Some(2),
+        };
+        assert_eq!(
+            resize("thermal_warning").throttle_action(),
+            Some((9, Some(2)))
+        );
+        assert_eq!(resize("stale_cancelled").throttle_action(), None);
+        assert_eq!(resize("init").throttle_action(), None);
+        let cap = TelemetryEvent::WarpCapUpdate {
+            t_ps: 5,
+            old_slots: 8,
+            new_slots: 6,
+            warning_id: None,
+        };
+        assert_eq!(cap.throttle_action(), Some((5, None)));
     }
 
     #[test]

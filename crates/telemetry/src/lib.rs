@@ -26,15 +26,6 @@
 //!   per-vault samples ([`FlightRecorder`]) dumped on thermal anomalies
 //!   as versioned post-mortem bundles ([`PostmortemBundle`]) with
 //!   SM → vault PIM attribution;
-//! * [`timeseries`] — in-run history at bounded memory: fixed-capacity
-//!   ring tiers, 2x-decimated per tier ([`TimeSeries`], [`SeriesSet`]),
-//!   no allocation on the per-epoch push path;
-//! * [`expo`] — the monitor wire formats: Prometheus text exposition
-//!   ([`PromWriter`], [`validate_exposition`]) and the flat-JSON
-//!   `/status` payload ([`StatusSnapshot`]);
-//! * [`monitor`] — the live monitor itself: the [`MonitorHub`] snapshot
-//!   bridge and the one-thread in-tree HTTP [`MonitorServer`]
-//!   (`/metrics`, `/status`, `/series`, `/healthz`);
 //! * [`stats`] — robust cross-run statistics for replicated runs:
 //!   median/MAD summaries with bootstrap CIs ([`summarize`]), two-sample
 //!   permutation tests and effect sizes ([`drift`]), and change-point
@@ -66,29 +57,23 @@
 
 pub mod analysis;
 pub mod event;
-pub mod expo;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod monitor;
 pub mod sink;
 pub mod stats;
-pub mod timeseries;
 pub mod tolerance;
 pub mod tracer;
 
 pub use analysis::{ControlLoopReport, LatencyStats};
 pub use event::TelemetryEvent;
-pub use expo::{validate_exposition, ExpoSummary, PromWriter, StatusSnapshot};
 pub use flight::{FlightFrame, FlightRecorder, PostmortemBundle, VaultSample};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
-pub use monitor::{EpochObservation, MonitorHub, MonitorServer};
 pub use sink::{EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink};
 pub use stats::{
     bootstrap_ci, change_points, drift, effect_size, median, noise_sigma, permutation_p, summarize,
     Drift, StatsRng, Summary,
 };
-pub use timeseries::{Agg, SeriesSet, TimeSeries};
 pub use tolerance::Tolerance;
 pub use tracer::{
     validate_trace_json, ProfileNode, SpanToken, TraceProfile, TraceSummary, TraceTrack, Tracer,

@@ -129,8 +129,7 @@ impl Histogram {
     }
 
     /// Raw per-bucket counts (bucket `i` covers `[2^(i-1), 2^i)`, bucket
-    /// 0 holds zero) — the exposition layer renders these as cumulative
-    /// `le`-buckets.
+    /// 0 holds zero).
     pub fn bucket_counts(&self) -> &[u64; HIST_BUCKETS] {
         &self.buckets
     }
@@ -138,18 +137,6 @@ impl Histogram {
     /// Sum of all samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Inclusive upper bound of bucket `i`: `0` for bucket 0, otherwise
-    /// `2^i - 1` (the largest value with `i` significant bits).
-    pub fn bucket_upper_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
     }
 
     /// A cloneable summary for snapshots.
@@ -538,24 +525,6 @@ mod tests {
         h.record(42);
         assert_eq!(h.min(), 42);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn bucket_upper_bounds_bracket_samples() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 7, 8, 1_000_000] {
-            h.record(v);
-        }
-        // Bucket counts sum to the sample count; bounds grow monotonic.
-        let seen: u64 = h.bucket_counts().iter().sum();
-        assert_eq!(seen, h.count());
-        for i in 1..HIST_BUCKETS {
-            assert!(Histogram::bucket_upper_bound(i) > Histogram::bucket_upper_bound(i - 1));
-        }
-        assert_eq!(Histogram::bucket_upper_bound(0), 0);
-        assert_eq!(Histogram::bucket_upper_bound(1), 1);
-        assert_eq!(Histogram::bucket_upper_bound(4), 15);
-        assert_eq!(Histogram::bucket_upper_bound(64), u64::MAX);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   `ThermalWarningRaised` `warning_id` to its downstream throttle
 //!   spans as Chrome `s`/`f` flow arrows;
 //! * [`Tracer::to_chrome_json`] exports the whole run,
-//!   [`validate_trace_json`] checks an exported file in-tree (mirroring
-//!   [`crate::expo::validate_exposition`]), and [`Tracer::profile`]
-//!   folds the span forest into a hierarchical self/total-time tree
-//!   ([`TraceProfile`]) with critical-path extraction.
+//!   [`validate_trace_json`] checks an exported file in-tree, and
+//!   [`Tracer::profile`] folds the span forest into a hierarchical
+//!   self/total-time tree ([`TraceProfile`]) with critical-path
+//!   extraction.
 //!
 //! Every tracer operation measures its own wall cost; the accumulated
 //! self time ([`Tracer::self_s`], [`TraceTrack::self_s`]) feeds the
@@ -675,7 +675,7 @@ fn to_nodes(children: &BTreeMap<&'static str, Agg>) -> Vec<ProfileNode> {
 }
 
 // ---------------------------------------------------------------------
-// Trace-file validation (mirrors `expo::validate_exposition`)
+// Trace-file validation
 // ---------------------------------------------------------------------
 
 /// A parsed JSON value — the one place in the workspace that needs
@@ -921,11 +921,10 @@ pub struct TraceSummary {
     pub flow_matched: usize,
 }
 
-/// Validates a Chrome trace-event JSON document the way
-/// [`crate::expo::validate_exposition`] validates Prometheus text:
-/// structural parse, required fields per phase (`X`/`C`/`s`/`f`/`M`),
-/// per-track slice containment (spans must strictly nest), flow
-/// endpoints inside a slice on their track, and start/finish pairing.
+/// Validates a Chrome trace-event JSON document: structural parse,
+/// required fields per phase (`X`/`C`/`s`/`f`/`M`), per-track slice
+/// containment (spans must strictly nest), flow endpoints inside a
+/// slice on their track, and start/finish pairing.
 /// Returns a [`TraceSummary`] on success.
 pub fn validate_trace_json(text: &str) -> Result<TraceSummary, String> {
     let doc = parse_json(text)?;

@@ -38,25 +38,6 @@ fn raises(events: &[TelemetryEvent]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// (action time, warning_id) of every causally-stamped throttle action.
-fn actions(events: &[TelemetryEvent]) -> Vec<(u64, Option<u64>)> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            TelemetryEvent::TokenPoolResize {
-                t_ps,
-                trigger: "thermal_warning",
-                warning_id,
-                ..
-            } => Some((t_ps, warning_id)),
-            TelemetryEvent::WarpCapUpdate {
-                t_ps, warning_id, ..
-            } => Some((t_ps, warning_id)),
-            _ => None,
-        })
-        .collect()
-}
-
 fn assert_chain_is_causal(policy: Policy) -> Vec<TelemetryEvent> {
     let events = recorded_run(policy);
     let raised = raises(&events);
@@ -70,7 +51,7 @@ fn assert_chain_is_causal(policy: Policy) -> Vec<TelemetryEvent> {
         assert_eq!(*id, i as u64 + 1, "{}: non-monotonic ids", policy.name());
     }
 
-    let acts = actions(&events);
+    let acts: Vec<_> = events.iter().filter_map(|e| e.throttle_action()).collect();
     assert!(
         !acts.is_empty(),
         "{}: expected at least one throttle action",

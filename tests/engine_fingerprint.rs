@@ -9,7 +9,7 @@ use coolpim::core::cosim::{CoSim, CoSimConfig};
 use coolpim::gpu::controller::OffloadController;
 use coolpim::gpu::RunOutcome;
 use coolpim::prelude::*;
-use coolpim::telemetry::{MetricsSnapshot, MonitorHub, Tracer};
+use coolpim::telemetry::{MetricsSnapshot, Tracer};
 
 const SSSP_DWC_SW: &str = "GpuStats { instructions: 208902, loads: 119472, stores: 0, pim_lane_ops: 278420, host_lane_ops: 16011, pim_blocks: 3477, non_pim_blocks: 283, launches: 12, warnings_seen: 334579, end_ps: 498442442 } StatsTotals { reads: 151681, writes: 14744, pim_ops: 278420, flits: 2112230 } exec_s=3f40553cfe60c6b8";
 const PAGERANK_NAIVE_PASSIVE: &str = "GpuStats { instructions: 314058, loads: 134847, stores: 0, pim_lane_ops: 391026, host_lane_ops: 0, pim_blocks: 6144, non_pim_blocks: 0, launches: 3, warnings_seen: 260934, end_ps: 285405581 } StatsTotals { reads: 30588, writes: 0, pim_ops: 391026, flits: 1356606 } exec_s=3f32b44fa2f110f5";
@@ -20,7 +20,7 @@ const BFS_TA_SHORT_HORIZONS: &str = "GpuStats { instructions: 152397, loads: 535
 /// a 40 °C warning threshold so the throttling loop engages and host
 /// atomics (dirty L2 lines, hence writebacks) mix with PIM traffic.
 /// `instrumented` attaches every instrument at once: a tracer, the flight
-/// recorder, a monitor hub, a heartbeat and a recording sink. Returns the
+/// recorder, a heartbeat and a recording sink. Returns the
 /// cell's fingerprint, its peak DRAM temperature and its metrics.
 fn cosim_print(
     w: Workload,
@@ -44,7 +44,6 @@ fn cosim_print(
             .with_tracer(&tracer)
             .with_telemetry(Telemetry::with_sink(Box::new(sink)))
             .with_observer(FlightObserver::new(FlightConfig::default()))
-            .with_observer(MonitorHub::new())
             .with_observer(Heartbeat::every(60.0));
     }
     let r = sim.run(k.as_mut());
