@@ -1,7 +1,7 @@
 //! `obs` — the cross-run statistical observatory CLI.
 //!
 //! ```text
-//! obs report [--runs DIR]... [--bench FILE]... [--md PATH]
+//! obs report [--runs DIR]... [--md PATH]
 //! obs gate SET CURRENT [--baseline FILE] [--md PATH]
 //!          [--inflate METRIC=FACTOR] [--expect-regression]
 //! ```
@@ -11,18 +11,15 @@
 //! groups records by configuration hash, and renders each group's
 //! longitudinal history: per-metric sparkline, first/last values,
 //! detected change-points, and a noise-vs-signal classification.
-//! `--bench FILE` (repeatable, ordered) adds an explicit trajectory
-//! group for the committed `BENCH_*.json` history, which legitimately
-//! changes config hash as the suite gains sections. With no arguments
-//! it reads `results/runs/` and any committed `BENCH_*.json` in the
-//! working directory. The terminal dashboard always prints; `--md`
-//! additionally writes the Markdown report artifact.
+//! With no `--runs` it reads `results/runs/`. The terminal dashboard
+//! always prints; `--md` additionally writes the Markdown report
+//! artifact.
 //!
 //! **`obs gate`** is the one regression gate: it checks CURRENT
 //! against the named gate set (see `coolpim_bench::gate`, which holds
-//! every threshold). `run`, `profile`, `overhead`, `bench-trend` and
-//! `replay` read a run record; `trace` reads a `sim --trace-timeline`
-//! Chrome timeline; `control-loop` reads `analyze --json` reports.
+//! every threshold). `run`, `profile` and `overhead` read a run
+//! record; `trace` reads a `sim --trace-timeline` Chrome timeline;
+//! `control-loop` reads `analyze --json` reports.
 //! `run` and `profile` compare against `--baseline`; with replicated
 //! records on both sides a band excursion must also be statistically
 //! significant to fail. `--md` additionally writes the table as
@@ -37,15 +34,13 @@
 use std::path::{Path, PathBuf};
 
 use coolpim_bench::gate::{self, inflate, Report, SETS};
-use coolpim_bench::obs::{
-    group_by_config, render_markdown, render_terminal, scan_records, trajectory_group,
-};
+use coolpim_bench::obs::{group_by_config, render_markdown, render_terminal, scan_records};
 use coolpim_bench::runrec::RunRecord;
 
 fn usage() -> ! {
     let sets: Vec<&str> = SETS.iter().map(|s| s.name).collect();
     eprintln!(
-        "usage: obs report [--runs DIR]... [--bench FILE]... [--md PATH]\n\
+        "usage: obs report [--runs DIR]... [--md PATH]\n\
          \x20      obs gate SET CURRENT [--baseline FILE] [--md PATH]\n\
          \x20              [--inflate METRIC=FACTOR] [--expect-regression]\n\
          sets: {}",
@@ -70,41 +65,26 @@ fn take(argv: &[String], i: &mut usize) -> String {
 
 fn report(argv: &[String]) {
     let mut runs: Vec<PathBuf> = Vec::new();
-    let mut bench: Vec<PathBuf> = Vec::new();
     let mut md: Option<String> = None;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--runs" => runs.push(take(argv, &mut i).into()),
-            "--bench" => bench.push(take(argv, &mut i).into()),
             "--md" => md = Some(take(argv, &mut i)),
             _ => usage(),
         }
         i += 1;
     }
-    // Default sources: the conventional run store plus any committed
-    // bench trajectory in the working directory.
-    if runs.is_empty() && bench.is_empty() {
+    // Default source: the conventional run store.
+    if runs.is_empty() {
         let store = Path::new("results/runs");
         if store.is_dir() {
             runs.push(store.to_path_buf());
         }
-        for n in 1..100u32 {
-            let p = PathBuf::from(format!("BENCH_{n}.json"));
-            if p.is_file() {
-                bench.push(p);
-            }
-        }
     }
 
-    let (records, mut warnings) = scan_records(&runs);
-    let mut groups = group_by_config(records);
-    if !bench.is_empty() {
-        match trajectory_group("bench trajectory", &bench) {
-            Ok(g) => groups.push(g),
-            Err(e) => warnings.push(e),
-        }
-    }
+    let (records, warnings) = scan_records(&runs);
+    let groups = group_by_config(records);
 
     print!("{}", render_terminal(&groups, &warnings));
     if let Some(path) = md {

@@ -35,7 +35,8 @@
 //! whenever a thermal warning, phase change, or overshoot episode
 //! fires — inspect bundles with the `postmortem` bin.
 //! `--trace-rotate-mb MB` caps the `--trace` file by rotating it into
-//! numbered parts, keeping only the newest few.
+//! numbered parts, keeping only the newest few; without `--trace` it
+//! exits 2.
 //!
 //! `--trace-timeline FILE` records a hierarchical trace timeline of the
 //! run — nested epoch/thermal/scheduling spans on per-component tracks,
@@ -66,8 +67,8 @@
 //! replay` oracle proves it). `--matrix` fans the run out across a
 //! fixed 8-cell (policy × cooling × threshold) sweep on the worker
 //! pool; combined with `--replay` the cells share one immutable trace
-//! (`Arc`), which is the "record once, replay everywhere" sweep —
-//! BENCH_7 measures it ≥5x faster than live per-cell regeneration.
+//! (`Arc`), which is the "record once, replay everywhere" sweep that
+//! simbench's `replay-sweep` workload times.
 //! The matrix writes no run record, so it also refuses `--metrics-out`
 //! and `--run-record`.
 //!
@@ -473,8 +474,8 @@ fn load_replay_trace(path: &str) -> Arc<WorkloadTrace> {
 
 /// `--matrix`: fan one workload stream across the 8-cell sweep. With
 /// `--replay` every cell clones one shared `Arc`'d trace; without it
-/// each cell regenerates graph + kernel (the honest live baseline the
-/// BENCH_7 replay-speedup ratio is measured against).
+/// each cell regenerates graph + kernel (the honest live baseline a
+/// replayed sweep is compared with).
 fn run_matrix_mode(args: &Args) {
     reject_per_run_flags(args, "--matrix", false);
     let cfg = cosim_config(args);
@@ -554,6 +555,10 @@ fn main() {
     if args.matrix {
         run_matrix_mode(&args);
         return;
+    }
+    if args.trace_rotate_mb.is_some() && args.trace.is_none() {
+        eprintln!("--trace-rotate-mb caps the --trace file; give --trace too");
+        std::process::exit(2);
     }
     let replay_trace = args.replay.as_deref().map(load_replay_trace);
     // Replay skips graph generation and kernel construction entirely —

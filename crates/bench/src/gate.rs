@@ -132,26 +132,6 @@ pub const PROFILE: &[Gate] = &[
 /// self-cost.
 pub const OVERHEAD: &[Gate] = &[Gate::max("telemetry_overhead_pct", 3.0)];
 
-/// `bench-trend`: ceilings on the `bench` suite record. The sweep ratio
-/// against the reference solver is the firm gate: 0.67 encodes the
-/// "≥ 1.5× fewer Gauss–Seidel sweeps" claim with headroom over the
-/// measured 0.14. Wall-clock ceilings sit about 10× above the measured
-/// medians, so they only catch order-of-magnitude regressions. The
-/// replayed sweep must stay ≥ 5× faster than live regeneration; both
-/// sides are timed in one process, so runner noise largely cancels.
-pub const BENCH_TREND: &[Gate] = &[
-    Gate::max("solver.new_over_legacy_sweeps", 0.67),
-    Gate::max("solver.new_over_legacy_wall", 0.77),
-    Gate::max("solver.max_temp_dev_c", 0.1),
-    Gate::max("thermal.step_100us_s", 0.05),
-    Gate::max("cosim.epoch_s", 0.1),
-    Gate::max("replay.replay_over_live_wall", 0.2),
-];
-
-/// `replay`: the committed BENCH_7 headline, replay ≥ 5× faster than
-/// live.
-pub const REPLAY: &[Gate] = &[Gate::max("replay.replay_over_live_wall", 0.2)];
-
 /// `trace`: a Chrome timeline must nest spans ≥ 3 deep on ≥ 2 tracks
 /// and carry ≥ 1 matched warning→throttle flow.
 pub const TRACE: &[Gate] = &[
@@ -174,7 +154,7 @@ pub const CONTROL_LOOP: &[Gate] = &[
 /// What a gate set reads as its CURRENT file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Input {
-    /// A run record (`sim --metrics-out`, `bench --out`, `BENCH_*.json`).
+    /// A run record (`sim --metrics-out`, `sim --run-record`).
     Record,
     /// A Chrome trace timeline (`sim --trace-timeline`).
     Timeline,
@@ -229,16 +209,6 @@ pub const SETS: &[GateSet] = &[
         name: "overhead",
         input: Input::Record,
         gates: OVERHEAD,
-    },
-    GateSet {
-        name: "bench-trend",
-        input: Input::Record,
-        gates: BENCH_TREND,
-    },
-    GateSet {
-        name: "replay",
-        input: Input::Record,
-        gates: REPLAY,
     },
     GateSet {
         name: "trace",
@@ -950,7 +920,6 @@ mod tests {
             ("profile", "results/baselines/profile_quick.json"),
             ("run", "results/baselines/stat_quick_a.json"),
             ("run", "results/baselines/stat_quick_b.json"),
-            ("replay", "BENCH_7.json"),
         ] {
             let gs = set(set_name).unwrap();
             let (rec, _) = gs.load(&root.join(file)).expect(file);

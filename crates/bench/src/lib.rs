@@ -3,9 +3,8 @@
 //! Reproduction harness: every table, figure and ablation of the CoolPIM
 //! paper this repository reproduces, in one registry ([`repro`], driven
 //! by the `repro` binary), the drivers around the co-simulator (`sim`,
-//! `analyze`, `obs`, `postmortem`, `bench` in `src/bin/`), and
-//! wall-clock micro-benchmarks of the substrates (`benches/`, driven by
-//! the in-tree [`harness`]).
+//! `analyze`, `obs`, `postmortem` in `src/bin/`), and the regression
+//! gates they feed ([`gate`]).
 //!
 //! The graph-based artifacts share one [`repro::EvalGraph`], built at most
 //! once per process at the scale set by the `COOLPIM_SCALE` environment
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod gate;
-pub mod harness;
 pub mod heatmap;
 pub mod obs;
 pub mod replicate;
@@ -30,6 +28,5 @@ pub mod repro;
 pub mod runrec;
 
 pub use gate::{Gate, SETS};
-pub use harness::{Runner, Stats};
 pub use replicate::{fold_replicates, Distribution};
 pub use runrec::{RunRecord, RUN_RECORD_SCHEMA_VERSION};

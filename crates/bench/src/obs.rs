@@ -1,6 +1,6 @@
 //! The cross-run statistical observatory behind `obs report`:
-//! longitudinal reading of the run-record store and the committed
-//! `BENCH_*.json` trajectory. (`obs gate` lives in `crate::gate`.)
+//! longitudinal reading of the run-record store. (`obs gate` lives in
+//! `crate::gate`.)
 //!
 //! Two layers:
 //!
@@ -95,25 +95,6 @@ pub fn group_by_config(records: Vec<ScannedRecord>) -> Vec<ConfigGroup> {
         }
     }
     groups
-}
-
-/// Builds an explicit trajectory group from named files in the given
-/// order (the committed `BENCH_5.json` → `BENCH_6.json` history, where
-/// the config hash legitimately moves as the bench gains sections —
-/// the group keeps file order, not hash identity).
-pub fn trajectory_group(name: &str, files: &[PathBuf]) -> Result<ConfigGroup, String> {
-    let mut records = Vec::new();
-    for path in files {
-        records.push(ScannedRecord {
-            path: path.clone(),
-            rec: RunRecord::load(path)?,
-        });
-    }
-    Ok(ConfigGroup {
-        config_hash: records.first().map_or(0, |r| r.rec.config_hash),
-        name: name.to_string(),
-        records,
-    })
 }
 
 // ---------------------------------------------------------------------

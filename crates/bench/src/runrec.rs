@@ -1,7 +1,7 @@
 //! Versioned per-run records.
 //!
-//! Every driver (`sim`, `repro eval_all`, the wall-clock harness) can append a
-//! snapshot of one run — config hash, headline metrics, telemetry
+//! `sim` and `repro eval_all` can append a snapshot of one run —
+//! config hash, headline metrics, telemetry
 //! counters/gauges/histogram summaries, and the wall-clock profile — to
 //! `results/runs/*.json` as one flat JSON object. `obs gate` checks
 //! such a record against a named baseline and the ceilings of a gate

@@ -2,10 +2,12 @@
 //! `sim --seed-list` replicate runner, the `obs gate` noise-aware
 //! regression gate (pass on an unchanged tree, non-zero with a named
 //! metric + effect size on an inflated one), and the `obs report`
-//! longitudinal view of the committed bench trajectory.
+//! longitudinal view of a run-record store.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use coolpim_bench::runrec::RunRecord;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
@@ -34,7 +36,7 @@ fn run_replicated_sim(out: &Path) {
 }
 
 #[test]
-fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
+fn gate_passes_unchanged_and_fails_inflated() {
     let dir = tmpdir("gate");
     let a = dir.join("a.json");
     let b = dir.join("b.json");
@@ -114,44 +116,41 @@ fn gate_passes_unchanged_fails_inflated_and_report_reads_trajectory() {
 }
 
 #[test]
-fn report_names_every_metric_trend_across_the_committed_bench_trajectory() {
-    // The committed BENCH_5 → BENCH_6 history at the repo root.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let b5 = root.join("BENCH_5.json");
-    let b6 = root.join("BENCH_6.json");
-    assert!(
-        b5.is_file() && b6.is_file(),
-        "committed bench records missing"
-    );
-
+fn report_names_every_metric_trend_across_a_run_store() {
+    // Two captures of one configuration: same config hash, so the
+    // report folds them into one group's history.
     let dir = tmpdir("report");
+    let runs = dir.join("runs");
+    let metrics = ["exec_s", "max_peak_dram_c", "throttle_steps"];
+    for (i, factor) in [1.0, 1.25].into_iter().enumerate() {
+        let mut rec = RunRecord::new("dc-coolpim-sw", "workload=dc policy=coolpim-sw");
+        rec.unix_time_s = 1_000 + i as u64;
+        for (k, m) in metrics.iter().enumerate() {
+            rec.push(m, factor * (k + 1) as f64);
+        }
+        rec.write_to(&runs.join(format!("run{i}.json")))
+            .expect("write record");
+    }
+
     let md_path = dir.join("observatory.md");
     let out = Command::new(env!("CARGO_BIN_EXE_obs"))
         .arg("report")
-        .arg("--bench")
-        .arg(&b5)
-        .arg("--bench")
-        .arg(&b6)
+        .arg("--runs")
+        .arg(&runs)
         .arg("--md")
         .arg(&md_path)
         .output()
         .expect("spawn obs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("bench trajectory"), "{stdout}");
+    assert!(
+        stdout.contains("dc-coolpim-sw") && stdout.contains("2 record(s)"),
+        "{stdout}"
+    );
 
-    // Every metric of the union of both records must appear with a
-    // trend classification.
-    let both = std::fs::read_to_string(&b5).unwrap() + &std::fs::read_to_string(&b6).unwrap();
-    for metric in [
-        "solver.new_sweeps",
-        "cosim.run_dc_medium_s",
-        "graph.generate_s",
-    ] {
-        assert!(
-            both.contains(metric),
-            "fixture drifted: {metric} not in records"
-        );
+    // Every metric of the records must appear with a trend
+    // classification.
+    for metric in metrics {
         let line = stdout
             .lines()
             .find(|l| l.starts_with(metric))
@@ -164,9 +163,13 @@ fn report_names_every_metric_trend_across_the_committed_bench_trajectory() {
 
     let md = std::fs::read_to_string(&md_path).expect("markdown written");
     assert!(md.contains("# Cross-run observatory"));
-    assert!(
-        md.contains("| `solver.new_sweeps` |"),
-        "markdown lacks metric rows"
-    );
+    assert!(md.contains("| `exec_s` |"), "markdown lacks metric rows");
+
+    // `report` reads run stores only; any other flag is a usage error.
+    let out = Command::new(env!("CARGO_BIN_EXE_obs"))
+        .args(["report", "--bench", "x.json"])
+        .output()
+        .expect("spawn obs");
+    assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }

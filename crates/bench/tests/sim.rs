@@ -1,7 +1,8 @@
 //! `sim` at its command line: scales outside the accepted range and
 //! non-finite warning thresholds are usage errors, the sweep modes refuse
-//! the per-run flags they would ignore, and a live run's record times
-//! its setup.
+//! the per-run flags they would ignore, a single run refuses a trace
+//! rotation budget without a trace, and a live run's record times its
+//! setup.
 
 use std::process::Command;
 
@@ -91,6 +92,14 @@ fn sweep_modes_refuse_the_per_run_flags_they_would_ignore() {
     assert_usage_error(
         &["--seed-list", "1,2", "--profile", "--heartbeat", "1"],
         "per-run flag(s) --profile --heartbeat;",
+    );
+}
+
+#[test]
+fn a_single_run_refuses_a_rotation_budget_without_a_trace() {
+    assert_usage_error(
+        &["--scale", "10", "--trace-rotate-mb", "8"],
+        "--trace-rotate-mb caps the --trace file; give --trace too",
     );
 }
 

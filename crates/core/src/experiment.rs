@@ -225,10 +225,10 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// The fixed 8-cell (policy × cooling × threshold) sweep shared by
-    /// `sim --matrix` and the BENCH_7 replay benchmark: both CoolPIM
-    /// policies, commodity vs high-end cooling, the base warning
-    /// threshold and one 5 °C tighter.
+    /// The fixed 8-cell (policy × cooling × threshold) sweep of
+    /// `sim --matrix`, live or replayed: both CoolPIM policies,
+    /// commodity vs high-end cooling, the base warning threshold and one
+    /// 5 °C tighter.
     pub fn matrix8(base_threshold_c: f64) -> Vec<SweepCell> {
         use coolpim_thermal::cooling::Cooling;
         let mut cells = Vec::new();

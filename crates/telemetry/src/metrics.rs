@@ -249,21 +249,6 @@ impl MetricsRegistry {
             .map(|(_, v)| *v)
     }
 
-    /// Iterates `(name, total)` over the registered counters.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().copied()
-    }
-
-    /// Iterates `(name, value)` over the registered gauges.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().copied()
-    }
-
-    /// Iterates `(name, histogram)` over the registered histograms.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(n, h)| (*n, h))
-    }
-
     /// Drains the registry into a cloneable snapshot, resetting it.
     pub fn take_snapshot(&mut self) -> MetricsSnapshot {
         let reg = std::mem::take(self);
@@ -525,21 +510,6 @@ mod tests {
         h.record(42);
         assert_eq!(h.min(), 42);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn registry_iterators_expose_all_metrics() {
-        let mut m = MetricsRegistry::new();
-        m.count("a", 2);
-        m.count("b", 3);
-        m.gauge("g", 1.5);
-        m.observe("h", 9);
-        assert_eq!(m.counters().count(), 2);
-        assert_eq!(m.counters().find(|(n, _)| *n == "b").unwrap().1, 3);
-        assert_eq!(m.gauges().next(), Some(("g", 1.5)));
-        let (name, hist) = m.histograms().next().unwrap();
-        assert_eq!(name, "h");
-        assert_eq!(hist.count(), 1);
     }
 
     #[test]

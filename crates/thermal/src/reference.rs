@@ -1,6 +1,6 @@
 //! The canonical reference solver: the pre-optimisation transient
-//! integrator, promoted out of the bench harness's in-bin replica so the
-//! whole workspace shares one trusted implementation.
+//! integrator, kept as the one trusted implementation the whole
+//! workspace checks the optimized solver against.
 //!
 //! [`ReferenceTransient`] advances the same backward-Euler system as
 //! [`TransientState`](crate::solver::TransientState) but the way the
@@ -10,9 +10,9 @@
 //! and deliberately simple — every line is auditable against the
 //! discretised equations — which is what makes it a useful oracle:
 //!
-//! * the `bench` bin replays a scripted co-sim sequence through both
-//!   solvers and gates CI on the sweep/wall ratios (PR 5's "≥1.5× fewer
-//!   sweeps" claim stays measurable);
+//! * `tests/solver_effort.rs` replays a scripted co-sim sequence
+//!   through both solvers and holds the optimized one to ≤ 0.67× the
+//!   reference's Gauss–Seidel sweeps within 0.1 °C;
 //! * the `coolpim-validate` lockstep driver runs it side by side with
 //!   the optimized solver on property-generated traffic and reports the
 //!   first divergence.
@@ -131,8 +131,8 @@ impl ReferenceTransient {
 
     /// Overwrites the field (absolute °C) without touching the work
     /// counters — used to warm-start the reference at a field computed
-    /// elsewhere (e.g. the bench harness starts both contenders at the
-    /// bit-identical optimized-SOR steady state).
+    /// elsewhere (e.g. the solver-effort test starts it at the
+    /// optimized-SOR steady state the optimized solver jumps to).
     ///
     /// # Panics
     /// Panics if `temps.len()` does not match the node count.

@@ -51,10 +51,11 @@ const TR_TOLERANCE: f64 = 1e-6;
 /// Transient inner-solve sweep cap per sub-step.
 const TR_MAX_SWEEPS: usize = 2_000;
 /// Over-relaxation factor for the transient inner solve, tuned
-/// empirically with the `bench` bin's scripted co-sim sequence (see
-/// BENCH_5.json): sweeps-per-substep bottoms out near 1.72 — below the
-/// steady solve's 1.92 because the capacitive term `C/h` shifts the
-/// implicit matrix's spectrum — and climbs steeply past ~1.9.
+/// empirically on a scripted co-sim power sequence (the one
+/// `tests/solver_effort.rs` replays): sweeps-per-substep bottoms out
+/// near 1.72 — below the steady solve's 1.92 because the capacitive
+/// term `C/h` shifts the implicit matrix's spectrum — and climbs
+/// steeply past ~1.9.
 const TR_OMEGA: f64 = 1.72;
 /// Relative per-node tolerance under which two power vectors count as
 /// unchanged for the epoch fast path.
@@ -225,11 +226,10 @@ impl TransientSolverStats {
 /// over-relaxed Gauss–Seidel with per-sub-step precompute and settled
 /// fast paths) and the canonical reference
 /// [`crate::reference::ReferenceTransient`] (the pre-optimisation plain
-/// Gauss–Seidel solver, promoted out of the bench harness). The
-/// `coolpim-validate` lockstep oracle runs any two implementations side
-/// by side and reports their first divergence; aggressive solver
-/// rewrites plug in here and are proven equivalent before they replace
-/// the default.
+/// Gauss–Seidel solver). The `coolpim-validate` lockstep oracle runs
+/// any two implementations side by side and reports their first
+/// divergence; aggressive solver rewrites plug in here and are proven
+/// equivalent before they replace the default.
 pub trait ThermalSolve {
     /// Implementation label for lockstep reports and logs.
     fn name(&self) -> &'static str;
