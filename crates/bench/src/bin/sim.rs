@@ -64,11 +64,15 @@
 //! trace back through the co-sim instead of generating the workload
 //! live: no graph build, no kernel execution, bit-identical results
 //! under any policy/cooling/threshold (the `validate --component
-//! replay` oracle proves it). `--matrix` fans the run out across a
-//! fixed 8-cell (policy × cooling × threshold) sweep on the worker
-//! pool; combined with `--replay` the cells share one immutable trace
-//! (`Arc`), which is the "record once, replay everywhere" sweep that
-//! simbench's `replay-sweep` workload times.
+//! replay` oracle proves it). The trace fixes the workload and graph,
+//! so `--replay` exits 2 naming any of `--workload`, `--scale`,
+//! `--degree`, `--seed`, `--graph` and `--record-trace` given with it.
+//! `--matrix` fans the run out across a fixed 8-cell (policy × cooling ×
+//! threshold) sweep on the worker pool, where cells that the thermal
+//! feedback never tells apart share one engine run; combined with
+//! `--replay` the cells share one immutable trace (`Arc`), which is the
+//! "record once, replay everywhere" sweep that simbench's `replay-sweep`
+//! workload times.
 //! The matrix writes no run record, so it also refuses `--metrics-out`
 //! and `--run-record`.
 //!
@@ -118,6 +122,9 @@ struct Args {
     record_trace: Option<String>,
     replay: Option<String>,
     matrix: bool,
+    /// The workload and graph flags given on the command line (they all
+    /// have defaults, so the values alone cannot tell).
+    graph_flags_given: Vec<&'static str>,
 }
 
 fn usage() -> ! {
@@ -188,6 +195,7 @@ fn parse_args() -> Args {
         record_trace: None,
         replay: None,
         matrix: false,
+        graph_flags_given: Vec::new(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -196,6 +204,16 @@ fn parse_args() -> Args {
             *i += 1;
             argv.get(*i).cloned().unwrap_or_else(|| usage())
         };
+        let graph_flag = match argv[i].as_str() {
+            "--workload" | "-w" => Some("--workload"),
+            "--scale" | "-s" => Some("--scale"),
+            "--degree" | "-d" => Some("--degree"),
+            "--seed" => Some("--seed"),
+            _ => None,
+        };
+        if let Some(flag) = graph_flag.filter(|f| !args.graph_flags_given.contains(f)) {
+            args.graph_flags_given.push(flag);
+        }
         match argv[i].as_str() {
             "--workload" | "-w" => {
                 let v = take(&mut i);
@@ -536,9 +554,17 @@ fn run_matrix_mode(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.replay.is_some() && (args.record_trace.is_some() || args.graph_file.is_some()) {
-        eprintln!("--replay is incompatible with --record-trace and --graph (the trace already fixes the workload)");
-        std::process::exit(2);
+    if args.replay.is_some() {
+        let mut given = args.graph_flags_given.clone();
+        given.extend(args.graph_file.as_ref().map(|_| "--graph"));
+        given.extend(args.record_trace.as_ref().map(|_| "--record-trace"));
+        if !given.is_empty() {
+            eprintln!(
+                "--replay takes the workload and graph from the trace and would ignore {}",
+                given.join(" ")
+            );
+            std::process::exit(2);
+        }
     }
     if args.matrix && (args.replicates.is_some() || args.seed_list.is_some()) {
         eprintln!("--matrix and --replicates are separate sweep modes; pick one");

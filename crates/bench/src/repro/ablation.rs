@@ -4,6 +4,7 @@
 
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::estimate::HardwareProfile;
+use coolpim_core::experiment::{run_source_sweep, SweepCell};
 use coolpim_core::hw_dynt::{HwDynT, HwDynTConfig};
 use coolpim_core::multi_level::GraduatedHwDynT;
 use coolpim_core::report::{f, Table};
@@ -76,13 +77,19 @@ pub(super) fn ablation_cooling(graph: &EvalGraph) -> String {
             "Outcome",
         ],
     );
-    for cooling in Cooling::TABLE2 {
-        let mut kernel = make_kernel(Workload::Dc, graph.csr());
-        let cfg = CoSimConfig {
+    let cfg = CoSimConfig::default();
+    let cells: Vec<SweepCell> = Cooling::TABLE2
+        .into_iter()
+        .map(|cooling| SweepCell {
+            policy: Policy::CoolPimHw,
             cooling,
-            ..CoSimConfig::default()
-        };
-        let r = CoSim::new(Policy::CoolPimHw, cfg).run(kernel.as_mut());
+            warning_threshold_c: cfg.warning_threshold_c,
+        })
+        .collect();
+    let csr = graph.csr();
+    let runs = run_source_sweep(|| make_kernel(Workload::Dc, csr), &cells, cfg);
+    for (cell, r) in cells.iter().zip(runs) {
+        let cooling = cell.cooling;
         t.row(&[
             cooling.name().into(),
             f(cooling.resistance_c_per_w(), 1),

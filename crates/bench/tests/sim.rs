@@ -1,8 +1,8 @@
 //! `sim` at its command line: scales outside the accepted range and
 //! non-finite warning thresholds are usage errors, the sweep modes refuse
 //! the per-run flags they would ignore, a single run refuses a trace
-//! rotation budget without a trace, and a live run's record times its
-//! setup.
+//! rotation budget without a trace, a replay refuses the flags the trace
+//! already fixes, and a live run's record times its setup.
 
 use std::process::Command;
 
@@ -100,6 +100,51 @@ fn a_single_run_refuses_a_rotation_budget_without_a_trace() {
     assert_usage_error(
         &["--scale", "10", "--trace-rotate-mb", "8"],
         "--trace-rotate-mb caps the --trace file; give --trace too",
+    );
+}
+
+#[test]
+fn a_replay_refuses_the_workload_and_graph_flags() {
+    // The trace file need not exist: the flags are checked first.
+    let replay = ["--replay", "absent.cptr"];
+    for flag in [
+        &["--workload", "bfs-ta"][..],
+        &["-w", "bfs-ta"],
+        &["--scale", "12"],
+        &["-s", "12"],
+        &["--degree", "8"],
+        &["--seed", "9"],
+        &["--graph", "edges.txt"],
+        &["--record-trace", "t.cptr"],
+    ] {
+        let canonical = match flag[0] {
+            "-w" => "--workload",
+            "-s" => "--scale",
+            f => f,
+        };
+        let args: Vec<&str> = replay.iter().chain(flag).copied().collect();
+        assert_usage_error(
+            &args,
+            &format!(
+                "--replay takes the workload and graph from the trace and would ignore {canonical}"
+            ),
+        );
+    }
+    // Every flag given is named, each once, and a sweep mode does not
+    // bypass the check.
+    assert_usage_error(
+        &[
+            "--replay",
+            "absent.cptr",
+            "--matrix",
+            "--scale",
+            "12",
+            "--seed",
+            "9",
+            "--scale",
+            "13",
+        ],
+        "would ignore --scale --seed\n",
     );
 }
 

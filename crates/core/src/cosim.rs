@@ -10,13 +10,16 @@
 //! source throttling consumes.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use coolpim_gpu::source::InstructionSource;
 use coolpim_gpu::stats::GpuStats;
 use coolpim_gpu::system::{GpuSystem, RunOutcome};
-use coolpim_hmc::stats::StatsTotals;
-use coolpim_hmc::{ns_to_ps, Hmc, Ps, TempPhase};
-use coolpim_telemetry::{MetricsSnapshot, Telemetry, TelemetryEvent, TraceTrack, Tracer};
+use coolpim_hmc::stats::{StatsTotals, StatsWindow};
+use coolpim_hmc::{ns_to_ps, Hmc, Ps, TempPhase, ThermalTracker};
+use coolpim_telemetry::{
+    Histogram, MetricsSnapshot, Telemetry, TelemetryEvent, TraceTrack, Tracer,
+};
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::model::HmcThermalModel;
 use coolpim_thermal::power::TrafficSample;
@@ -137,6 +140,89 @@ impl CoSimResult {
     }
 }
 
+/// What the timing model reads of the temperature after an epoch's
+/// feedback: the cube's operating phase and its ERRSTAT warning bit.
+/// The controllers of every [`Policy`] act on the warning bit alone
+/// (they ignore `on_thermal_reading`), and the cube retimes only on a
+/// phase change, so two runs of one policy over one source whose pairs
+/// agree before the first epoch and after every epoch but the last run
+/// the same engine.
+type FeedbackPair = (TempPhase, bool);
+
+/// One thermal epoch of the GPU/HMC engine as the feedback half sees it:
+/// how the epoch ended, the window's traffic and rates, and the events
+/// the engine and the controller raised.
+#[derive(Debug, Clone)]
+struct EngineEpoch {
+    outcome: RunOutcome,
+    /// End-of-epoch simulation time (ps).
+    now: Ps,
+    /// The thermal model's input for the epoch.
+    sample: TrafficSample,
+    pim_rate_op_ns: f64,
+    data_bw: f64,
+    /// The GPU system's events, then the controller's, in drain order.
+    events: Vec<TelemetryEvent>,
+}
+
+/// The engine's whole-run totals.
+#[derive(Debug, Clone)]
+struct EngineTotals {
+    gpu: GpuStats,
+    hmc: StatsTotals,
+    l2_hit_rate: f64,
+    service_time: Histogram,
+    queue_wait: Histogram,
+    row_hit_rate: f64,
+}
+
+/// A full run's engine, epoch by epoch, with the feedback pair each
+/// epoch applied and the totals it ended with. Another run of the same
+/// policy over the same source folds it instead of running the engine,
+/// for as long as its own pairs agree ([`CoSim::replay`]).
+#[derive(Debug, Clone)]
+pub(crate) struct EngineLog {
+    /// The pair before the first epoch: the cube's 25 °C start against
+    /// the threshold.
+    initial: FeedbackPair,
+    epochs: Vec<(EngineEpoch, FeedbackPair)>,
+    totals: EngineTotals,
+}
+
+/// Where an epoch's readout is fed back.
+enum Cube<'a> {
+    /// The live cube and controller, with the epoch's window for the
+    /// observers.
+    Live {
+        ctrl: &'a mut dyn coolpim_gpu::controller::OffloadController,
+        window: &'a StatsWindow,
+    },
+    /// A reused run's own warning and phase tracker.
+    Reused(&'a mut ThermalTracker),
+}
+
+/// A run's state between epochs.
+struct Fold {
+    run_started: std::time::Instant,
+    /// The engine's time horizon after the current epoch (ps).
+    horizon: Ps,
+    epoch_idx: u64,
+    timeline: Vec<TimelineSample>,
+    cube_energy_j: f64,
+    throttle_steps: u64,
+    /// Raise time of every warning episode, for the warning→action
+    /// latency histogram (ids are small and monotone; linear scan).
+    raised_at: Vec<(u64, Ps)>,
+    batch: Vec<TelemetryEvent>,
+    observed: Vec<TelemetryEvent>,
+    /// Per-vault temperatures for the observers (no per-epoch alloc).
+    vault_temps: Vec<f64>,
+    /// Set by the epoch that ends the run.
+    end_ps: Option<Ps>,
+    shutdown: bool,
+    timed_out: bool,
+}
+
 /// The co-simulator: GPU + HMC timing coupled to the thermal plant.
 ///
 /// Generic over the thermal model's [`ThermalSolve`] seam (default: the
@@ -170,10 +256,16 @@ impl CoSim {
 
     /// Custom co-simulation parameters.
     pub fn new(policy: Policy, cfg: CoSimConfig) -> Self {
+        let thermal = HmcThermalModel::hmc20(cfg.cooling);
+        Self::on_plant(policy, cfg, thermal)
+    }
+
+    /// [`Self::new`] over a thermal model already built for
+    /// `cfg.cooling` (building one costs far more than cloning it).
+    pub(crate) fn on_plant(policy: Policy, cfg: CoSimConfig, thermal: HmcThermalModel) -> Self {
         let mut hmc = Hmc::hmc20();
         hmc.set_warning_threshold(cfg.warning_threshold_c);
         let sys = GpuSystem::new(cfg.gpu.clone(), hmc);
-        let thermal = HmcThermalModel::hmc20(cfg.cooling);
         Self {
             sys,
             thermal,
@@ -247,10 +339,20 @@ impl<S: ThermalSolve> CoSim<S> {
     /// live [`coolpim_gpu::Kernel`] (every kernel is an
     /// [`InstructionSource`] via the blanket impl) or a trace replay.
     pub fn run<K: InstructionSource + ?Sized>(self, kernel: &mut K) -> CoSimResult {
+        self.run_logged(kernel, false).0
+    }
+
+    /// [`Self::run`], also returning the run's [`EngineLog`] when `log`
+    /// is set.
+    pub(crate) fn run_logged<K: InstructionSource + ?Sized>(
+        self,
+        kernel: &mut K,
+        log: bool,
+    ) -> (CoSimResult, Option<EngineLog>) {
         let profile = kernel.profile();
         let mut ctrl = self.policy.controller(&profile);
         let feedback = self.policy.thermal_feedback();
-        self.run_with_controller(kernel, ctrl.as_mut(), feedback)
+        self.drive(kernel, ctrl.as_mut(), feedback, log)
     }
 
     /// Runs `kernel` with a caller-supplied offloading controller
@@ -262,255 +364,396 @@ impl<S: ThermalSolve> CoSim<S> {
     /// close the HMC window → power → thermal step → feedback → fold the
     /// epoch's events into the metrics → observers → emit.
     pub fn run_with_controller<K: InstructionSource + ?Sized>(
-        mut self,
+        self,
         kernel: &mut K,
         ctrl: &mut dyn coolpim_gpu::controller::OffloadController,
         feedback: bool,
     ) -> CoSimResult {
-        let run_started = std::time::Instant::now();
+        self.drive(kernel, ctrl, feedback, false).0
+    }
+
+    /// The live loop: each epoch's engine half feeds the fold directly.
+    fn drive<K: InstructionSource + ?Sized>(
+        mut self,
+        kernel: &mut K,
+        ctrl: &mut dyn coolpim_gpu::controller::OffloadController,
+        feedback: bool,
+        log: bool,
+    ) -> (CoSimResult, Option<EngineLog>) {
+        let mut fold = self.begin(kernel.name());
+        let initial = self.sys.hmc().thermal().feedback();
+        let mut epochs = Vec::new();
+        self.sys.start(kernel, ctrl, 0);
+        while fold.end_ps.is_none() {
+            fold.horizon += self.cfg.epoch;
+            let epoch_tok = self.sim_trace.as_mut().map(|t| t.begin("epoch"));
+            let (epoch, window) = self.engine_epoch(kernel, ctrl, fold.horizon);
+            let cube = Cube::Live {
+                ctrl: &mut *ctrl,
+                window: &window,
+            };
+            let pair = self.fold_epoch(&mut fold, &epoch, cube, feedback);
+            if let (Some(t), Some(tok)) = (self.sim_trace.as_mut(), epoch_tok) {
+                t.end(tok);
+            }
+            if log {
+                epochs.push((epoch, pair));
+            }
+        }
+        let totals = self.engine_totals();
+        let log = log.then(|| EngineLog {
+            initial,
+            epochs,
+            totals: totals.clone(),
+        });
+        (self.finish(fold, kernel.name(), &totals), log)
+    }
+
+    /// Folds one of `logs`, full runs of this policy's engine over this
+    /// source, under this run's own cooling and threshold: only the
+    /// thermal model and a warning and phase tracker step. The walk drops
+    /// a log at the first epoch whose feedback pair differs from the one
+    /// the log applied (the run's last pair reaches no engine), and
+    /// returns `None` once none is left: from there the engine would
+    /// have run differently. Logs that applied the same pairs so far ran
+    /// the same engine so far, so one thermal trajectory serves them all.
+    /// A returned result equals running the cell alone, bit for bit.
+    pub(crate) fn replay(mut self, workload: &str, logs: &[Arc<EngineLog>]) -> Option<CoSimResult> {
+        debug_assert!(
+            self.observers.is_empty(),
+            "a reused run has no cube to observe"
+        );
+        let feedback = self.policy.thermal_feedback();
+        let mut tracker = ThermalTracker::new(self.cfg.warning_threshold_c);
+        let mut alive: Vec<&EngineLog> = logs
+            .iter()
+            .map(|log| &**log)
+            .filter(|log| log.initial == tracker.feedback())
+            .collect();
+        let mut fold = self.begin(workload);
+        for k in 0.. {
+            let lead = *alive.first()?;
+            fold.horizon += self.cfg.epoch;
+            let cube = Cube::Reused(&mut tracker);
+            let pair = self.fold_epoch(&mut fold, &lead.epochs[k].0, cube, feedback);
+            // A log ends where its run ended, on the same epoch here.
+            if fold.end_ps.is_some() {
+                return Some(self.finish(fold, workload, &lead.totals));
+            }
+            alive.retain(|log| log.epochs[k].1 == pair);
+        }
+        None
+    }
+
+    /// Opens a run: the cube's threshold, the trace's header event and
+    /// an empty fold.
+    fn begin(&mut self, workload: &str) -> Fold {
         self.sys
             .hmc_mut()
             .set_warning_threshold(self.cfg.warning_threshold_c);
-
         // Make the trace self-describing: downstream tooling (`analyze`)
         // reads the policy/workload/threshold from this header event.
         self.telemetry.emit(TelemetryEvent::RunInfo {
             t_ps: 0,
             policy: self.policy.name(),
-            workload: coolpim_telemetry::event::intern(kernel.name()),
+            workload: coolpim_telemetry::event::intern(workload),
             threshold_c: self.cfg.warning_threshold_c,
             epoch_ps: self.cfg.epoch,
         });
+        Fold {
+            run_started: std::time::Instant::now(),
+            horizon: 0,
+            epoch_idx: 0,
+            timeline: Vec::new(),
+            cube_energy_j: 0.0,
+            throttle_steps: 0,
+            raised_at: Vec::new(),
+            batch: Vec::new(),
+            observed: Vec::new(),
+            vault_temps: Vec::new(),
+            end_ps: None,
+            shutdown: false,
+            timed_out: false,
+        }
+    }
 
-        let mut timeline = Vec::new();
-        let mut max_peak = f64::NEG_INFINITY;
-        let mut shutdown = false;
-        let mut timed_out = false;
-        let mut cube_energy_j = 0.0;
-        let mut throttle_steps = 0u64;
-        let mut batch: Vec<TelemetryEvent> = Vec::new();
-        let mut observed: Vec<TelemetryEvent> = Vec::new();
-        // Raise time of every warning episode, for the warning→action
-        // latency histogram (ids are small and monotone; linear scan).
-        let mut raised_at: Vec<(u64, Ps)> = Vec::new();
-        let fan_power_w = self.cfg.cooling.fan_power_w();
-        // Per-vault temperatures for the observers (no per-epoch alloc).
-        let mut vault_temps: Vec<f64> = Vec::new();
-
-        self.sys.start(kernel, ctrl, 0);
-        let mut horizon = 0;
-        let mut first_epoch = true;
-        let mut epoch_idx = 0u64;
-        let end_ps = loop {
-            horizon += self.cfg.epoch;
-            epoch_idx += 1;
-            let epoch_tok = self.sim_trace.as_mut().map(|t| t.begin("epoch"));
-            let outcome = span(&mut self.sim_trace, "gpu_advance", || {
-                self.sys.run_until(kernel, ctrl, horizon)
-            });
-            let now = if outcome == RunOutcome::Finished {
-                self.sys.stats().end_ps
-            } else {
-                horizon
-            };
-            let window = span(&mut self.sim_trace, "hmc_drain", || {
-                self.sys
-                    .hmc_mut()
-                    .take_window_traced(now, self.hmc_trace.as_mut())
-            });
-            let dur_s = window.duration_s(now).max(1e-9);
-            let sample = TrafficSample {
+    /// The engine half of one epoch: advance the GPU to `horizon`, close
+    /// the cube's activity window, and drain the system's and the
+    /// controller's events. The window goes back too, for the observers.
+    fn engine_epoch<K: InstructionSource + ?Sized>(
+        &mut self,
+        kernel: &mut K,
+        ctrl: &mut dyn coolpim_gpu::controller::OffloadController,
+        horizon: Ps,
+    ) -> (EngineEpoch, StatsWindow) {
+        let outcome = span(&mut self.sim_trace, "gpu_advance", || {
+            self.sys.run_until(kernel, ctrl, horizon)
+        });
+        let now = if outcome == RunOutcome::Finished {
+            self.sys.stats().end_ps
+        } else {
+            horizon
+        };
+        let window = span(&mut self.sim_trace, "hmc_drain", || {
+            self.sys
+                .hmc_mut()
+                .take_window_traced(now, self.hmc_trace.as_mut())
+        });
+        let dur_s = window.duration_s(now).max(1e-9);
+        let mut events = Vec::new();
+        self.sys.drain_events(&mut events);
+        ctrl.drain_control_events(&mut events);
+        let epoch = EngineEpoch {
+            outcome,
+            now,
+            sample: TrafficSample {
                 window_s: dur_s,
                 ext_bytes: window.data_bytes(),
                 pim_ops: window.pim_ops as f64,
                 vault_weights: Some(window.vault_weights()),
-            };
-            cube_energy_j += self.thermal.total_power_w(&sample) * dur_s;
-            let readout = if std::mem::take(&mut first_epoch) && self.cfg.warm_start {
-                span(&mut self.sim_trace, "thermal_solve", || {
-                    self.thermal.steady_state(&sample)
-                })
-            } else {
-                self.thermal.step_traced(&sample, self.sim_trace.as_mut())
-            };
-            max_peak = max_peak.max(readout.peak_dram_c);
-            if feedback {
-                self.sys
-                    .hmc_mut()
-                    .set_peak_dram_temp_at(readout.peak_dram_c, now);
-                ctrl.on_thermal_reading(readout.peak_dram_c, self.cfg.warning_threshold_c, now);
-            }
-            let phase = self.sys.hmc().phase();
-            timeline.push(TimelineSample {
-                t_s: now as f64 * 1e-12,
-                pim_rate_op_ns: window.pim_rate_op_per_ns(now),
-                data_bw: window.data_bytes() / dur_s,
-                peak_dram_c: readout.peak_dram_c,
-                phase,
-            });
+            },
+            pim_rate_op_ns: window.pim_rate_op_per_ns(now),
+            data_bw: window.data_bytes() / dur_s,
+            events,
+        };
+        (epoch, window)
+    }
 
-            // Drain the epoch's buffered events from every producer (the
-            // buffers must empty even without a sink) and fold them into
-            // the metrics; marker spans anchor warning→throttle flows.
-            self.sys
-                .hmc_mut()
-                .drain_events_traced(&mut batch, self.hmc_trace.as_mut());
-            self.sys.drain_events(&mut batch);
-            ctrl.drain_control_events(&mut batch);
-            let metrics = &mut self.telemetry.metrics;
-            for ev in &batch {
-                match ev {
-                    TelemetryEvent::ThermalWarningRaised {
-                        t_ps, warning_id, ..
-                    } => {
-                        metrics.count("thermal_warnings_raised", 1);
-                        raised_at.push((*warning_id, *t_ps));
-                        if let Some(t) = self.sim_trace.as_mut() {
-                            t.scoped("thermal_warning", |t| {
-                                t.flow_start("thermal_warning", *warning_id)
-                            });
-                        }
-                    }
-                    TelemetryEvent::ThermalWarningCleared { .. } => {
-                        metrics.count("thermal_warnings_cleared", 1);
-                    }
-                    TelemetryEvent::ThermalWarningDelivered { .. } => {
-                        metrics.count("thermal_warnings_accepted", 1);
-                    }
-                    TelemetryEvent::TokenPoolResize { new, trigger, .. } => {
-                        metrics.gauge("token_pool_size", *new as f64);
-                        if *trigger == "thermal_warning" {
-                            metrics.count("token_pool_shrinks", 1);
-                        }
-                    }
-                    TelemetryEvent::WarpCapUpdate { new_slots, .. } => {
-                        metrics.count("warp_cap_updates", 1);
-                        metrics.gauge("warp_cap_slots", *new_slots as f64);
-                    }
-                    TelemetryEvent::Shutdown { .. } => {
-                        metrics.count("shutdowns", 1);
-                    }
-                    _ => {}
+    /// The feedback half of one epoch, live or reused: warm start or
+    /// thermal step, energy, cube feedback, the event fold, metrics,
+    /// timeline, observers and emit. Returns the feedback pair the
+    /// epoch applied.
+    fn fold_epoch(
+        &mut self,
+        st: &mut Fold,
+        epoch: &EngineEpoch,
+        mut cube: Cube<'_>,
+        feedback: bool,
+    ) -> FeedbackPair {
+        st.epoch_idx += 1;
+        let now = epoch.now;
+        let sample = &epoch.sample;
+        st.cube_energy_j += self.thermal.total_power_w(sample) * sample.window_s;
+        let readout = if st.epoch_idx == 1 && self.cfg.warm_start {
+            span(&mut self.sim_trace, "thermal_solve", || {
+                self.thermal.steady_state(sample)
+            })
+        } else {
+            self.thermal.step_traced(sample, self.sim_trace.as_mut())
+        };
+        let pair = match &mut cube {
+            Cube::Live { ctrl, .. } => {
+                if feedback {
+                    self.sys
+                        .hmc_mut()
+                        .set_peak_dram_temp_at(readout.peak_dram_c, now);
+                    ctrl.on_thermal_reading(readout.peak_dram_c, self.cfg.warning_threshold_c, now);
                 }
-                if let Some((t_ps, warning_id)) = ev.throttle_action() {
-                    throttle_steps += 1;
-                    if let Some(id) = warning_id {
-                        if let Some(t) = self.sim_trace.as_mut() {
-                            t.scoped("throttle", |t| t.flow_finish("thermal_warning", id));
-                        }
-                        if let Some(&(_, t0)) = raised_at.iter().find(|(i, _)| *i == id) {
-                            metrics.observe("warning_to_action_ps", t_ps.saturating_sub(t0));
-                        }
-                    }
-                }
+                self.sys.hmc().thermal().feedback()
             }
-            metrics.count("epochs", 1);
-            metrics.gauge_max("peak_dram_c", readout.peak_dram_c);
-            // Counter tracks: the feedback loop's observable state, one
-            // sample per epoch next to the span tree.
-            if let Some(t) = self.sim_trace.as_mut() {
-                t.counter("peak_dram_c", readout.peak_dram_c);
-                if let Some(v) = metrics.gauge_value("token_pool_size") {
-                    t.counter("token_pool", v);
+            Cube::Reused(tracker) => {
+                if feedback {
+                    tracker.update(readout.peak_dram_c, now);
                 }
-                if let Some(v) = metrics.gauge_value("warp_cap_slots") {
-                    t.counter("warp_cap", v);
-                }
-            }
-
-            if !self.observers.is_empty() {
-                self.thermal.vault_peak_dram_temps_into(&mut vault_temps);
-                let view = EpochView {
-                    epoch: epoch_idx,
-                    t_ps: now,
-                    wall_s: run_started.elapsed().as_secs_f64(),
-                    readout,
-                    phase,
-                    window: &window,
-                    vault_peak_dram_c: &vault_temps,
-                    events: &batch,
-                    metrics: &self.telemetry.metrics,
-                    hmc: self.sys.hmc(),
-                    cfg: &self.cfg,
-                };
-                for obs in &mut self.observers {
-                    span(&mut self.sim_trace, obs.name(), || {
-                        obs.on_epoch(&view, &mut observed)
-                    });
-                }
-                for ev in &observed {
-                    if let TelemetryEvent::FlightDump { .. } = ev {
-                        self.telemetry.metrics.count("flight_dumps", 1);
-                    }
-                }
-                batch.append(&mut observed);
-            }
-
-            // Stream the batch time-sorted, the epoch sample last.
-            span(&mut self.sim_trace, "telemetry_emit", || {
-                self.telemetry.emit_epoch_batch(&mut batch);
-                self.telemetry.emit(TelemetryEvent::EpochSample {
-                    t_ps: now,
-                    pim_rate_op_ns: window.pim_rate_op_per_ns(now),
-                    data_bw: window.data_bytes() / dur_s,
-                    peak_dram_c: readout.peak_dram_c,
-                    phase: phase.name(),
-                });
-            });
-            if let (Some(t), Some(tok)) = (self.sim_trace.as_mut(), epoch_tok) {
-                t.end(tok);
-            }
-            match outcome {
-                RunOutcome::Finished => break now,
-                RunOutcome::Shutdown => {
-                    shutdown = true;
-                    break now;
-                }
-                RunOutcome::Paused => {}
-            }
-            if horizon > self.cfg.max_sim_time {
-                timed_out = true;
-                break now;
+                tracker.feedback()
             }
         };
+        let phase = pair.0;
+        st.timeline.push(TimelineSample {
+            t_s: now as f64 * 1e-12,
+            pim_rate_op_ns: epoch.pim_rate_op_ns,
+            data_bw: epoch.data_bw,
+            peak_dram_c: readout.peak_dram_c,
+            phase,
+        });
 
-        let totals = self.sys.hmc().totals();
+        // The epoch's batch: the cube's events, then the engine's, then
+        // any the controller raised on the reading; fold them into the
+        // metrics. Marker spans anchor warning→throttle flows.
+        match &mut cube {
+            Cube::Live { ctrl, .. } => {
+                self.sys
+                    .hmc_mut()
+                    .drain_events_traced(&mut st.batch, self.hmc_trace.as_mut());
+                st.batch.extend_from_slice(&epoch.events);
+                ctrl.drain_control_events(&mut st.batch);
+            }
+            Cube::Reused(tracker) => {
+                tracker.drain_events(&mut st.batch);
+                st.batch.extend_from_slice(&epoch.events);
+            }
+        }
+        let metrics = &mut self.telemetry.metrics;
+        for ev in &st.batch {
+            match ev {
+                TelemetryEvent::ThermalWarningRaised {
+                    t_ps, warning_id, ..
+                } => {
+                    metrics.count("thermal_warnings_raised", 1);
+                    st.raised_at.push((*warning_id, *t_ps));
+                    if let Some(t) = self.sim_trace.as_mut() {
+                        t.scoped("thermal_warning", |t| {
+                            t.flow_start("thermal_warning", *warning_id)
+                        });
+                    }
+                }
+                TelemetryEvent::ThermalWarningCleared { .. } => {
+                    metrics.count("thermal_warnings_cleared", 1);
+                }
+                TelemetryEvent::ThermalWarningDelivered { .. } => {
+                    metrics.count("thermal_warnings_accepted", 1);
+                }
+                TelemetryEvent::TokenPoolResize { new, trigger, .. } => {
+                    metrics.gauge("token_pool_size", *new as f64);
+                    if *trigger == "thermal_warning" {
+                        metrics.count("token_pool_shrinks", 1);
+                    }
+                }
+                TelemetryEvent::WarpCapUpdate { new_slots, .. } => {
+                    metrics.count("warp_cap_updates", 1);
+                    metrics.gauge("warp_cap_slots", *new_slots as f64);
+                }
+                TelemetryEvent::Shutdown { .. } => {
+                    metrics.count("shutdowns", 1);
+                }
+                _ => {}
+            }
+            if let Some((t_ps, warning_id)) = ev.throttle_action() {
+                st.throttle_steps += 1;
+                if let Some(id) = warning_id {
+                    if let Some(t) = self.sim_trace.as_mut() {
+                        t.scoped("throttle", |t| t.flow_finish("thermal_warning", id));
+                    }
+                    if let Some(&(_, t0)) = st.raised_at.iter().find(|(i, _)| *i == id) {
+                        metrics.observe("warning_to_action_ps", t_ps.saturating_sub(t0));
+                    }
+                }
+            }
+        }
+        metrics.count("epochs", 1);
+        metrics.gauge_max("peak_dram_c", readout.peak_dram_c);
+        // Counter tracks: the feedback loop's observable state, one
+        // sample per epoch next to the span tree.
+        if let Some(t) = self.sim_trace.as_mut() {
+            t.counter("peak_dram_c", readout.peak_dram_c);
+            if let Some(v) = metrics.gauge_value("token_pool_size") {
+                t.counter("token_pool", v);
+            }
+            if let Some(v) = metrics.gauge_value("warp_cap_slots") {
+                t.counter("warp_cap", v);
+            }
+        }
+
+        if let (Cube::Live { window, .. }, false) = (&cube, self.observers.is_empty()) {
+            self.thermal.vault_peak_dram_temps_into(&mut st.vault_temps);
+            let view = EpochView {
+                epoch: st.epoch_idx,
+                t_ps: now,
+                wall_s: st.run_started.elapsed().as_secs_f64(),
+                readout,
+                phase,
+                window,
+                vault_peak_dram_c: &st.vault_temps,
+                events: &st.batch,
+                metrics: &self.telemetry.metrics,
+                hmc: self.sys.hmc(),
+                cfg: &self.cfg,
+            };
+            for obs in &mut self.observers {
+                span(&mut self.sim_trace, obs.name(), || {
+                    obs.on_epoch(&view, &mut st.observed)
+                });
+            }
+            for ev in &st.observed {
+                if let TelemetryEvent::FlightDump { .. } = ev {
+                    self.telemetry.metrics.count("flight_dumps", 1);
+                }
+            }
+            st.batch.append(&mut st.observed);
+        }
+
+        // Stream the batch time-sorted, the epoch sample last.
+        span(&mut self.sim_trace, "telemetry_emit", || {
+            self.telemetry.emit_epoch_batch(&mut st.batch);
+            self.telemetry.emit(TelemetryEvent::EpochSample {
+                t_ps: now,
+                pim_rate_op_ns: epoch.pim_rate_op_ns,
+                data_bw: epoch.data_bw,
+                peak_dram_c: readout.peak_dram_c,
+                phase: phase.name(),
+            });
+        });
+        match epoch.outcome {
+            RunOutcome::Finished => st.end_ps = Some(now),
+            RunOutcome::Shutdown => {
+                st.shutdown = true;
+                st.end_ps = Some(now);
+            }
+            RunOutcome::Paused if st.horizon > self.cfg.max_sim_time => {
+                st.timed_out = true;
+                st.end_ps = Some(now);
+            }
+            RunOutcome::Paused => {}
+        }
+        pair
+    }
+
+    /// The engine's whole-run totals, read once the loop ends.
+    fn engine_totals(&self) -> EngineTotals {
+        let hmc = self.sys.hmc();
+        EngineTotals {
+            gpu: *self.sys.stats(),
+            hmc: hmc.totals(),
+            l2_hit_rate: self.sys.l2_hit_rate(),
+            service_time: hmc.service_time_hist().clone(),
+            queue_wait: hmc.queue_wait_hist().clone(),
+            row_hit_rate: hmc.row_hit_rate(),
+        }
+    }
+
+    /// Closes a run: end-of-run metrics, the sink flush, the overhead
+    /// figure and the result, which the observers see last.
+    fn finish(mut self, st: Fold, workload: &str, totals: &EngineTotals) -> CoSimResult {
+        let end_ps = st.end_ps.expect("the loop ran to its end");
         let exec_s = end_ps as f64 * 1e-12;
         let exec_ns = end_ps as f64 * 1e-3;
 
-        self.fold_run_totals(totals.pim_ops);
+        self.fold_run_totals(totals);
         span(&mut self.sim_trace, "telemetry_emit", || {
             self.telemetry.flush()
         });
         // Folded into the metrics before the snapshot so run records
         // carry it. (The tracks hand their events to the tracer when
         // `self` drops.)
-        let telemetry_overhead_pct = self.overhead_pct(run_started.elapsed().as_secs_f64());
+        let telemetry_overhead_pct = self.overhead_pct(st.run_started.elapsed().as_secs_f64());
         self.telemetry
             .metrics
             .gauge("telemetry_overhead_pct", telemetry_overhead_pct);
 
         let mut result = CoSimResult {
             policy: self.policy,
-            workload: kernel.name().to_string(),
+            workload: workload.to_string(),
             exec_s,
-            max_peak_dram_c: max_peak,
+            max_peak_dram_c: st
+                .timeline
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, s| m.max(s.peak_dram_c)),
             avg_pim_rate_op_ns: if exec_ns > 0.0 {
-                totals.pim_ops as f64 / exec_ns
+                totals.hmc.pim_ops as f64 / exec_ns
             } else {
                 0.0
             },
-            ext_data_bytes: totals.data_bytes(),
-            gpu: *self.sys.stats(),
-            hmc: totals,
-            timeline,
-            shutdown,
-            timed_out,
-            l2_hit_rate: self.sys.l2_hit_rate(),
-            cube_energy_j,
-            fan_energy_j: fan_power_w * exec_s,
+            ext_data_bytes: totals.hmc.data_bytes(),
+            gpu: totals.gpu,
+            hmc: totals.hmc,
+            timeline: st.timeline,
+            shutdown: st.shutdown,
+            timed_out: st.timed_out,
+            l2_hit_rate: totals.l2_hit_rate,
+            cube_energy_j: st.cube_energy_j,
+            fan_energy_j: self.cfg.cooling.fan_power_w() * exec_s,
             metrics: self.telemetry.metrics.take_snapshot(),
-            throttle_steps,
+            throttle_steps: st.throttle_steps,
             telemetry_overhead_pct,
             postmortem_dumps: Vec::new(),
         };
@@ -524,13 +767,12 @@ impl<S: ThermalSolve> CoSim<S> {
     /// rate, and the thermal solver's work counters (sweeps-per-substep
     /// distribution, fast-path hits), so solver convergence changes are
     /// visible in run records (`counter.thermal_*` / `hist.*`).
-    fn fold_run_totals(&mut self, pim_ops: u64) {
-        let hmc = self.sys.hmc();
+    fn fold_run_totals(&mut self, totals: &EngineTotals) {
         let metrics = &mut self.telemetry.metrics;
-        metrics.merge_histogram("hmc_service_time_ps", hmc.service_time_hist());
-        metrics.merge_histogram("hmc_queue_wait_ps", hmc.queue_wait_hist());
-        metrics.gauge("hmc_row_hit_rate", hmc.row_hit_rate());
-        metrics.count("pim_ops", pim_ops);
+        metrics.merge_histogram("hmc_service_time_ps", &totals.service_time);
+        metrics.merge_histogram("hmc_queue_wait_ps", &totals.queue_wait);
+        metrics.gauge("hmc_row_hit_rate", totals.row_hit_rate);
+        metrics.count("pim_ops", totals.hmc.pim_ops);
         let solver = self.thermal.solver_stats();
         metrics.count("thermal_substeps", solver.substeps);
         metrics.count("thermal_gs_sweeps", solver.sweeps);

@@ -9,16 +9,17 @@
 //! by index.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use coolpim_gpu::source::RunSlots;
+use coolpim_gpu::source::{InstructionSource, RunSlots};
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_telemetry::{MetricsSnapshot, Tracer};
+use coolpim_thermal::model::HmcThermalModel;
 
-use crate::cosim::{CoSim, CoSimConfig, CoSimResult};
+use crate::cosim::{CoSim, CoSimConfig, CoSimResult, EngineLog};
 use crate::policy::Policy;
 
 /// Results of one workload across all requested policies, in request
@@ -53,9 +54,17 @@ impl WorkloadResults {
     }
 }
 
-/// The one co-sim pool: runs `job` once per item on
-/// `min(cores, items)` scoped workers, each claiming the next unclaimed
-/// item index from one shared atomic. Results come back in item order
+/// The pool width for `items` items: `min(cores, items)`, at least 1.
+fn workers_for(items: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(items)
+        .max(1)
+}
+
+/// The one co-sim pool: runs `job` once per item on `workers` scoped
+/// workers (see [`workers_for`]), each claiming the next unclaimed item
+/// index from one shared atomic. Results come back in item order
 /// regardless of scheduling.
 ///
 /// With a `tracer`, every worker opens a `worker-N` track up front and
@@ -64,14 +73,11 @@ impl WorkloadResults {
 /// idle.
 fn pool<T: Sync, R: Send>(
     items: &[T],
+    workers: usize,
     tracer: Option<&Tracer>,
     label: impl Fn(&T) -> &'static str + Sync,
     job: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let workers = std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .min(items.len())
-        .max(1);
     // Counted as runners for the pool's whole life, so a kernel's
     // spare-core rule sees every worker, idle moments between items too.
     let slots = RunSlots::reserve(workers);
@@ -148,6 +154,7 @@ pub fn run_matrix_with(
         .collect();
     let runs = pool(
         &cells,
+        workers_for(cells.len()),
         worker_tracer,
         |c| c.0.name(),
         |&(w, p)| {
@@ -193,6 +200,7 @@ pub fn run_replicates(
 ) -> Vec<CoSimResult> {
     pool(
         seeds,
+        workers_for(seeds.len()),
         None,
         |_| workload.name(),
         |&seed| {
@@ -260,6 +268,19 @@ impl SweepCell {
 /// its next cell, so a cell's wall time includes building and dropping
 /// its source. Results come back in cell order regardless of
 /// scheduling.
+///
+/// Cells that the thermal feedback never tells apart share one engine
+/// run. The engine reads only the cube's phase and warning bit (the
+/// feedback pair), so a cell whose own thermal model, stepped on a
+/// completed run's logged traffic, gives the cube that run's pair before
+/// the first epoch and after every epoch but the last would run the same
+/// engine: it folds the log instead, stepping only its thermal model and
+/// its own warning tracker, and its source serves no block. Its result
+/// is bit-identical to running it alone. A cell that matches no
+/// completed run of its policy runs in full, and its log joins the
+/// call's store, which is dropped when the call returns. Cells are
+/// claimed round-robin across policies, so a cell's earlier same-policy
+/// cells have usually finished by the time it starts.
 pub fn run_source_sweep<S, F>(
     make_source: F,
     cells: &[SweepCell],
@@ -267,23 +288,88 @@ pub fn run_source_sweep<S, F>(
 ) -> Vec<CoSimResult>
 where
     S: std::ops::DerefMut,
-    S::Target: coolpim_gpu::InstructionSource,
+    S::Target: InstructionSource,
     F: Fn() -> S + Sync,
 {
-    pool(
-        cells,
+    source_sweep(workers_for(cells.len()), make_source, cells, cfg)
+}
+
+/// [`run_source_sweep`] on `workers` workers.
+fn source_sweep<S, F>(
+    workers: usize,
+    make_source: F,
+    cells: &[SweepCell],
+    cfg: CoSimConfig,
+) -> Vec<CoSimResult>
+where
+    S: std::ops::DerefMut,
+    S::Target: InstructionSource,
+    F: Fn() -> S + Sync,
+{
+    let order = round_robin_by_policy(cells);
+    // The full runs completed so far, with their policies.
+    let store: Mutex<Vec<(Policy, Arc<EngineLog>)>> = Mutex::new(Vec::new());
+    let claimed = pool(
+        &order,
+        workers,
         None,
-        |c| c.policy.name(),
-        |cell| {
+        |&i| cells[i].policy.name(),
+        |&i| {
+            let cell = &cells[i];
             let cell_cfg = CoSimConfig {
                 cooling: cell.cooling,
                 warning_threshold_c: cell.warning_threshold_c,
                 ..cfg.clone()
             };
             let mut source = make_source();
-            CoSim::new(cell.policy, cell_cfg).run(&mut *source)
+            let plant = HmcThermalModel::hmc20(cell.cooling);
+            let done: Vec<Arc<EngineLog>> = store
+                .lock()
+                .expect("store poisoned")
+                .iter()
+                .filter(|(p, _)| *p == cell.policy)
+                .map(|(_, log)| Arc::clone(log))
+                .collect();
+            if !done.is_empty() {
+                let cosim = CoSim::on_plant(cell.policy, cell_cfg.clone(), plant.clone());
+                if let Some(r) = cosim.replay(source.name(), &done) {
+                    return r;
+                }
+            }
+            let cosim = CoSim::on_plant(cell.policy, cell_cfg, plant);
+            let (r, log) = cosim.run_logged(&mut *source, true);
+            let log = log.expect("a logged run returns its log");
+            store
+                .lock()
+                .expect("store poisoned")
+                .push((cell.policy, Arc::new(log)));
+            r
         },
-    )
+    );
+    let mut results: Vec<Option<CoSimResult>> = cells.iter().map(|_| None).collect();
+    for (&i, r) in order.iter().zip(claimed) {
+        results[i] = Some(r);
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every cell runs"))
+        .collect()
+}
+
+/// Cell indices taken round-robin across the policies, in the order each
+/// policy first appears: `[SW, SW, HW, HW]` becomes `[0, 2, 1, 3]`.
+fn round_robin_by_policy(cells: &[SweepCell]) -> Vec<usize> {
+    let mut groups: Vec<(Policy, Vec<usize>)> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        match groups.iter_mut().find(|(p, _)| *p == cell.policy) {
+            Some((_, g)) => g.push(i),
+            None => groups.push((cell.policy, vec![i])),
+        }
+    }
+    let rounds = groups.iter().map(|(_, g)| g.len()).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|k| groups.iter().filter_map(move |(_, g)| g.get(k).copied()))
+        .collect()
 }
 
 /// Arithmetic mean of per-workload speedups for `policy` (the paper's
@@ -420,6 +506,142 @@ mod tests {
                 direct.max_peak_dram_c.to_bits()
             );
         }
+    }
+
+    /// A live source that reports how many blocks it served when it is
+    /// dropped.
+    struct Counted<'a> {
+        kernel: Box<dyn coolpim_gpu::Kernel>,
+        blocks: usize,
+        served: &'a Mutex<Vec<usize>>,
+    }
+
+    impl InstructionSource for Counted<'_> {
+        fn name(&self) -> &str {
+            self.kernel.name()
+        }
+        fn grid_blocks(&self) -> usize {
+            self.kernel.grid_blocks()
+        }
+        fn warps_per_block(&self) -> usize {
+            self.kernel.warps_per_block()
+        }
+        fn block_trace(&mut self, block: usize, pim_enabled: bool) -> coolpim_gpu::BlockTrace {
+            self.blocks += 1;
+            self.kernel.block_trace(block, pim_enabled)
+        }
+        fn recycle(&mut self, spent: coolpim_gpu::BlockTrace) {
+            self.kernel.recycle(spent);
+        }
+        fn next_launch(&mut self) -> bool {
+            self.kernel.next_launch()
+        }
+        fn profile(&self) -> coolpim_gpu::kernel::KernelProfile {
+            self.kernel.profile()
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.served.lock().unwrap().push(self.blocks);
+        }
+    }
+
+    #[test]
+    fn one_worker_reuses_exactly_the_runs_the_feedback_cannot_tell_apart() {
+        use coolpim_thermal::cooling::Cooling;
+        let g = GraphSpec::test_medium().build();
+        let cfg = CoSimConfig {
+            gpu: coolpim_gpu::GpuConfig::tiny(),
+            ..CoSimConfig::default()
+        };
+        let cell = |policy, cooling, warning_threshold_c| SweepCell {
+            policy,
+            cooling,
+            warning_threshold_c,
+        };
+        // Per policy: a cell that never warns, one that warns from the
+        // first epoch (it walks the first cell's log and diverges), and
+        // one whose cooler cube never warns either (it reuses the first).
+        // SW's last cell warns like the second on a cooler cube (it reuses
+        // it, raising its own warning); HW's warns from the start, at
+        // 25 °C (no log starts that way, so it runs in full).
+        let cells = [
+            cell(Policy::CoolPimSw, Cooling::CommodityServer, 200.0),
+            cell(Policy::CoolPimSw, Cooling::CommodityServer, 30.0),
+            cell(Policy::CoolPimSw, Cooling::HighEndActive, 190.0),
+            cell(Policy::CoolPimSw, Cooling::HighEndActive, 30.0),
+            cell(Policy::CoolPimHw, Cooling::CommodityServer, 200.0),
+            cell(Policy::CoolPimHw, Cooling::CommodityServer, 30.0),
+            cell(Policy::CoolPimHw, Cooling::HighEndActive, 190.0),
+            cell(Policy::CoolPimHw, Cooling::CommodityServer, 20.0),
+        ];
+        let served = Mutex::new(Vec::new());
+        let sweep = || {
+            served.lock().unwrap().clear();
+            let results = source_sweep(
+                1,
+                || {
+                    Box::new(Counted {
+                        kernel: make_kernel(Workload::PageRank, &g),
+                        blocks: 0,
+                        served: &served,
+                    })
+                },
+                &cells,
+                cfg.clone(),
+            );
+            // One worker claims round-robin: SW, HW, SW, HW, ...
+            let counts = served.lock().unwrap().clone();
+            (results, counts)
+        };
+        let (results, counts) = sweep();
+        assert_eq!(counts.len(), cells.len(), "one source per cell");
+        let full: Vec<bool> = counts.iter().map(|&n| n > 0).collect();
+        let expected = [true, true, true, true, false, false, false, true];
+        assert_eq!(full, expected, "{counts:?}");
+        for (r, cell) in results.iter().zip(&cells) {
+            let mut kernel = make_kernel(Workload::PageRank, &g);
+            let direct = CoSim::new(
+                cell.policy,
+                CoSimConfig {
+                    cooling: cell.cooling,
+                    warning_threshold_c: cell.warning_threshold_c,
+                    ..cfg.clone()
+                },
+            )
+            .run(kernel.as_mut());
+            assert_eq!(format!("{r:?}"), format!("{direct:?}"), "{cell:?}");
+        }
+        for warned in [1, 3, 5] {
+            assert!(results[warned].metrics.counter("thermal_warnings_raised") > 0);
+        }
+        // Warned from the start, HW's last cell ran its own engine.
+        assert_ne!(results[5].gpu.end_ps, results[7].gpu.end_ps);
+        // Nothing outlives a call: a second one runs the same cells in full.
+        let (again, counts_again) = sweep();
+        assert_eq!(counts_again, counts);
+        assert_eq!(format!("{again:?}"), format!("{results:?}"));
+    }
+
+    #[test]
+    fn round_robin_alternates_policies_in_first_seen_order() {
+        use coolpim_thermal::cooling::Cooling;
+        let cells: Vec<SweepCell> = [
+            Policy::CoolPimSw,
+            Policy::CoolPimSw,
+            Policy::CoolPimSw,
+            Policy::CoolPimHw,
+            Policy::IdealThermal,
+        ]
+        .into_iter()
+        .map(|policy| SweepCell {
+            policy,
+            cooling: Cooling::CommodityServer,
+            warning_threshold_c: 84.0,
+        })
+        .collect();
+        assert_eq!(round_robin_by_policy(&cells), [0, 3, 4, 1, 2]);
     }
 
     #[test]

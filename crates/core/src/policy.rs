@@ -100,6 +100,75 @@ mod tests {
     }
 }
 
+/// Guards the premise of sweep sharing (`experiment::run_source_sweep`):
+/// a policy's controller acts on the cube's warning bit alone, never on
+/// the temperature readings the loop also offers it.
+#[cfg(test)]
+mod reading_tests {
+    use super::*;
+    use crate::cosim::{CoSim, CoSimConfig};
+    use coolpim_gpu::controller::OffloadController;
+    use coolpim_graph::generate::GraphSpec;
+    use coolpim_graph::workloads::{make_kernel, Workload};
+    use coolpim_hmc::Ps;
+    use coolpim_telemetry::{RecordingSink, Telemetry, TelemetryEvent};
+
+    /// Forwards every call but the temperature readings.
+    struct Deaf(Box<dyn OffloadController>);
+
+    impl OffloadController for Deaf {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn on_block_launch(&mut self, block_id: usize, now: Ps) -> bool {
+            self.0.on_block_launch(block_id, now)
+        }
+        fn on_block_complete(&mut self, block_id: usize, was_pim: bool, now: Ps) {
+            self.0.on_block_complete(block_id, was_pim, now);
+        }
+        fn warp_may_offload(&mut self, sm: usize, warp_slot: usize, now: Ps) -> bool {
+            self.0.warp_may_offload(sm, warp_slot, now)
+        }
+        fn on_thermal_warning(&mut self, now: Ps, warning_id: u64) {
+            self.0.on_thermal_warning(now, warning_id);
+        }
+        fn drain_control_events(&mut self, out: &mut Vec<TelemetryEvent>) {
+            self.0.drain_control_events(out);
+        }
+    }
+
+    #[test]
+    fn every_policy_controller_ignores_temperature_readings() {
+        let g = GraphSpec::test_medium().build();
+        // A hot loop: warnings from the first epoch, throttling after.
+        let cfg = CoSimConfig {
+            gpu: coolpim_gpu::GpuConfig::tiny(),
+            warning_threshold_c: 40.0,
+            ..CoSimConfig::default()
+        };
+        for policy in Policy::ALL {
+            let run = |deaf: bool| {
+                let (sink, log) = RecordingSink::new();
+                let sim = CoSim::new(policy, cfg.clone())
+                    .with_telemetry(Telemetry::with_sink(Box::new(sink)));
+                let mut kernel = make_kernel(Workload::PageRank, &g);
+                let r = if deaf {
+                    let mut ctrl = Deaf(policy.controller(&kernel.profile()));
+                    sim.run_with_controller(kernel.as_mut(), &mut ctrl, policy.thermal_feedback())
+                } else {
+                    sim.run(kernel.as_mut())
+                };
+                (format!("{r:?}"), log.snapshot())
+            };
+            let (heard, deaf) = (run(false), run(true));
+            let warned = heard.0.contains("thermal_warnings_raised");
+            assert_eq!(warned, policy.thermal_feedback(), "{}", policy.name());
+            assert_eq!(heard.0, deaf.0, "{}", policy.name());
+            assert_eq!(heard.1, deaf.1, "{}", policy.name());
+        }
+    }
+}
+
 #[cfg(test)]
 mod more_tests {
     use super::*;

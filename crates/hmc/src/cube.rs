@@ -7,7 +7,7 @@ use crate::link::Link;
 use crate::ns_to_ps;
 use crate::packet::{Request, ResponseTail};
 use crate::stats::{PimAttribution, StatsTotals, StatsWindow};
-use crate::thermal_state::{TempPhase, ThermalStatus};
+use crate::thermal_state::{TempPhase, ThermalTracker};
 use crate::timing::DramTiming;
 use crate::vault::{Vault, VaultAccess};
 use crate::Ps;
@@ -119,7 +119,10 @@ pub struct Hmc {
     cfg: HmcConfig,
     links: Vec<Link>,
     vaults: Vec<Vault>,
-    thermal: ThermalStatus,
+    /// Warning and phase episodes, and their buffered events (warning
+    /// raised, phase moves, derates, shutdown) that the co-simulator
+    /// drains each epoch into its telemetry sink.
+    thermal: ThermalTracker,
     window: StatsWindow,
     totals: StatsTotals,
     /// Effective timing under the current phase (recomputed on thermal
@@ -128,14 +131,6 @@ pub struct Hmc {
     refresh_permille: u64,
     /// Frequency stretch of the vault-internal domain (num, den).
     freq_stretch: (u64, u64),
-    /// Rare thermal/protocol events since the last drain (warning
-    /// raised, phase moves, derates, shutdown) — the co-simulator drains
-    /// these each epoch into its telemetry sink.
-    events: Vec<TelemetryEvent>,
-    /// Warnings raised over the run (monotonic; ids are 1-based).
-    warnings_raised: u64,
-    /// Id of the warning episode currently in progress, if any.
-    active_warning_id: Option<u64>,
     /// End-to-end service time of every transaction (ps).
     service_hist: Histogram,
     /// Bank queue wait of every transaction (ps).
@@ -188,15 +183,12 @@ impl Hmc {
             cfg,
             links,
             vaults,
-            thermal: ThermalStatus::default(),
+            thermal: ThermalTracker::default(),
             window,
             totals: StatsTotals::default(),
             derated_timing,
             refresh_permille: 0,
             freq_stretch: (1, 1),
-            events: Vec::new(),
-            warnings_raised: 0,
-            active_warning_id: None,
             service_hist: Histogram::new(),
             queue_hist: Histogram::new(),
             pim_attr,
@@ -227,6 +219,11 @@ impl Hmc {
         self.thermal.phase()
     }
 
+    /// The cube's warning and phase episodes.
+    pub fn thermal(&self) -> &ThermalTracker {
+        &self.thermal
+    }
+
     /// Pushes a new peak-DRAM temperature from the thermal model; updates
     /// phase-dependent derating and the warning flag.
     pub fn set_peak_dram_temp(&mut self, peak_dram_c: f64) {
@@ -237,49 +234,8 @@ impl Hmc {
     /// telemetry events (warning raised, phase transition, derate,
     /// shutdown) with the simulation time `now`.
     pub fn set_peak_dram_temp_at(&mut self, peak_dram_c: f64, now: Ps) {
-        let was_warning = self.thermal.warning_active();
-        let old_phase = self.thermal.phase();
-        self.thermal.peak_dram_c = peak_dram_c;
+        self.thermal.update(peak_dram_c, now);
         self.recompute_derating();
-        if !was_warning && self.thermal.warning_active() {
-            // A new warning episode begins: assign the next causal id.
-            self.warnings_raised += 1;
-            self.active_warning_id = Some(self.warnings_raised);
-            self.events.push(TelemetryEvent::ThermalWarningRaised {
-                t_ps: now,
-                peak_dram_c,
-                warning_id: self.warnings_raised,
-            });
-        } else if was_warning && !self.thermal.warning_active() {
-            if let Some(id) = self.active_warning_id.take() {
-                self.events.push(TelemetryEvent::ThermalWarningCleared {
-                    t_ps: now,
-                    peak_dram_c,
-                    warning_id: id,
-                });
-            }
-        }
-        let phase = self.thermal.phase();
-        if phase != old_phase {
-            self.events.push(TelemetryEvent::PhaseTransition {
-                t_ps: now,
-                from: old_phase.name(),
-                to: phase.name(),
-            });
-            let (stretch_num, stretch_den) = self.freq_stretch;
-            self.events.push(TelemetryEvent::FrequencyDerate {
-                t_ps: now,
-                stretch_num,
-                stretch_den,
-                warning_id: self.active_warning_id,
-            });
-            if phase == TempPhase::Shutdown {
-                self.events.push(TelemetryEvent::Shutdown {
-                    t_ps: now,
-                    peak_dram_c,
-                });
-            }
-        }
     }
 
     /// [`Self::drain_events`] with an optional timeline track: the
@@ -295,7 +251,7 @@ impl Hmc {
         match trace {
             Some(t) => {
                 let tok = t.begin("vault_events");
-                let n = self.events.len();
+                let n = self.thermal.pending_events();
                 self.drain_events(out);
                 t.counter("hmc_events_drained", n as f64);
                 t.end(tok);
@@ -306,7 +262,7 @@ impl Hmc {
 
     /// Moves the cube's buffered telemetry events into `out`.
     pub fn drain_events(&mut self, out: &mut Vec<TelemetryEvent>) {
-        out.append(&mut self.events);
+        self.thermal.drain_events(out);
     }
 
     /// Per-transaction service-time histogram (host-observed, ps).
@@ -334,7 +290,7 @@ impl Hmc {
 
     /// Overrides the warning threshold (°C).
     pub fn set_warning_threshold(&mut self, threshold_c: f64) {
-        self.thermal.warning_threshold_c = threshold_c;
+        self.thermal.set_warning_threshold(threshold_c);
     }
 
     /// Whether responses currently carry the thermal warning.
@@ -344,7 +300,7 @@ impl Hmc {
 
     /// Id of the warning episode currently in progress, if any.
     pub fn active_warning_id(&self) -> Option<u64> {
-        self.active_warning_id
+        self.thermal.active_warning_id()
     }
 
     fn recompute_derating(&mut self) {
@@ -392,7 +348,7 @@ impl Hmc {
                 finish_ps: now + self.cfg.shutdown_recovery,
                 req_accepted_ps: now + self.cfg.shutdown_recovery,
                 thermal_warning: true,
-                warning_id: self.active_warning_id,
+                warning_id: self.thermal.active_warning_id(),
                 tail: ResponseTail {
                     errstat: crate::thermal_state::ERRSTAT_THERMAL_WARNING,
                     atomic_flag: false,
@@ -465,7 +421,7 @@ impl Hmc {
             req_accepted_ps: req_done,
             thermal_warning,
             warning_id: if thermal_warning {
-                self.active_warning_id
+                self.thermal.active_warning_id()
             } else {
                 None
             },

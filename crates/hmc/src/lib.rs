@@ -58,7 +58,7 @@ pub use cube::{Completion, Hmc, HmcConfig};
 pub use packet::Request;
 pub use reference::ReferenceVault;
 pub use stats::PimAttribution;
-pub use thermal_state::TempPhase;
+pub use thermal_state::{TempPhase, ThermalTracker};
 pub use vault::VaultTiming;
 
 /// Simulation time in integer picoseconds.

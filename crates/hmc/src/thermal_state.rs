@@ -9,6 +9,10 @@
 //! ERRSTAT\[6:0\] = 0x01 in response-packet tails, which is the feedback
 //! signal CoolPIM's source throttling consumes.
 
+use coolpim_telemetry::TelemetryEvent;
+
+use crate::Ps;
+
 /// ERRSTAT value signalling a thermal warning (§II-A).
 pub const ERRSTAT_THERMAL_WARNING: u8 = 0x01;
 
@@ -123,6 +127,123 @@ impl ThermalStatus {
     }
 }
 
+/// The cube's warning and phase episodes: the latest peak temperature,
+/// the ERRSTAT warning bit, the 1-based warning-episode ids, and the
+/// events each temperature update raises (warning raised or cleared,
+/// phase transition, frequency derate, shutdown).
+///
+/// [`crate::Hmc`] embeds one and reads its phase and warning bit; that
+/// pair is all the timing model ever reads of the temperature. A run that
+/// reuses another run's engine steps a tracker of its own, so it raises
+/// its own events with its own peak temperatures.
+#[derive(Debug, Clone, Default)]
+pub struct ThermalTracker {
+    status: ThermalStatus,
+    /// Warnings raised so far (the last id handed out).
+    warnings_raised: u64,
+    /// Id of the warning episode in progress, if any.
+    active_warning_id: Option<u64>,
+    /// Events since the last drain.
+    events: Vec<TelemetryEvent>,
+}
+
+impl ThermalTracker {
+    /// A tracker at the default 25 °C with warnings at `threshold_c`.
+    pub fn new(threshold_c: f64) -> Self {
+        let mut t = Self::default();
+        t.set_warning_threshold(threshold_c);
+        t
+    }
+
+    /// Overrides the warning threshold (°C).
+    pub fn set_warning_threshold(&mut self, threshold_c: f64) {
+        self.status.warning_threshold_c = threshold_c;
+    }
+
+    /// Current operating phase.
+    pub fn phase(&self) -> TempPhase {
+        self.status.phase()
+    }
+
+    /// Whether responses currently carry the thermal warning.
+    pub fn warning_active(&self) -> bool {
+        self.status.warning_active()
+    }
+
+    /// The ERRSTAT field value for a response issued now.
+    pub fn errstat(&self) -> u8 {
+        self.status.errstat()
+    }
+
+    /// What the timing model reads of the temperature: the phase and
+    /// the warning bit.
+    pub fn feedback(&self) -> (TempPhase, bool) {
+        (self.phase(), self.warning_active())
+    }
+
+    /// Id of the warning episode in progress, if any.
+    pub fn active_warning_id(&self) -> Option<u64> {
+        self.active_warning_id
+    }
+
+    /// Records a new peak-DRAM temperature at simulation time `now`,
+    /// buffering the events it raises.
+    pub fn update(&mut self, peak_dram_c: f64, now: Ps) {
+        let was_warning = self.status.warning_active();
+        let old_phase = self.status.phase();
+        self.status.peak_dram_c = peak_dram_c;
+        if !was_warning && self.status.warning_active() {
+            // A new warning episode begins: assign the next causal id.
+            self.warnings_raised += 1;
+            self.active_warning_id = Some(self.warnings_raised);
+            self.events.push(TelemetryEvent::ThermalWarningRaised {
+                t_ps: now,
+                peak_dram_c,
+                warning_id: self.warnings_raised,
+            });
+        } else if was_warning && !self.status.warning_active() {
+            if let Some(id) = self.active_warning_id.take() {
+                self.events.push(TelemetryEvent::ThermalWarningCleared {
+                    t_ps: now,
+                    peak_dram_c,
+                    warning_id: id,
+                });
+            }
+        }
+        let phase = self.status.phase();
+        if phase != old_phase {
+            self.events.push(TelemetryEvent::PhaseTransition {
+                t_ps: now,
+                from: old_phase.name(),
+                to: phase.name(),
+            });
+            let (stretch_num, stretch_den) = phase.timing_stretch();
+            self.events.push(TelemetryEvent::FrequencyDerate {
+                t_ps: now,
+                stretch_num,
+                stretch_den,
+                warning_id: self.active_warning_id,
+            });
+            if phase == TempPhase::Shutdown {
+                self.events.push(TelemetryEvent::Shutdown {
+                    t_ps: now,
+                    peak_dram_c,
+                });
+            }
+        }
+    }
+
+    /// Events buffered since the last drain.
+    pub fn pending_events(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Moves the buffered events into `out`.
+    pub fn drain_events(&mut self, out: &mut Vec<TelemetryEvent>) {
+        out.append(&mut self.events);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +273,31 @@ mod tests {
         s.peak_dram_c = 84.5;
         assert!(s.warning_active());
         assert_eq!(s.errstat(), ERRSTAT_THERMAL_WARNING);
+    }
+
+    #[test]
+    fn a_tracker_raises_the_events_of_the_cube_it_mirrors() {
+        // The cube embeds a tracker: one stepped on its own through the
+        // same readings raises the same events, ids and peaks included.
+        let mut hmc = crate::Hmc::hmc20();
+        hmc.set_warning_threshold(80.0);
+        let mut tracker = ThermalTracker::new(80.0);
+        for (i, c) in [70.0, 81.0, 86.0, 79.0, 96.0, 84.0, 106.0]
+            .into_iter()
+            .enumerate()
+        {
+            let now = 1_000 * (i as Ps + 1);
+            hmc.set_peak_dram_temp_at(c, now);
+            tracker.update(c, now);
+            assert_eq!(tracker.feedback(), (hmc.phase(), hmc.warning_active()));
+            assert_eq!(tracker.feedback(), hmc.thermal().feedback());
+            assert_eq!(tracker.active_warning_id(), hmc.active_warning_id());
+        }
+        let (mut cube_events, mut own) = (Vec::new(), Vec::new());
+        hmc.drain_events(&mut cube_events);
+        tracker.drain_events(&mut own);
+        assert_eq!(own, cube_events);
+        assert_eq!(tracker.pending_events(), 0);
     }
 
     #[test]
