@@ -1,19 +1,18 @@
 //! `obs` — the cross-run statistical observatory CLI.
 //!
 //! ```text
-//! obs report [--runs DIR]... [--md PATH]
+//! obs report --runs DIR [--runs DIR]... [--md PATH]
 //! obs gate SET CURRENT [--baseline FILE] [--md PATH]
 //!          [--inflate METRIC=FACTOR] [--expect-regression]
 //! ```
 //!
-//! **`obs report`** scans run-record stores (directories of flat-JSON
-//! records appended by `sim --run-record` / `COOLPIM_RUN_RECORD`),
-//! groups records by configuration hash, and renders each group's
-//! longitudinal history: per-metric sparkline, first/last values,
-//! detected change-points, and a noise-vs-signal classification.
-//! With no `--runs` it reads `results/runs/`. The terminal dashboard
-//! always prints; `--md` additionally writes the Markdown report
-//! artifact.
+//! **`obs report`** scans the `--runs` directories (at least one) of
+//! flat-JSON run records, such as a directory of `sim --metrics-out`
+//! files, groups records by configuration hash, and renders each
+//! group's longitudinal history: per-metric sparkline, first/last
+//! values, detected change-points, and a noise-vs-signal
+//! classification. The terminal dashboard always prints; `--md`
+//! additionally writes the Markdown report artifact.
 //!
 //! **`obs gate`** is the one regression gate: it checks CURRENT
 //! against the named gate set (see `coolpim_bench::gate`, which holds
@@ -40,7 +39,7 @@ use coolpim_bench::runrec::RunRecord;
 fn usage() -> ! {
     let sets: Vec<&str> = SETS.iter().map(|s| s.name).collect();
     eprintln!(
-        "usage: obs report [--runs DIR]... [--md PATH]\n\
+        "usage: obs report --runs DIR [--runs DIR]... [--md PATH]\n\
          \x20      obs gate SET CURRENT [--baseline FILE] [--md PATH]\n\
          \x20              [--inflate METRIC=FACTOR] [--expect-regression]\n\
          sets: {}",
@@ -75,12 +74,9 @@ fn report(argv: &[String]) {
         }
         i += 1;
     }
-    // Default source: the conventional run store.
     if runs.is_empty() {
-        let store = Path::new("results/runs");
-        if store.is_dir() {
-            runs.push(store.to_path_buf());
-        }
+        eprintln!("obs: report needs --runs DIR");
+        usage();
     }
 
     let (records, warnings) = scan_records(&runs);

@@ -2,9 +2,11 @@
 //!
 //! ```text
 //! sim [--workload NAME] [--policy NAME] [--scale N] [--degree N]
-//!     [--cooling NAME] [--seed N] [--graph FILE] [--timeline]
+//!     [--cooling NAME] [--seed N] [--graph FILE]
 //!     [--trace FILE] [--timeline-out FILE] [--profile]
-//!     [--warning-threshold C] [--metrics-out FILE] [--run-record DIR]
+//!     [--warning-threshold C] [--metrics-out FILE]
+//!     [--flight-recorder] [--postmortem-dir DIR] [--trace-rotate-mb MB]
+//!     [--trace-timeline FILE] [--heartbeat SECS] [--seed-list a,b,c]
 //!     [--record-trace FILE] [--replay FILE] [--matrix]
 //! ```
 //!
@@ -15,19 +17,17 @@
 //! its setup times, `setup.graph_s` (graph generation or loading, CSR
 //! build included) and `setup.kernel_s` (`make_kernel`). `--graph`
 //! loads a plain-text edge list instead of generating an R-MAT graph;
-//! `--timeline` dumps the per-epoch telemetry as CSV to stdout,
-//! `--timeline-out FILE` writes the same CSV to a file when the run
-//! ends, `--trace FILE` streams the full event log (warnings, phase
+//! `--timeline-out FILE` writes the per-epoch telemetry as CSV when the
+//! run ends, `--trace FILE` streams the full event log (warnings, phase
 //! moves, pool resizes, kernel lifecycle, epoch samples) as JSONL, and
 //! `--profile` prints the run's span tree (self and total time per
 //! phase, critical path).
 //!
 //! `--warning-threshold` overrides the ERRSTAT trigger temperature
 //! (small-scale CI runs lower it so the feedback loop engages).
-//! `--metrics-out FILE` dumps the final run record (headline metrics +
-//! telemetry snapshot) as one flat JSON object; `--run-record DIR`
-//! appends the same record to a run store (also triggered by the
-//! `COOLPIM_RUN_RECORD` environment variable) for `obs gate`.
+//! `--metrics-out FILE` writes the run record (headline metrics +
+//! telemetry snapshot) as one flat JSON object, the input of `obs gate`
+//! and, collected in a directory, of `obs report --runs DIR`.
 //!
 //! `--flight-recorder` keeps a rolling in-memory ring of per-vault
 //! thermal/traffic samples; `--postmortem-dir DIR` (implies
@@ -46,17 +46,16 @@
 //! in-process before it is written; the aggregated span tree also folds
 //! into the run record as `tprof.*` metrics for `obs gate profile`.
 //!
-//! `--replicates N` runs the same configuration N times over seed-varied
-//! graph draws (seeds `seed..seed+N`, or exactly `--seed-list a,b,c`)
-//! on a worker pool and folds the runs into ONE replicated run record
-//! (schema v2): per metric the median as the headline value plus a
-//! `dist.<metric>.*` block (MAD, extremes, bootstrap 95 % CI, raw
-//! samples). That record is what `obs gate` runs its permutation test
-//! on. Both sweep modes, `--replicates` and `--matrix` (below), refuse
-//! `--graph` (they generate their own graphs; for replicates a fixed
-//! graph leaves nothing for the seed to vary) and the per-run flags
-//! (`--timeline`, `--trace`, `--heartbeat`, ...), exiting 2 naming any
-//! they would ignore.
+//! `--seed-list a,b,c` runs the same configuration once per listed seed
+//! (one R-MAT draw each) on a worker pool and folds the runs into ONE
+//! replicated run record (schema v2): per metric the median as the
+//! headline value plus a `dist.<metric>.*` block (MAD, extremes,
+//! bootstrap 95 % CI, raw samples). That record is what `obs gate` runs
+//! its permutation test on. Both sweep modes, `--seed-list` and
+//! `--matrix` (below), refuse `--graph` (they generate their own graphs;
+//! for replicates a fixed graph leaves nothing for the seed to vary) and
+//! the per-run flags (`--trace`, `--timeline-out`, `--heartbeat`, ...),
+//! exiting 2 naming any they would ignore.
 //!
 //! `--record-trace FILE` tees the workload's exact per-warp instruction
 //! stream — the one this very run executed — into a versioned binary
@@ -73,15 +72,14 @@
 //! `--replay` the cells share one immutable trace (`Arc`), which is the
 //! "record once, replay everywhere" sweep that simbench's `replay-sweep`
 //! workload times.
-//! The matrix writes no run record, so it also refuses `--metrics-out`
-//! and `--run-record`.
+//! The matrix writes no run record, so it also refuses `--metrics-out`.
 //!
 //! `--heartbeat SECS` prints a one-line progress summary to stderr at
 //! that wall-clock cadence (first beat on the first epoch).
 
 use coolpim_bench::replicate::fold_replicates;
 use coolpim_bench::repro::check_scale;
-use coolpim_bench::runrec::{fnv1a, run_record_dir, RunRecord};
+use coolpim_bench::runrec::{fnv1a, RunRecord};
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::experiment::{run_replicates, run_source_sweep, SweepCell};
 use coolpim_core::observer::{FlightConfig, FlightObserver, Heartbeat};
@@ -105,19 +103,16 @@ struct Args {
     seed: u64,
     cooling: Cooling,
     graph_file: Option<String>,
-    timeline: bool,
     trace: Option<String>,
     timeline_out: Option<String>,
     profile: bool,
     warning_threshold_c: Option<f64>,
     metrics_out: Option<String>,
-    run_record: Option<String>,
     flight_recorder: bool,
     postmortem_dir: Option<String>,
     trace_rotate_mb: Option<u64>,
     trace_timeline: Option<String>,
     heartbeat_s: Option<f64>,
-    replicates: Option<u64>,
     seed_list: Option<Vec<u64>>,
     record_trace: Option<String>,
     replay: Option<String>,
@@ -133,14 +128,12 @@ fn usage() -> ! {
          \x20          [--policy baseline|naive|coolpim-sw|coolpim-hw|ideal]\n\
          \x20          [--scale N] [--degree N] [--seed N]\n\
          \x20          [--cooling passive|low-end|commodity|high-end]\n\
-         \x20          [--graph edge-list-file] [--timeline]\n\
+         \x20          [--graph edge-list-file]\n\
          \x20          [--trace jsonl-file] [--timeline-out csv-file] [--profile]\n\
          \x20          [--warning-threshold C] [--metrics-out json-file]\n\
-         \x20          [--run-record dir]\n\
          \x20          [--flight-recorder] [--postmortem-dir dir]\n\
          \x20          [--trace-rotate-mb MB] [--trace-timeline json-file]\n\
-         \x20          [--heartbeat secs]\n\
-         \x20          [--replicates N] [--seed-list a,b,c]\n\
+         \x20          [--heartbeat secs] [--seed-list a,b,c]\n\
          \x20          [--record-trace file.cptr] [--replay file.cptr] [--matrix]"
     );
     std::process::exit(2);
@@ -178,19 +171,16 @@ fn parse_args() -> Args {
         seed: 42,
         cooling: Cooling::CommodityServer,
         graph_file: None,
-        timeline: false,
         trace: None,
         timeline_out: None,
         profile: false,
         warning_threshold_c: None,
         metrics_out: None,
-        run_record: None,
         flight_recorder: false,
         postmortem_dir: None,
         trace_rotate_mb: None,
         trace_timeline: None,
         heartbeat_s: None,
-        replicates: None,
         seed_list: None,
         record_trace: None,
         replay: None,
@@ -231,7 +221,6 @@ fn parse_args() -> Args {
                 args.cooling = parse_cooling(&v).unwrap_or_else(|| usage());
             }
             "--graph" | "-g" => args.graph_file = Some(take(&mut i)),
-            "--timeline" | "-t" => args.timeline = true,
             "--trace" => args.trace = Some(take(&mut i)),
             "--timeline-out" => args.timeline_out = Some(take(&mut i)),
             "--profile" => args.profile = true,
@@ -247,7 +236,6 @@ fn parse_args() -> Args {
                 }
             }
             "--metrics-out" => args.metrics_out = Some(take(&mut i)),
-            "--run-record" => args.run_record = Some(take(&mut i)),
             "--flight-recorder" => args.flight_recorder = true,
             "--postmortem-dir" => args.postmortem_dir = Some(take(&mut i)),
             "--trace-rotate-mb" => {
@@ -256,9 +244,6 @@ fn parse_args() -> Args {
             "--trace-timeline" => args.trace_timeline = Some(take(&mut i)),
             "--heartbeat" => {
                 args.heartbeat_s = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--replicates" => {
-                args.replicates = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
             }
             "--seed-list" => {
                 let v = take(&mut i);
@@ -304,9 +289,7 @@ fn graph_spec(args: &Args) -> GraphSpec {
     }
 }
 
-/// Writes `record` to `--metrics-out` and appends it to the run store
-/// (`--run-record DIR`, else `COOLPIM_RUN_RECORD`), exiting 1 on an I/O
-/// error.
+/// Writes `record` to `--metrics-out`, exiting 1 on an I/O error.
 fn write_record(args: &Args, record: &RunRecord) {
     if let Some(path) = &args.metrics_out {
         if let Err(e) = record.write_to(std::path::Path::new(path)) {
@@ -314,59 +297,17 @@ fn write_record(args: &Args, record: &RunRecord) {
             std::process::exit(1);
         }
     }
-    let record_dir = args
-        .run_record
-        .clone()
-        .map(Into::into)
-        .or_else(run_record_dir);
-    if let Some(dir) = record_dir {
-        match record.save_to_dir(&dir) {
-            Ok(path) => eprintln!("# run record: {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to append run record under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Resolves `--replicates` / `--seed-list` into the replicate seed set;
-/// `None` means an ordinary single run.
-fn replicate_seeds(args: &Args) -> Option<Vec<u64>> {
-    match (&args.seed_list, args.replicates) {
-        (Some(list), n) => {
-            if list.is_empty() {
-                eprintln!("--seed-list needs at least one seed");
-                std::process::exit(2);
-            }
-            if let Some(n) = n {
-                if n as usize != list.len() {
-                    eprintln!(
-                        "--replicates {n} does not match --seed-list length {}",
-                        list.len()
-                    );
-                    std::process::exit(2);
-                }
-            }
-            Some(list.clone())
-        }
-        // Consecutive seeds from the base --seed; `--replicates 1` is an
-        // ordinary single run.
-        (None, Some(n)) if n >= 2 => Some((0..n).map(|k| args.seed.wrapping_add(k)).collect()),
-        _ => None,
-    }
 }
 
 /// The sweep modes' shared flag check: exits 2 naming every flag given
 /// that only a single run reads, instead of ignoring it. `--graph` is
 /// among them, since both modes generate their own graphs. A mode that
 /// writes no run record (`writes_record` false) also refuses
-/// `--metrics-out` and `--run-record`.
+/// `--metrics-out`.
 fn reject_per_run_flags(args: &Args, mode: &str, writes_record: bool) {
     let no_record = !writes_record;
     let flags = [
         ("--graph", args.graph_file.is_some()),
-        ("--timeline", args.timeline),
         ("--trace", args.trace.is_some()),
         ("--trace-rotate-mb", args.trace_rotate_mb.is_some()),
         ("--timeline-out", args.timeline_out.is_some()),
@@ -377,7 +318,6 @@ fn reject_per_run_flags(args: &Args, mode: &str, writes_record: bool) {
         ("--heartbeat", args.heartbeat_s.is_some()),
         ("--record-trace", args.record_trace.is_some()),
         ("--metrics-out", no_record && args.metrics_out.is_some()),
-        ("--run-record", no_record && args.run_record.is_some()),
     ];
     let given: Vec<&str> = flags.iter().filter(|f| f.1).map(|f| f.0).collect();
     if !given.is_empty() {
@@ -393,7 +333,7 @@ fn reject_per_run_flags(args: &Args, mode: &str, writes_record: bool) {
 /// The replicated-run mode: N seed-varied runs folded into one schema
 /// v2 record with per-metric distributions.
 fn run_replicated(args: &Args, seeds: &[u64]) {
-    reject_per_run_flags(args, "--replicates", true);
+    reject_per_run_flags(args, "--seed-list", true);
     let cfg = cosim_config(args);
     let threshold_c = cfg.warning_threshold_c;
     let seed_desc = seeds
@@ -566,16 +506,16 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if args.matrix && (args.replicates.is_some() || args.seed_list.is_some()) {
-        eprintln!("--matrix and --replicates are separate sweep modes; pick one");
-        std::process::exit(2);
-    }
-    if let Some(seeds) = replicate_seeds(&args) {
-        if args.replay.is_some() {
-            eprintln!("--replicates regenerates the graph per seed; replay a single run instead");
+    if let Some(seeds) = &args.seed_list {
+        if args.matrix {
+            eprintln!("--matrix and --seed-list are separate sweep modes; pick one");
             std::process::exit(2);
         }
-        run_replicated(&args, &seeds);
+        if args.replay.is_some() {
+            eprintln!("--seed-list regenerates the graph per seed; replay a single run instead");
+            std::process::exit(2);
+        }
+        run_replicated(&args, seeds);
         return;
     }
     if args.matrix {
@@ -643,7 +583,6 @@ fn main() {
 
     let threshold_c = cfg.warning_threshold_c;
 
-    // One record serves the snapshot dump and the run store.
     // A replayed run is identified by the trace's recorded workload name
     // and the trace file path — not the (ignored) --workload/--graph.
     let workload_name = match &replay_trace {
@@ -820,8 +759,5 @@ fn main() {
         let tracer = tracer.as_ref().expect("--profile attaches a tracer");
         print!("{}", tracer.profile().render());
         print!("{}", r.metrics.render());
-    }
-    if args.timeline {
-        print!("{}", timeline_csv(&r.timeline));
     }
 }

@@ -154,7 +154,7 @@ pub const CONTROL_LOOP: &[Gate] = &[
 /// What a gate set reads as its CURRENT file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Input {
-    /// A run record (`sim --metrics-out`, `sim --run-record`).
+    /// A run record (`sim --metrics-out`).
     Record,
     /// A Chrome trace timeline (`sim --trace-timeline`).
     Timeline,

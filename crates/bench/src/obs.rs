@@ -1,6 +1,6 @@
 //! The cross-run statistical observatory behind `obs report`:
-//! longitudinal reading of the run-record store. (`obs gate` lives in
-//! `crate::gate`.)
+//! longitudinal reading of directories of run records. (`obs gate`
+//! lives in `crate::gate`.)
 //!
 //! Two layers:
 //!

@@ -55,23 +55,13 @@ pub static ARTIFACTS: [(&str, Render); 16] = [
 /// never ask for it never read `COOLPIM_SCALE`.
 #[derive(Default)]
 pub struct EvalGraph {
-    built: OnceCell<(GraphSpec, Csr)>,
+    built: OnceCell<Csr>,
 }
 
 impl EvalGraph {
-    /// The graph's generation spec.
-    pub(crate) fn spec(&self) -> &GraphSpec {
-        &self.get().0
-    }
-
-    /// The graph itself.
-    pub(crate) fn csr(&self) -> &Csr {
-        &self.get().1
-    }
-
-    /// Resolves and builds the graph on the first call, exiting with a
+    /// The graph: resolved and built on the first call, exiting with a
     /// diagnostic (status 2) on a `COOLPIM_SCALE` it cannot use.
-    fn get(&self) -> &(GraphSpec, Csr) {
+    pub(crate) fn csr(&self) -> &Csr {
         self.built.get_or_init(|| {
             let spec = graph_spec_for(std::env::var("COOLPIM_SCALE").ok().as_deref())
                 .unwrap_or_else(|e| {
@@ -82,7 +72,7 @@ impl EvalGraph {
                 "# generating LDBC-like graph: 2^{} vertices, avg degree {} (seed {})",
                 spec.scale, spec.avg_degree, spec.seed
             );
-            (spec, spec.build())
+            spec.build()
         })
     }
 }

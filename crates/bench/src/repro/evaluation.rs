@@ -9,13 +9,11 @@ use coolpim_core::experiment::{
 };
 use coolpim_core::policy::Policy;
 use coolpim_core::report::{f, Table};
-use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_graph::Csr;
 use coolpim_telemetry::{TraceProfile, Tracer};
 
 use super::EvalGraph;
-use crate::runrec::{run_record_dir, RunRecord};
 
 /// One per-workload figure of the evaluation matrix: a row per
 /// workload, a column per policy.
@@ -130,11 +128,9 @@ fn run_eval_matrix(graph: &Csr) -> (Vec<WorkloadResults>, Option<TraceProfile>) 
 /// Figs. 10–13 from ONE run of the evaluation matrix, then the
 /// aggregated metrics block (warnings, throttle steps, HMC latency
 /// histograms) and the average speedups. `COOLPIM_PROFILE=1` puts the
-/// span tree of the whole matrix first; `COOLPIM_RUN_RECORD=<dir>`
-/// appends one run record per cell.
+/// span tree of the whole matrix first.
 pub(super) fn eval_all(graph: &EvalGraph) -> String {
     let (results, profile) = run_eval_matrix(graph.csr());
-    save_run_records(graph.spec(), &results);
     let mut out = profile.map(|p| p.render()).unwrap_or_default();
     for fig in &FIGURES {
         let _ = writeln!(out, "{}", fig.render(&results));
@@ -149,35 +145,6 @@ pub(super) fn eval_all(graph: &EvalGraph) -> String {
         mean_speedup(&results, Policy::IdealThermal),
     );
     out
-}
-
-/// With `COOLPIM_RUN_RECORD=<dir>` set, appends one run record per
-/// (workload, policy) cell of the matrix for later `obs gate` runs.
-fn save_run_records(spec: &GraphSpec, results: &[WorkloadResults]) {
-    let Some(dir) = run_record_dir() else { return };
-    let mut written = 0usize;
-    for wr in results {
-        for run in &wr.runs {
-            let config = format!(
-                "workload={} policy={} scale={} degree={} seed={}",
-                wr.workload.name(),
-                run.policy.name(),
-                spec.scale,
-                spec.avg_degree,
-                spec.seed
-            );
-            let name = format!("{}-{}", wr.workload.name(), run.policy.name());
-            match RunRecord::from_cosim(&name, &config, run).save_to_dir(&dir) {
-                Ok(_) => written += 1,
-                Err(e) => eprintln!("# run record {name}: {e}"),
-            }
-        }
-    }
-    eprintln!(
-        "# {} run record(s) appended under {}",
-        written,
-        dir.display()
-    );
 }
 
 /// Figure 14: PIM rate over time for bfs-ta under naïve offloading and

@@ -1,21 +1,21 @@
 //! Versioned per-run records.
 //!
-//! `sim` and `repro eval_all` can append a snapshot of one run —
-//! config hash, headline metrics, telemetry
-//! counters/gauges/histogram summaries, and the wall-clock profile — to
-//! `results/runs/*.json` as one flat JSON object. `obs gate` checks
-//! such a record against a named baseline and the ceilings of a gate
-//! set (see `crate::gate`), which is what CI gates on.
+//! `sim --metrics-out FILE` writes a snapshot of one run — config
+//! hash, headline metrics, telemetry counters/gauges/histogram
+//! summaries, and the wall-clock profile — as one flat JSON object.
+//! `obs gate` checks such a record against a named baseline and the
+//! ceilings of a gate set (see `crate::gate`), which is what CI gates
+//! on; `obs report --runs DIR` reads a directory of them.
 //!
 //! Records are self-describing: a `schema_version` field lets future
 //! schema changes detect (and refuse, rather than mis-read) old files,
 //! and a `config_hash` over the run configuration lets the gate warn
 //! when a baseline was captured under different settings.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use coolpim_core::cosim::CoSimResult;
-use coolpim_telemetry::json::{parse_flat_object, FlatValue, JsonBuilder};
+use coolpim_telemetry::json::{parse_flat_object, JsonBuilder, JsonValue};
 
 /// Version stamped into every record; bump on incompatible layout
 /// changes so the comparator can refuse mixed-version diffs.
@@ -29,10 +29,6 @@ pub const RUN_RECORD_SCHEMA_VERSION: u64 = 2;
 
 /// Oldest schema version this build still reads.
 pub const MIN_RUN_RECORD_SCHEMA_VERSION: u64 = 1;
-
-/// Environment variable the drivers consult: when set to a directory,
-/// every run appends its record there (see [`RunRecord::save_to_dir`]).
-pub const RUN_RECORD_ENV: &str = "COOLPIM_RUN_RECORD";
 
 /// FNV-1a 64-bit hash (stable across runs and platforms, unlike
 /// [`std::hash`] which is randomized per process).
@@ -106,40 +102,12 @@ impl RunRecord {
             .map(|(_, v)| *v)
     }
 
-    /// Builds a record from a finished co-simulation: headline results,
-    /// every telemetry counter/gauge, and histogram summaries.
+    /// Builds a record from a finished co-simulation: its
+    /// [`CoSimResult::named_metrics`], in order.
     pub fn from_cosim(name: &str, config: &str, r: &CoSimResult) -> Self {
         let mut rec = Self::new(name, config);
-        rec.push("exec_s", r.exec_s);
-        rec.push("max_peak_dram_c", r.max_peak_dram_c);
-        rec.push("avg_pim_rate_op_ns", r.avg_pim_rate_op_ns);
-        rec.push("ext_data_bytes", r.ext_data_bytes);
-        rec.push("l2_hit_rate", r.l2_hit_rate);
-        rec.push("cube_energy_j", r.cube_energy_j);
-        rec.push("fan_energy_j", r.fan_energy_j);
-        rec.push("offload_fraction", r.gpu.offload_fraction());
-        rec.push("kernel_launches", r.gpu.launches as f64);
-        rec.push("pim_ops", r.hmc.pim_ops as f64);
-        rec.push("reads", r.hmc.reads as f64);
-        rec.push("writes", r.hmc.writes as f64);
-        rec.push("throttle_steps", r.throttle_steps as f64);
-        rec.push("shutdown", u64::from(r.shutdown) as f64);
-        rec.push("timed_out", u64::from(r.timed_out) as f64);
-        rec.push("telemetry_overhead_pct", r.telemetry_overhead_pct);
-        rec.push("postmortem_dumps", r.postmortem_dumps.len() as f64);
-        for (n, v) in &r.metrics.counters {
-            rec.push(&format!("counter.{n}"), *v as f64);
-        }
-        for (n, v) in &r.metrics.gauges {
-            rec.push(&format!("gauge.{n}"), *v);
-        }
-        for (n, h) in &r.metrics.hists {
-            rec.push(&format!("hist.{n}.count"), h.count as f64);
-            rec.push(&format!("hist.{n}.mean"), h.mean);
-            rec.push(&format!("hist.{n}.p50"), h.p50 as f64);
-            rec.push(&format!("hist.{n}.p90"), h.p90 as f64);
-            rec.push(&format!("hist.{n}.p99"), h.p99 as f64);
-            rec.push(&format!("hist.{n}.max"), h.max as f64);
+        for (n, v) in r.named_metrics() {
+            rec.push(&n, v);
         }
         rec
     }
@@ -202,9 +170,9 @@ impl RunRecord {
             // `null` is how the writer encodes a non-finite value; keep
             // it as NaN so a gate sees (and fails) it instead of a gap.
             let value = match v {
-                FlatValue::Num(n) => *n,
-                FlatValue::Null => f64::NAN,
-                FlatValue::Str(_) => continue,
+                JsonValue::Num(n) => *n,
+                JsonValue::Null => f64::NAN,
+                _ => continue,
             };
             rec.metrics.push((k.to_string(), value));
         }
@@ -226,28 +194,6 @@ impl RunRecord {
         }
         std::fs::write(path, self.to_json() + "\n")
     }
-
-    /// Appends the record to `dir` as `<name>-<unix_time>.json`
-    /// (non-filename characters in the name become `-`). Returns the
-    /// path written.
-    pub fn save_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let slug: String = self
-            .name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        let path = dir.join(format!("{slug}-{}.json", self.unix_time_s));
-        self.write_to(&path)?;
-        Ok(path)
-    }
-}
-
-/// The run-record directory requested via [`RUN_RECORD_ENV`], if any.
-pub fn run_record_dir() -> Option<PathBuf> {
-    std::env::var(RUN_RECORD_ENV)
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
 }
 
 #[cfg(test)]
@@ -321,18 +267,5 @@ mod tests {
         assert_ne!(fnv1a("abc"), fnv1a("abd"));
         // Known FNV-1a vector.
         assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn save_to_dir_slugs_the_name() {
-        let mut r = RunRecord::new("pagerank/CoolPIM(SW)", "cfg");
-        r.push("exec_s", 1.0);
-        let dir = std::env::temp_dir().join(format!("coolpim-runrec-{}", std::process::id()));
-        let path = r.save_to_dir(&dir).expect("writes");
-        let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(file.starts_with("pagerank-CoolPIM-SW-"), "{file}");
-        let back = RunRecord::load(&path).expect("loads");
-        assert_eq!(back.name, "pagerank/CoolPIM(SW)");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

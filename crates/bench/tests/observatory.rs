@@ -2,7 +2,7 @@
 //! `sim --seed-list` replicate runner, the `obs gate` noise-aware
 //! regression gate (pass on an unchanged tree, non-zero with a named
 //! metric + effect size on an inflated one), and the `obs report`
-//! longitudinal view of a run-record store.
+//! longitudinal view of a directory of run records (`--runs` required).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -172,4 +172,18 @@ fn report_names_every_metric_trend_across_a_run_store() {
         .expect("spawn obs");
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn report_without_runs_is_a_usage_error() {
+    // There is no default store: `--runs DIR` names what to read.
+    let out = Command::new(env!("CARGO_BIN_EXE_obs"))
+        .arg("report")
+        .output()
+        .expect("spawn obs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("report needs --runs DIR"), "{stderr}");
+    assert!(stderr.contains("usage: obs report --runs DIR"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report without a source");
 }

@@ -51,7 +51,6 @@ fn non_finite_warning_thresholds_exit_2() {
 /// Every flag only a single run reads, with a value where it takes one.
 const PER_RUN_FLAGS: &[&[&str]] = &[
     &["--graph", "edges.txt"],
-    &["--timeline"],
     &["--trace", "t.jsonl"],
     &["--trace-rotate-mb", "8"],
     &["--timeline-out", "t.csv"],
@@ -65,8 +64,8 @@ const PER_RUN_FLAGS: &[&[&str]] = &[
 
 #[test]
 fn sweep_modes_refuse_the_per_run_flags_they_would_ignore() {
-    let record_flags: &[&[&str]] = &[&["--metrics-out", "m.json"], &["--run-record", "runs"]];
-    for flag in PER_RUN_FLAGS.iter().chain(record_flags) {
+    let record_flag: &[&str] = &["--metrics-out", "m.json"];
+    for flag in PER_RUN_FLAGS.iter().chain([&record_flag]) {
         let mut args = vec!["--matrix", "--scale", "10"];
         args.extend_from_slice(flag);
         assert_usage_error(
@@ -78,12 +77,12 @@ fn sweep_modes_refuse_the_per_run_flags_they_would_ignore() {
         );
     }
     for flag in PER_RUN_FLAGS {
-        let mut args = vec!["--replicates", "2", "--scale", "10"];
+        let mut args = vec!["--seed-list", "1,2", "--scale", "10"];
         args.extend_from_slice(flag);
         assert_usage_error(
             &args,
             &format!(
-                "--replicates makes many runs and would ignore the per-run flag(s) {}",
+                "--seed-list makes many runs and would ignore the per-run flag(s) {}",
                 flag[0]
             ),
         );
@@ -93,6 +92,22 @@ fn sweep_modes_refuse_the_per_run_flags_they_would_ignore() {
         &["--seed-list", "1,2", "--profile", "--heartbeat", "1"],
         "per-run flag(s) --profile --heartbeat;",
     );
+    assert_usage_error(
+        &["--seed-list", "1,2", "--matrix"],
+        "--matrix and --seed-list are separate sweep modes",
+    );
+}
+
+#[test]
+fn removed_flags_are_unknown_arguments() {
+    for flag in [
+        &["--timeline"][..],
+        &["-t"],
+        &["--replicates", "2"],
+        &["--run-record", "runs"],
+    ] {
+        assert_usage_error(flag, &format!("unknown argument {:?}", flag[0]));
+    }
 }
 
 #[test]
@@ -152,18 +167,19 @@ fn a_replay_refuses_the_workload_and_graph_flags() {
 fn replicates_keep_their_run_record() {
     let path = std::env::temp_dir().join(format!("coolpim-sim-reps-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_sim"))
-        .args(["--workload", "dc", "--scale", "10", "--replicates", "2"])
+        .args(["--workload", "dc", "--scale", "10", "--seed-list", "1,2"])
         .arg("--metrics-out")
         .arg(&path)
         .output()
         .expect("spawn sim");
     assert!(
         out.status.success(),
-        "sim --replicates failed: {}",
+        "sim --seed-list failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let record = RunRecord::load(&path).expect("the replicated record parses");
     std::fs::remove_file(&path).ok();
+    assert_eq!(record.seeds, [1, 2]);
     assert!(record.metric("exec_s").is_some_and(|s| s > 0.0));
 }
 

@@ -138,6 +138,51 @@ impl CoSimResult {
     pub fn total_energy_j(&self) -> f64 {
         self.cube_energy_j + self.fan_energy_j
     }
+
+    /// The run flattened to named numbers, in a fixed order: the
+    /// headline results, then every telemetry counter (`counter.*`),
+    /// gauge (`gauge.*`) and histogram summary (`hist.<name>.*`). This
+    /// is the metric list a run record persists and the replay oracle
+    /// compares bit for bit; names are unique.
+    pub fn named_metrics(&self) -> Vec<(String, f64)> {
+        let mut m: Vec<(String, f64)> = [
+            ("exec_s", self.exec_s),
+            ("max_peak_dram_c", self.max_peak_dram_c),
+            ("avg_pim_rate_op_ns", self.avg_pim_rate_op_ns),
+            ("ext_data_bytes", self.ext_data_bytes),
+            ("l2_hit_rate", self.l2_hit_rate),
+            ("cube_energy_j", self.cube_energy_j),
+            ("fan_energy_j", self.fan_energy_j),
+            ("offload_fraction", self.gpu.offload_fraction()),
+            ("kernel_launches", self.gpu.launches as f64),
+            ("pim_ops", self.hmc.pim_ops as f64),
+            ("reads", self.hmc.reads as f64),
+            ("writes", self.hmc.writes as f64),
+            ("throttle_steps", self.throttle_steps as f64),
+            ("shutdown", u64::from(self.shutdown) as f64),
+            ("timed_out", u64::from(self.timed_out) as f64),
+            ("telemetry_overhead_pct", self.telemetry_overhead_pct),
+            ("postmortem_dumps", self.postmortem_dumps.len() as f64),
+        ]
+        .into_iter()
+        .map(|(n, v)| (n.to_string(), v))
+        .collect();
+        for (n, v) in &self.metrics.counters {
+            m.push((format!("counter.{n}"), *v as f64));
+        }
+        for (n, v) in &self.metrics.gauges {
+            m.push((format!("gauge.{n}"), *v));
+        }
+        for (n, h) in &self.metrics.hists {
+            m.push((format!("hist.{n}.count"), h.count as f64));
+            m.push((format!("hist.{n}.mean"), h.mean));
+            m.push((format!("hist.{n}.p50"), h.p50 as f64));
+            m.push((format!("hist.{n}.p90"), h.p90 as f64));
+            m.push((format!("hist.{n}.p99"), h.p99 as f64));
+            m.push((format!("hist.{n}.max"), h.max as f64));
+        }
+        m
+    }
 }
 
 /// What the timing model reads of the temperature after an epoch's
@@ -843,6 +888,28 @@ mod tests {
             assert!(!r.timed_out);
             assert!(!r.timeline.is_empty());
         }
+    }
+
+    #[test]
+    fn named_metrics_are_unique_and_cover_the_telemetry() {
+        // A run record deduplicates by name, so a collision would drop
+        // a metric from the record but not from the replay oracle's list.
+        let g = GraphSpec::tiny().build();
+        let mut k = make_kernel(Workload::Dc, &g);
+        let r = tiny_cosim(Policy::CoolPimSw).run(k.as_mut());
+        let m = r.named_metrics();
+        let mut names: Vec<&str> = m.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        let len = names.len();
+        names.dedup();
+        assert_eq!(names.len(), len, "duplicate metric names");
+        assert_eq!(m[0], ("exec_s".to_string(), r.exec_s));
+        let snap = &r.metrics;
+        assert!(!snap.counters.is_empty() && !snap.gauges.is_empty() && !snap.hists.is_empty());
+        assert_eq!(
+            len,
+            17 + snap.counters.len() + snap.gauges.len() + 6 * snap.hists.len()
+        );
     }
 
     #[test]

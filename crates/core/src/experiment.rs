@@ -186,7 +186,7 @@ pub fn run_matrix_with(
 /// that replicate's seed. Results come back in seed order regardless of
 /// scheduling.
 ///
-/// This is the engine behind `sim --replicates` / `bench --replicates`:
+/// This is the engine behind `sim --seed-list`:
 /// the co-simulator itself is deterministic for a fixed graph, so the
 /// only run-to-run variation the stack exposes is the graph draw — each
 /// replicate therefore needs its own [`GraphSpec::build`] instead of

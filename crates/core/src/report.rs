@@ -3,7 +3,7 @@
 //! Every `repro` artifact renders its tables through these helpers so
 //! the regenerated tables share one layout: a title line, an aligned
 //! header, aligned rows, and a trailing blank line. [`timeline_csv`] is
-//! the machine-readable per-epoch series behind `sim --timeline`.
+//! the machine-readable per-epoch series behind `sim --timeline-out`.
 
 use std::fmt::Write;
 

@@ -17,8 +17,9 @@
 //!   [`JsonlSink`] and [`RotatingJsonlSink`] (file streams);
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
 //!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
-//! * [`json`] — the shared flat-JSON writer/parser behind the JSONL
-//!   stream, the metrics serializer, and the run-record store;
+//! * [`json`] — the flat-JSON writer behind the JSONL stream, the
+//!   metrics serializer and run records, and the one JSON reader
+//!   ([`json::parse_json`], with [`json::parse_flat_object`] on top);
 //! * [`analysis`] — control-loop KPIs derived from an event stream:
 //!   warning→action latency, overshoot °C·s, derated time, token-pool
 //!   oscillation, thermal-headroom utilization;

@@ -33,6 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::escape;
+pub use crate::json::{parse_json, JsonValue};
+
 /// The single Chrome trace "process" id all tracks live under.
 const PID: u64 = 1;
 
@@ -180,7 +183,7 @@ impl Tracer {
         for (tid, name) in &g.tracks {
             out.push_str(&format!(
                 ",\n{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                esc(name)
+                escape(name)
             ));
             out.push_str(&format!(
                 ",\n{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_sort_index\",\"args\":{{\"sort_index\":{tid}}}}}"
@@ -198,7 +201,7 @@ impl Tracer {
                     "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"sim\"}}",
                     us(ts_ns),
                     us(dur_ns),
-                    esc(name)
+                    escape(name)
                 )),
                 Ev::Counter {
                     name,
@@ -208,7 +211,7 @@ impl Tracer {
                 } => out.push_str(&format!(
                     "{{\"ph\":\"C\",\"pid\":{PID},\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
                     us(ts_ns),
-                    esc(name),
+                    escape(name),
                     if value.is_finite() { format!("{value}") } else { "null".into() }
                 )),
                 Ev::Flow {
@@ -222,7 +225,7 @@ impl Tracer {
                     out.push_str(&format!(
                         "{{\"ph\":\"{ph}\"{bp},\"pid\":{PID},\"tid\":{tid},\"ts\":{},\"id\":{id},\"name\":\"{}\",\"cat\":\"flow\"}}",
                         us(ts_ns),
-                        esc(name)
+                        escape(name)
                     ));
                 }
             }
@@ -242,27 +245,6 @@ impl Tracer {
 /// A ns timestamp as a µs JSON number.
 fn us(ns: u64) -> String {
     format!("{}", ns as f64 / 1000.0)
-}
-
-/// Minimal JSON string escaping (the span vocabulary contains none of
-/// these, but track names are caller-supplied).
-fn esc(s: &str) -> String {
-    if s.contains(['"', '\\']) || s.bytes().any(|b| b < 0x20) {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    } else {
-        s.to_string()
-    }
 }
 
 #[derive(Debug)]
@@ -678,228 +660,6 @@ fn to_nodes(children: &BTreeMap<&'static str, Agg>) -> Vec<ProfileNode> {
 // Trace-file validation
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value — the one place in the workspace that needs
-/// *nested* JSON (the Chrome trace format has arrays and an `args`
-/// object), so the recursive parser lives here rather than widening the
-/// flat-only contract of [`crate::json`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, as f64.
-    Num(f64),
-    /// A string (standard escapes interpreted).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, fields in document order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Field `key` of an object (None otherwise).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (objects, arrays, strings with escapes,
-/// numbers, booleans, null). Rejects trailing garbage.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    JsonValue::Str(s) => s,
-                    _ => return Err(format!("object key at byte {pos} is not a string")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {pos}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&lead) => {
-                        // Advance over one UTF-8 scalar, decoding only its
-                        // own bytes (the lead byte gives the width), so a
-                        // long document parses in linear time.
-                        let width = match lead {
-                            0..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let c = b
-                            .get(*pos..*pos + width)
-                            .and_then(|w| std::str::from_utf8(w).ok())
-                            .and_then(|w| w.chars().next())
-                            .ok_or_else(|| format!("invalid UTF-8 at byte {pos}"))?;
-                        s.push(c);
-                        *pos += width;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let tok = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-            tok.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("bad number {tok:?} at byte {start}"))
-        }
-    }
-}
-
 /// What [`validate_trace_json`] learned about a trace file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
@@ -1269,24 +1029,6 @@ mod tests {
             {"ph":"f","pid":1,"tid":1,"ts":5,"id":3,"name":"w"}
         ]}"#;
         assert!(validate_trace_json(nobp).unwrap_err().contains("bp"));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"s":"x\n\"y\"","o":{"b":true,"n":null}}"#)
-            .expect("parses");
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
-        assert_eq!(v.get("o").unwrap().get("b"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("o").unwrap().get("n"), Some(&JsonValue::Null));
-        // Multi-byte scalars of every width decode in place.
-        assert_eq!(parse_json("\"aé→𝄞\"").unwrap().as_str(), Some("aé→𝄞"));
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("[1,").is_err());
     }
 
     #[test]

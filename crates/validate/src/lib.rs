@@ -46,6 +46,6 @@ pub mod state;
 
 pub use broken::{Perturbation, PerturbedTransient};
 pub use lockstep::{lockstep_system, lockstep_system_on, Divergence, SystemReport};
-pub use replay::{lockstep_replay, result_fingerprint, ReplayReport, TracePerturbation};
+pub use replay::{lockstep_replay, ReplayReport, TracePerturbation};
 pub use scenario::{shrink, Scale, ThermalScenario};
 pub use state::{EpochState, FieldDivergence};

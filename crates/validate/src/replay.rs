@@ -8,12 +8,8 @@
 //! exactly equal, down to the last f64 bit. Temperature trajectories,
 //! token-pool dynamics, vault queues — all of it folds into those
 //! metrics, so exact agreement is an end-to-end proof, not a spot
-//! check.
-//!
-//! The fingerprint below mirrors the metric list `RunRecord::from_cosim`
-//! persists (the bench crate sits above this one, so the list is
-//! duplicated here rather than imported — the `fingerprint_covers_
-//! run_record_headlines` test keeps the two in sync).
+//! check. The metrics compared are [`CoSimResult::named_metrics`], the
+//! same list a run record persists.
 
 use coolpim_core::cosim::{CoSim, CoSimConfig, CoSimResult};
 use coolpim_core::policy::Policy;
@@ -50,45 +46,6 @@ impl std::fmt::Display for ReplayDivergence {
             self.replayed.to_bits()
         )
     }
-}
-
-/// Flattens a run result into the named-metric list a run record would
-/// persist. Exact equality of two fingerprints ⇔ bit-identical records.
-pub fn result_fingerprint(r: &CoSimResult) -> Vec<(String, f64)> {
-    let mut m: Vec<(String, f64)> = vec![
-        ("exec_s".into(), r.exec_s),
-        ("max_peak_dram_c".into(), r.max_peak_dram_c),
-        ("avg_pim_rate_op_ns".into(), r.avg_pim_rate_op_ns),
-        ("ext_data_bytes".into(), r.ext_data_bytes),
-        ("l2_hit_rate".into(), r.l2_hit_rate),
-        ("cube_energy_j".into(), r.cube_energy_j),
-        ("fan_energy_j".into(), r.fan_energy_j),
-        ("offload_fraction".into(), r.gpu.offload_fraction()),
-        ("kernel_launches".into(), r.gpu.launches as f64),
-        ("pim_ops".into(), r.hmc.pim_ops as f64),
-        ("reads".into(), r.hmc.reads as f64),
-        ("writes".into(), r.hmc.writes as f64),
-        ("throttle_steps".into(), r.throttle_steps as f64),
-        ("shutdown".into(), u64::from(r.shutdown) as f64),
-        ("timed_out".into(), u64::from(r.timed_out) as f64),
-        ("telemetry_overhead_pct".into(), r.telemetry_overhead_pct),
-        ("postmortem_dumps".into(), r.postmortem_dumps.len() as f64),
-    ];
-    for (n, v) in &r.metrics.counters {
-        m.push((format!("counter.{n}"), *v as f64));
-    }
-    for (n, v) in &r.metrics.gauges {
-        m.push((format!("gauge.{n}"), *v));
-    }
-    for (n, h) in &r.metrics.hists {
-        m.push((format!("hist.{n}.count"), h.count as f64));
-        m.push((format!("hist.{n}.mean"), h.mean));
-        m.push((format!("hist.{n}.p50"), h.p50 as f64));
-        m.push((format!("hist.{n}.p90"), h.p90 as f64));
-        m.push((format!("hist.{n}.p99"), h.p99 as f64));
-        m.push((format!("hist.{n}.max"), h.max as f64));
-    }
-    m
 }
 
 /// Compares two fingerprints bit-exactly; `Ok` carries the number of
@@ -238,12 +195,11 @@ pub fn lockstep_replay(
         })
     })?;
 
-    let live_fp = result_fingerprint(&live);
+    let live_fp = live.named_metrics();
 
     let mut eager = TraceReplaySource::new(Arc::new(decoded));
     let eager_result = CoSim::new(policy, cfg.clone()).run(&mut eager);
-    let eager_metrics =
-        compare_fingerprints("eager", &live_fp, &result_fingerprint(&eager_result))?;
+    let eager_metrics = compare_fingerprints("eager", &live_fp, &eager_result.named_metrics())?;
 
     let mut streaming = ReferenceReplay::from_bytes(bytes, "oracle.cptr").map_err(|e| {
         Box::new(ReplayDivergence {
@@ -254,11 +210,8 @@ pub fn lockstep_replay(
         })
     })?;
     let streaming_result = CoSim::new(policy, cfg).run(&mut streaming);
-    let streaming_metrics = compare_fingerprints(
-        "streaming",
-        &live_fp,
-        &result_fingerprint(&streaming_result),
-    )?;
+    let streaming_metrics =
+        compare_fingerprints("streaming", &live_fp, &streaming_result.named_metrics())?;
 
     Ok(ReplayReport {
         live,
