@@ -18,8 +18,10 @@
 //! build included) and `setup.kernel_s` (`make_kernel`). `--graph`
 //! loads a plain-text edge list instead of generating an R-MAT graph;
 //! `--timeline-out FILE` writes the per-epoch telemetry as CSV when the
-//! run ends, `--trace FILE` streams the full event log (warnings, phase
-//! moves, pool resizes, kernel lifecycle, epoch samples) as JSONL, and
+//! run ends (`/dev/stdout` puts it ahead of the summary, also when stdout
+//! is redirected to a file), `--trace FILE` streams the full event log
+//! (warnings, phase moves, pool resizes, kernel lifecycle, epoch samples)
+//! as JSONL and makes the run exit 1 if an event failed to reach it, and
 //! `--profile` prints the run's span tree (self and total time per
 //! phase, critical path).
 //!
@@ -571,13 +573,20 @@ fn main() {
         }
     }
     // Created up front so a bad path fails before the run; the CSV is
-    // written when the run ends.
-    let timeline_file = args.timeline_out.as_ref().map(|path| {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("failed to create timeline file {path}: {e}");
-            std::process::exit(1);
-        });
-        (path, file)
+    // written when the run ends. `/dev/stdout` goes through the process's
+    // own stdout handle: a second open of it would start at offset 0 of a
+    // redirected file, and the summary printed after it would overwrite
+    // the CSV.
+    let timeline_out = args.timeline_out.as_ref().map(|path| {
+        let out: Box<dyn Write> = if path == "/dev/stdout" {
+            Box::new(std::io::stdout())
+        } else {
+            Box::new(std::fs::File::create(path).unwrap_or_else(|e| {
+                eprintln!("failed to create timeline file {path}: {e}");
+                std::process::exit(1);
+            }))
+        };
+        (path, out)
     });
     let flight_on = args.flight_recorder || args.postmortem_dir.is_some();
 
@@ -698,8 +707,8 @@ fn main() {
         }
     }
 
-    if let Some((path, mut file)) = timeline_file {
-        if let Err(e) = file.write_all(timeline_csv(&r.timeline).as_bytes()) {
+    if let Some((path, mut out)) = timeline_out {
+        if let Err(e) = out.write_all(timeline_csv(&r.timeline).as_bytes()) {
             eprintln!("failed to write timeline file {path}: {e}");
             std::process::exit(1);
         }
@@ -748,8 +757,6 @@ fn main() {
     println!("throttle steps     {}", r.throttle_steps);
     if flight_on {
         println!("telemetry overhead {:.2} %", r.telemetry_overhead_pct);
-    }
-    if flight_on {
         println!("postmortem dumps   {}", r.postmortem_dumps.len());
     }
     if r.shutdown {
@@ -759,5 +766,10 @@ fn main() {
         let tracer = tracer.as_ref().expect("--profile attaches a tracer");
         print!("{}", tracer.profile().render());
         print!("{}", r.metrics.render());
+    }
+    let dropped = r.metrics.counter("trace_dropped_writes");
+    if let (Some(path), true) = (&args.trace, dropped > 0) {
+        eprintln!("trace {path} is incomplete: {dropped} failed write(s)");
+        std::process::exit(1);
     }
 }

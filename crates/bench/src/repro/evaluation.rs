@@ -159,7 +159,7 @@ pub(super) fn fig14_timeline(graph: &EvalGraph) -> String {
         // sampling granularity).
         let mut buckets: Vec<(f64, u32)> = Vec::new();
         for s in &r.timeline {
-            let ms = (s.t_s * 1e3).ceil() as usize;
+            let ms = (s.t_s() * 1e3).ceil() as usize;
             if buckets.len() < ms {
                 buckets.resize(ms, (0.0, 0));
             }
@@ -176,7 +176,7 @@ pub(super) fn fig14_timeline(graph: &EvalGraph) -> String {
             .timeline
             .iter()
             .find(|s| s.peak_dram_c >= cfg.warning_threshold_c)
-            .map(|s| s.t_s * 1e3);
+            .map(|s| s.t_s() * 1e3);
         series.push((p, rates, first_warning, r.exec_s * 1e3));
     }
     let len = series.iter().map(|(_, r, _, _)| r.len()).max().unwrap_or(0);

@@ -2,9 +2,12 @@
 //! non-finite warning thresholds are usage errors, the sweep modes refuse
 //! the per-run flags they would ignore, a single run refuses a trace
 //! rotation budget without a trace, a replay refuses the flags the trace
-//! already fixes, and a live run's record times its setup.
+//! already fixes, a live run's record times its setup, a timeline sent
+//! to a redirected stdout survives the summary, and a trace that loses
+//! writes fails the run.
 
-use std::process::Command;
+use std::fs::File;
+use std::process::{Command, Stdio};
 
 use coolpim_bench::RunRecord;
 
@@ -198,4 +201,49 @@ fn a_live_run_records_its_graph_and_kernel_setup_times() {
         let v = record.metric(key);
         assert!(v.is_some_and(|s| s > 0.0), "{key} = {v:?}");
     }
+    // A run without write failures leaves its record without the counter.
+    assert_eq!(record.metric("counter.trace_dropped_writes"), None);
+}
+
+#[test]
+fn a_timeline_on_redirected_stdout_precedes_the_summary() {
+    let path = std::env::temp_dir().join(format!("coolpim-sim-stdout-{}.txt", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_sim"))
+        .args(["--workload", "dc", "--scale", "10"])
+        .args(["--timeline-out", "/dev/stdout"])
+        .stdout(Stdio::from(
+            File::create(&path).expect("create stdout file"),
+        ))
+        .status()
+        .expect("spawn sim");
+    assert!(status.success(), "sim failed");
+    let text = std::fs::read_to_string(&path).expect("read stdout file");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        text.starts_with("t_ms,pim_rate_op_ns,data_bw_gbps,peak_dram_c,phase\n"),
+        "{text}"
+    );
+    assert!(text.lines().any(|l| l.starts_with("workload ")), "{text}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_that_loses_writes_fails_the_run() {
+    let path = std::env::temp_dir().join(format!("coolpim-sim-full-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_sim"))
+        .args(["--workload", "dc", "--scale", "10", "--trace", "/dev/full"])
+        .arg("--metrics-out")
+        .arg(&path)
+        .output()
+        .expect("spawn sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("trace /dev/full is incomplete: "),
+        "{stderr}"
+    );
+    let record = RunRecord::load(&path).expect("the run record parses");
+    std::fs::remove_file(&path).ok();
+    let dropped = record.metric("counter.trace_dropped_writes");
+    assert!(dropped.is_some_and(|n| n >= 1.0), "{dropped:?}");
 }

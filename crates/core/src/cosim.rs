@@ -18,7 +18,7 @@ use coolpim_gpu::system::{GpuSystem, RunOutcome};
 use coolpim_hmc::stats::{StatsTotals, StatsWindow};
 use coolpim_hmc::{ns_to_ps, Hmc, Ps, TempPhase, ThermalTracker};
 use coolpim_telemetry::{
-    Histogram, MetricsSnapshot, Telemetry, TelemetryEvent, TraceTrack, Tracer,
+    EpochRecord, Histogram, MetricsSnapshot, Telemetry, TelemetryEvent, TraceTrack, Tracer,
 };
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::model::HmcThermalModel;
@@ -61,22 +61,6 @@ impl Default for CoSimConfig {
     }
 }
 
-/// One epoch's telemetry (the per-millisecond samples of Fig. 14 are
-/// aggregated from these).
-#[derive(Debug, Clone, Copy)]
-pub struct TimelineSample {
-    /// End-of-epoch simulation time (s).
-    pub t_s: f64,
-    /// Average PIM rate over the epoch (op/ns).
-    pub pim_rate_op_ns: f64,
-    /// Average external data bandwidth over the epoch (bytes/s).
-    pub data_bw: f64,
-    /// Peak DRAM temperature at the end of the epoch (°C).
-    pub peak_dram_c: f64,
-    /// Operating phase after the thermal update.
-    pub phase: TempPhase,
-}
-
 /// Result of one co-simulated run.
 #[derive(Debug, Clone)]
 pub struct CoSimResult {
@@ -96,8 +80,9 @@ pub struct CoSimResult {
     pub gpu: GpuStats,
     /// Cube totals.
     pub hmc: StatsTotals,
-    /// Per-epoch telemetry.
-    pub timeline: Vec<TimelineSample>,
+    /// One record per thermal epoch (the per-millisecond samples of
+    /// Fig. 14 are aggregated from these).
+    pub timeline: Vec<EpochRecord>,
     /// Whether the cube thermally shut down.
     pub shutdown: bool,
     /// Whether the safety time cap was hit.
@@ -252,7 +237,10 @@ struct Fold {
     /// The engine's time horizon after the current epoch (ps).
     horizon: Ps,
     epoch_idx: u64,
-    timeline: Vec<TimelineSample>,
+    timeline: Vec<EpochRecord>,
+    /// Token-pool size and warp cap after the latest resize or update.
+    pool_size: Option<u64>,
+    warp_cap: Option<u64>,
     cube_energy_j: f64,
     throttle_steps: u64,
     /// Raise time of every warning episode, for the warning→action
@@ -510,6 +498,8 @@ impl<S: ThermalSolve> CoSim<S> {
             horizon: 0,
             epoch_idx: 0,
             timeline: Vec::new(),
+            pool_size: None,
+            warp_cap: None,
             cube_energy_j: 0.0,
             throttle_steps: 0,
             raised_at: Vec::new(),
@@ -565,9 +555,9 @@ impl<S: ThermalSolve> CoSim<S> {
     }
 
     /// The feedback half of one epoch, live or reused: warm start or
-    /// thermal step, energy, cube feedback, the event fold, metrics,
-    /// timeline, observers and emit. Returns the feedback pair the
-    /// epoch applied.
+    /// thermal step, energy, cube feedback, the event fold, metrics, the
+    /// epoch's record (into the timeline), observers and emit. Returns
+    /// the feedback pair the epoch applied.
     fn fold_epoch(
         &mut self,
         st: &mut Fold,
@@ -603,14 +593,6 @@ impl<S: ThermalSolve> CoSim<S> {
                 tracker.feedback()
             }
         };
-        let phase = pair.0;
-        st.timeline.push(TimelineSample {
-            t_s: now as f64 * 1e-12,
-            pim_rate_op_ns: epoch.pim_rate_op_ns,
-            data_bw: epoch.data_bw,
-            peak_dram_c: readout.peak_dram_c,
-            phase,
-        });
 
         // The epoch's batch: the cube's events, then the engine's, then
         // any the controller raised on the reading; fold them into the
@@ -649,12 +631,14 @@ impl<S: ThermalSolve> CoSim<S> {
                     metrics.count("thermal_warnings_accepted", 1);
                 }
                 TelemetryEvent::TokenPoolResize { new, trigger, .. } => {
+                    st.pool_size = Some(*new);
                     metrics.gauge("token_pool_size", *new as f64);
                     if *trigger == "thermal_warning" {
                         metrics.count("token_pool_shrinks", 1);
                     }
                 }
                 TelemetryEvent::WarpCapUpdate { new_slots, .. } => {
+                    st.warp_cap = Some(*new_slots);
                     metrics.count("warp_cap_updates", 1);
                     metrics.gauge("warp_cap_slots", *new_slots as f64);
                 }
@@ -677,30 +661,38 @@ impl<S: ThermalSolve> CoSim<S> {
         }
         metrics.count("epochs", 1);
         metrics.gauge_max("peak_dram_c", readout.peak_dram_c);
+        let record = EpochRecord {
+            t_ps: now,
+            epoch: st.epoch_idx,
+            pim_rate_op_ns: epoch.pim_rate_op_ns,
+            data_bw: epoch.data_bw,
+            peak_dram_c: readout.peak_dram_c,
+            logic_c: readout.peak_logic_c,
+            phase: pair.0.name(),
+            pool_size: st.pool_size,
+            warp_cap: st.warp_cap,
+        };
+        st.timeline.push(record);
         // Counter tracks: the feedback loop's observable state, one
         // sample per epoch next to the span tree.
         if let Some(t) = self.sim_trace.as_mut() {
-            t.counter("peak_dram_c", readout.peak_dram_c);
-            if let Some(v) = metrics.gauge_value("token_pool_size") {
-                t.counter("token_pool", v);
+            t.counter("peak_dram_c", record.peak_dram_c);
+            if let Some(v) = record.pool_size {
+                t.counter("token_pool", v as f64);
             }
-            if let Some(v) = metrics.gauge_value("warp_cap_slots") {
-                t.counter("warp_cap", v);
+            if let Some(v) = record.warp_cap {
+                t.counter("warp_cap", v as f64);
             }
         }
 
         if let (Cube::Live { window, .. }, false) = (&cube, self.observers.is_empty()) {
             self.thermal.vault_peak_dram_temps_into(&mut st.vault_temps);
             let view = EpochView {
-                epoch: st.epoch_idx,
-                t_ps: now,
+                record: &record,
                 wall_s: st.run_started.elapsed().as_secs_f64(),
-                readout,
-                phase,
                 window,
                 vault_peak_dram_c: &st.vault_temps,
                 events: &st.batch,
-                metrics: &self.telemetry.metrics,
                 hmc: self.sys.hmc(),
                 cfg: &self.cfg,
             };
@@ -720,13 +712,7 @@ impl<S: ThermalSolve> CoSim<S> {
         // Stream the batch time-sorted, the epoch sample last.
         span(&mut self.sim_trace, "telemetry_emit", || {
             self.telemetry.emit_epoch_batch(&mut st.batch);
-            self.telemetry.emit(TelemetryEvent::EpochSample {
-                t_ps: now,
-                pim_rate_op_ns: epoch.pim_rate_op_ns,
-                data_bw: epoch.data_bw,
-                peak_dram_c: readout.peak_dram_c,
-                phase: phase.name(),
-            });
+            self.telemetry.emit(TelemetryEvent::EpochSample(record));
         });
         match epoch.outcome {
             RunOutcome::Finished => st.end_ps = Some(now),
@@ -767,6 +753,14 @@ impl<S: ThermalSolve> CoSim<S> {
         span(&mut self.sim_trace, "telemetry_emit", || {
             self.telemetry.flush()
         });
+        // Counted only when the sink lost events, so clean runs' records
+        // carry no such counter.
+        let dropped = self.telemetry.dropped_writes();
+        if dropped > 0 {
+            self.telemetry
+                .metrics
+                .count("trace_dropped_writes", dropped);
+        }
         // Folded into the metrics before the snapshot so run records
         // carry it. (The tracks hand their events to the tracer when
         // `self` drops.)

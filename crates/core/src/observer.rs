@@ -2,8 +2,9 @@
 //!
 //! The loop calls every attached [`EpochObserver`] once per thermal
 //! epoch, after the physics step and the event fold, with one shared
-//! [`EpochView`] — the per-vault temperature reduction is done once for
-//! all of them. Two observers ship here:
+//! [`EpochView`]: the epoch's [`EpochRecord`] plus what only a live cube
+//! has (the per-vault temperature reduction, done once for all of them,
+//! and the activity window). Two observers ship here:
 //!
 //! * [`FlightObserver`] — the spatial flight recorder (see
 //!   [`coolpim_telemetry::flight`]): per-vault frames into a fixed ring,
@@ -14,34 +15,25 @@
 use std::path::PathBuf;
 
 use coolpim_hmc::stats::StatsWindow;
-use coolpim_hmc::{Hmc, Ps, TempPhase};
+use coolpim_hmc::Hmc;
 use coolpim_telemetry::flight::{FlightRecorder, PostmortemBundle};
-use coolpim_telemetry::{MetricsRegistry, TelemetryEvent};
-use coolpim_thermal::ThermalReadout;
+use coolpim_telemetry::{EpochRecord, TelemetryEvent};
 
 use crate::cosim::{CoSimConfig, CoSimResult};
 
 /// What the loop knows at the end of one thermal epoch.
 pub struct EpochView<'a> {
-    /// Thermal epochs completed, this one included.
-    pub epoch: u64,
-    /// End-of-epoch simulation time (ps).
-    pub t_ps: Ps,
+    /// The epoch's record, as the timeline holds it.
+    pub record: &'a EpochRecord,
     /// Wall-clock seconds since the run started.
     pub wall_s: f64,
-    /// The thermal readout at the end of the epoch.
-    pub readout: ThermalReadout,
-    /// Operating phase after the thermal feedback.
-    pub phase: TempPhase,
     /// The cube's activity window for this epoch.
     pub window: &'a StatsWindow,
     /// Peak DRAM temperature per vault (°C).
     pub vault_peak_dram_c: &'a [f64],
-    /// This epoch's events, already folded into `metrics`, not yet
-    /// emitted.
+    /// This epoch's events, already folded into the record and the
+    /// run's metrics, not yet emitted.
     pub events: &'a [TelemetryEvent],
-    /// The run's metrics after this epoch's fold.
-    pub metrics: &'a MetricsRegistry,
     /// The cube.
     pub hmc: &'a Hmc,
     /// The run's configuration.
@@ -51,7 +43,7 @@ pub struct EpochView<'a> {
 impl EpochView<'_> {
     /// Observed wall-clock throughput (epochs per second).
     pub fn epochs_per_s(&self) -> f64 {
-        self.epoch as f64 / self.wall_s.max(1e-9)
+        self.record.epoch as f64 / self.wall_s.max(1e-9)
     }
 }
 
@@ -139,17 +131,7 @@ impl EpochObserver for FlightObserver {
         let rec = self
             .rec
             .get_or_insert_with(|| FlightRecorder::new(Self::CAPACITY, v.hmc.config().vaults));
-        let pool = v.metrics.gauge_value("token_pool_size");
-        let cap = v.metrics.gauge_value("warp_cap_slots");
-        let frame = rec.record();
-        frame.t_ps = v.t_ps;
-        frame.epoch = v.epoch;
-        frame.peak_dram_c = v.readout.peak_dram_c;
-        frame.logic_c = v.readout.peak_logic_c;
-        frame.phase = v.phase.name();
-        frame.pool_size = pool.map(|p| p.max(0.0) as u64);
-        frame.warp_cap = cap.map(|c| c.max(0.0) as u64);
-        for (i, s) in frame.vaults.iter_mut().enumerate() {
+        for (i, s) in rec.record(*v.record).iter_mut().enumerate() {
             s.peak_dram_c = v.vault_peak_dram_c.get(i).copied().unwrap_or(f64::NAN);
             s.ops = v.window.vault_ops[i];
             s.pim_ops = v.window.vault_pim_ops[i];
@@ -171,7 +153,7 @@ impl EpochObserver for FlightObserver {
                 _ => {}
             }
         }
-        let over = v.readout.peak_dram_c > v.cfg.warning_threshold_c;
+        let over = v.record.peak_dram_c > v.cfg.warning_threshold_c;
         if trigger.is_none() && over && !self.over {
             trigger = Some(("overshoot", None));
         }
@@ -181,15 +163,15 @@ impl EpochObserver for FlightObserver {
         };
         let gap_ok = self
             .last_dump_epoch
-            .is_none_or(|e| v.epoch - e >= self.cfg.min_gap_epochs);
+            .is_none_or(|e| v.record.epoch - e >= self.cfg.min_gap_epochs);
         if !gap_ok || self.dumps_taken >= self.cfg.max_dumps || rec.is_empty() {
             return;
         }
-        self.last_dump_epoch = Some(v.epoch);
+        self.last_dump_epoch = Some(v.record.epoch);
         self.dumps_taken += 1;
         let mut bundle = PostmortemBundle::from_recorder(
             trig,
-            v.t_ps,
+            v.record.t_ps,
             warning_id,
             v.cfg.warning_threshold_c,
             v.cfg.epoch,
@@ -203,7 +185,7 @@ impl EpochObserver for FlightObserver {
             bundle.push_attribution_row(None, attr.unattributed().to_vec());
         }
         out.push(TelemetryEvent::FlightDump {
-            t_ps: v.t_ps,
+            t_ps: v.record.t_ps,
             trigger: trig,
             frames: bundle.frames.len() as u64,
             hottest_vault: bundle.hottest_vault().unwrap_or(0) as u64,
@@ -251,20 +233,15 @@ impl EpochObserver for Heartbeat {
             return;
         }
         self.next_s = v.wall_s + self.every_s;
+        let r = v.record;
         eprintln!(
             "[coolpim] epoch {} t={:.3}ms peak={:.2}C phase={} {:.0} epochs/s",
-            v.epoch,
-            v.t_ps as f64 * 1e-9,
-            v.readout.peak_dram_c,
-            v.phase.name(),
+            r.epoch,
+            r.t_ps as f64 * 1e-9,
+            r.peak_dram_c,
+            r.phase,
             v.epochs_per_s(),
         );
-        out.push(TelemetryEvent::Heartbeat {
-            t_ps: v.t_ps,
-            epoch: v.epoch,
-            peak_dram_c: v.readout.peak_dram_c,
-            phase: v.phase.name(),
-            epochs_per_s: v.epochs_per_s(),
-        });
+        out.push(TelemetryEvent::heartbeat(r, v.epochs_per_s()));
     }
 }

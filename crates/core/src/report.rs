@@ -7,7 +7,7 @@
 
 use std::fmt::Write;
 
-use crate::cosim::TimelineSample;
+use coolpim_telemetry::EpochRecord;
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -86,13 +86,13 @@ const CSV_TIMELINE_HEADER: &str = "t_ms,pim_rate_op_ns,data_bw_gbps,peak_dram_c,
 
 /// Renders a run's per-epoch timeline as CSV with a header row — the
 /// machine-readable form of the paper's Fig. 14 time series.
-pub fn timeline_csv(timeline: &[TimelineSample]) -> String {
+pub fn timeline_csv(timeline: &[EpochRecord]) -> String {
     let mut out = format!("{CSV_TIMELINE_HEADER}\n");
     for s in timeline {
         let _ = writeln!(
             out,
-            "{:.3},{:.3},{:.1},{:.2},{:?}",
-            s.t_s * 1e3,
+            "{:.3},{:.3},{:.1},{:.2},{}",
+            s.t_s() * 1e3,
             s.pim_rate_op_ns,
             s.data_bw / 1e9,
             s.peak_dram_c,
@@ -105,7 +105,6 @@ pub fn timeline_csv(timeline: &[TimelineSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coolpim_hmc::TempPhase;
 
     #[test]
     fn renders_aligned_columns() {
@@ -143,16 +142,17 @@ mod tests {
 
     #[test]
     fn timeline_csv_writes_a_header_and_one_row_per_epoch() {
-        let sample = |t_s, phase| TimelineSample {
-            t_s,
+        let sample = |t_ps, phase| EpochRecord {
+            t_ps,
             pim_rate_op_ns: 1.0,
             data_bw: 2.0e9,
             peak_dram_c: 80.0,
             phase,
+            ..EpochRecord::default()
         };
         let csv = timeline_csv(&[
-            sample(1e-3, TempPhase::Normal),
-            sample(2e-3, TempPhase::Extended),
+            sample(1_000_000_000, "Normal"),
+            sample(2_000_000_000, "Extended"),
         ]);
         assert_eq!(
             csv,

@@ -14,7 +14,7 @@
 //! trace (see [`analyze_jsonl`]). Causality comes from the `warning_id`
 //! stamped on every warning and on the downstream events it triggers.
 
-use crate::event::TelemetryEvent;
+use crate::event::{EpochRecord, TelemetryEvent};
 use crate::json::JsonBuilder;
 use crate::metrics::Histogram;
 
@@ -299,9 +299,9 @@ pub fn analyze(events: &[TelemetryEvent]) -> ControlLoopReport {
                     derate_started = Some(t_ps);
                 }
             }
-            TelemetryEvent::EpochSample {
+            TelemetryEvent::EpochSample(EpochRecord {
                 t_ps, peak_dram_c, ..
-            } => {
+            }) => {
                 let over = (peak_dram_c - r.threshold_c).max(0.0);
                 if let Some((t0, prev_over)) = prev_sample {
                     let dt_s = t_ps.saturating_sub(t0) as f64 * 1e-12;
@@ -363,13 +363,14 @@ mod tests {
     const MS: u64 = 1_000_000_000; // ps per ms
 
     fn sample(t_ps: u64, peak: f64, phase: &'static str) -> TelemetryEvent {
-        TelemetryEvent::EpochSample {
+        TelemetryEvent::EpochSample(EpochRecord {
             t_ps,
             pim_rate_op_ns: 1.0,
             data_bw: 1e11,
             peak_dram_c: peak,
             phase,
-        }
+            ..EpochRecord::default()
+        })
     }
 
     /// A hand-built trace with one full warning → shrink → recovery

@@ -22,8 +22,78 @@
 //! `{"kind":"TokenPoolResize","t_ps":1200,...}` — via [`crate::json`] so
 //! the crate stays dependency-free; [`TelemetryEvent::from_jsonl`]
 //! parses it back for round-trip tooling.
+//!
+//! One thermal epoch is described once, by an [`EpochRecord`]: the run's
+//! timeline holds them, [`TelemetryEvent::EpochSample`] carries one, the
+//! heartbeat is built from one, and a flight-recorder frame is one plus
+//! its per-vault samples.
 
-use crate::json::{parse_flat_object, JsonBuilder};
+use crate::json::{parse_flat_object, FlatObject, JsonBuilder};
+
+/// One thermal epoch as the control loop closes it: the traffic it saw,
+/// the temperature it reached, the phase it left the cube in, and the
+/// throttle state after its events. Holds no wall-clock value, so two
+/// runs of one configuration produce equal records.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EpochRecord {
+    /// End-of-epoch simulation time (ps).
+    pub t_ps: u64,
+    /// 1-based epoch ordinal within the run.
+    pub epoch: u64,
+    /// Average PIM rate over the epoch (op/ns).
+    pub pim_rate_op_ns: f64,
+    /// Average external data bandwidth over the epoch (bytes/s).
+    pub data_bw: f64,
+    /// Peak DRAM temperature at the end of the epoch (°C).
+    pub peak_dram_c: f64,
+    /// Peak logic-layer temperature at the end of the epoch (°C).
+    pub logic_c: f64,
+    /// Operating phase after the thermal update.
+    pub phase: &'static str,
+    /// SW-DynT token-pool size, when that controller is active.
+    pub pool_size: Option<u64>,
+    /// HW-DynT per-SM warp cap, when that controller is active.
+    pub warp_cap: Option<u64>,
+}
+
+impl EpochRecord {
+    /// End-of-epoch simulation time (s).
+    pub fn t_s(&self) -> f64 {
+        self.t_ps as f64 * 1e-12
+    }
+
+    /// Appends every field to `b`, in declaration order (absent pool
+    /// and cap are left out).
+    pub fn write_json(&self, b: &mut JsonBuilder) {
+        b.u64("t_ps", self.t_ps)
+            .u64("epoch", self.epoch)
+            .f64("pim_rate_op_ns", self.pim_rate_op_ns)
+            .f64("data_bw", self.data_bw)
+            .f64("peak_dram_c", self.peak_dram_c)
+            .f64("logic_c", self.logic_c)
+            .str("phase", self.phase)
+            .opt_u64("pool_size", self.pool_size)
+            .opt_u64("warp_cap", self.warp_cap);
+    }
+
+    /// Reads the fields [`Self::write_json`] wrote. Only `t_ps` is
+    /// required, so lines written before a field existed still load: a
+    /// missing epoch reads 0, a missing temperature or rate NaN, and a
+    /// missing phase `"?"`.
+    pub fn from_json(o: &FlatObject) -> Option<Self> {
+        Some(Self {
+            t_ps: o.u64_field("t_ps")?,
+            epoch: o.u64_field("epoch").unwrap_or(0),
+            pim_rate_op_ns: o.f64_field("pim_rate_op_ns").unwrap_or(f64::NAN),
+            data_bw: o.f64_field("data_bw").unwrap_or(f64::NAN),
+            peak_dram_c: o.f64_field("peak_dram_c").unwrap_or(f64::NAN),
+            logic_c: o.f64_field("logic_c").unwrap_or(f64::NAN),
+            phase: intern(o.str_field("phase").unwrap_or("?")),
+            pool_size: o.u64_field("pool_size"),
+            warp_cap: o.u64_field("warp_cap"),
+        })
+    }
+}
 
 /// One structured, simulation-time-stamped event.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,19 +195,9 @@ pub enum TelemetryEvent {
         /// The warning this update responds to, if known.
         warning_id: Option<u64>,
     },
-    /// One thermal epoch's aggregate sample (the `TimelineSample` data).
-    EpochSample {
-        /// End-of-epoch simulation time (ps).
-        t_ps: u64,
-        /// Average PIM rate over the epoch (op/ns).
-        pim_rate_op_ns: f64,
-        /// Average external data bandwidth over the epoch (bytes/s).
-        data_bw: f64,
-        /// Peak DRAM temperature at the end of the epoch (°C).
-        peak_dram_c: f64,
-        /// Operating phase after the thermal update.
-        phase: &'static str,
-    },
+    /// One thermal epoch's record, the same value the run's timeline
+    /// holds; streamed last in its epoch's batch.
+    EpochSample(EpochRecord),
     /// A kernel grid was launched on the GPU.
     KernelLaunch {
         /// Simulation time (ps).
@@ -153,7 +213,8 @@ pub enum TelemetryEvent {
         launch: u64,
     },
     /// A periodic liveness beat from the co-simulation driver
-    /// (`sim --heartbeat`): one line of progress for headless runs.
+    /// (`sim --heartbeat`): one line of progress for headless runs, built
+    /// from the epoch's record by [`TelemetryEvent::heartbeat`].
     Heartbeat {
         /// Simulation time (ps).
         t_ps: u64,
@@ -182,6 +243,18 @@ pub enum TelemetryEvent {
 }
 
 impl TelemetryEvent {
+    /// The heartbeat for the epoch `rec` closed, at `epochs_per_s`
+    /// observed throughput.
+    pub fn heartbeat(rec: &EpochRecord, epochs_per_s: f64) -> Self {
+        TelemetryEvent::Heartbeat {
+            t_ps: rec.t_ps,
+            epoch: rec.epoch,
+            peak_dram_c: rec.peak_dram_c,
+            phase: rec.phase,
+            epochs_per_s,
+        }
+    }
+
     /// The event's simulation timestamp (ps).
     pub fn t_ps(&self) -> u64 {
         match *self {
@@ -194,7 +267,7 @@ impl TelemetryEvent {
             | TelemetryEvent::Shutdown { t_ps, .. }
             | TelemetryEvent::TokenPoolResize { t_ps, .. }
             | TelemetryEvent::WarpCapUpdate { t_ps, .. }
-            | TelemetryEvent::EpochSample { t_ps, .. }
+            | TelemetryEvent::EpochSample(EpochRecord { t_ps, .. })
             | TelemetryEvent::KernelLaunch { t_ps, .. }
             | TelemetryEvent::KernelRetire { t_ps, .. }
             | TelemetryEvent::Heartbeat { t_ps, .. }
@@ -249,7 +322,7 @@ impl TelemetryEvent {
             TelemetryEvent::Shutdown { .. } => "Shutdown",
             TelemetryEvent::TokenPoolResize { .. } => "TokenPoolResize",
             TelemetryEvent::WarpCapUpdate { .. } => "WarpCapUpdate",
-            TelemetryEvent::EpochSample { .. } => "EpochSample",
+            TelemetryEvent::EpochSample(_) => "EpochSample",
             TelemetryEvent::KernelLaunch { .. } => "KernelLaunch",
             TelemetryEvent::KernelRetire { .. } => "KernelRetire",
             TelemetryEvent::Heartbeat { .. } => "Heartbeat",
@@ -260,7 +333,12 @@ impl TelemetryEvent {
     /// Encodes the event as one JSON line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut b = JsonBuilder::new();
-        b.str("kind", self.kind()).u64("t_ps", self.t_ps());
+        b.str("kind", self.kind());
+        if let TelemetryEvent::EpochSample(rec) = self {
+            rec.write_json(&mut b);
+            return b.finish();
+        }
+        b.u64("t_ps", self.t_ps());
         match self {
             TelemetryEvent::RunInfo {
                 policy,
@@ -328,18 +406,8 @@ impl TelemetryEvent {
                     .u64("new_slots", *new_slots)
                     .opt_u64("warning_id", *warning_id);
             }
-            TelemetryEvent::EpochSample {
-                pim_rate_op_ns,
-                data_bw,
-                peak_dram_c,
-                phase,
-                ..
-            } => {
-                b.f64("pim_rate_op_ns", *pim_rate_op_ns)
-                    .f64("data_bw", *data_bw)
-                    .f64("peak_dram_c", *peak_dram_c)
-                    .str("phase", phase);
-            }
+            // The record wrote its own `t_ps` above.
+            TelemetryEvent::EpochSample(_) => {}
             TelemetryEvent::KernelLaunch { launch, .. }
             | TelemetryEvent::KernelRetire { launch, .. } => {
                 b.u64("launch", *launch);
@@ -430,13 +498,7 @@ impl TelemetryEvent {
                 new_slots: fields.u64_field("new_slots")?,
                 warning_id: fields.u64_field("warning_id"),
             },
-            "EpochSample" => TelemetryEvent::EpochSample {
-                t_ps,
-                pim_rate_op_ns: fields.f64_field("pim_rate_op_ns")?,
-                data_bw: fields.f64_field("data_bw")?,
-                peak_dram_c: fields.f64_field("peak_dram_c")?,
-                phase: intern(fields.str_field("phase")?),
-            },
+            "EpochSample" => TelemetryEvent::EpochSample(EpochRecord::from_json(&fields)?),
             "KernelLaunch" => TelemetryEvent::KernelLaunch {
                 t_ps,
                 launch: fields.u64_field("launch")?,
@@ -580,13 +642,17 @@ mod tests {
             new_slots: 6,
             warning_id: Some(7),
         });
-        roundtrip(TelemetryEvent::EpochSample {
+        roundtrip(TelemetryEvent::EpochSample(EpochRecord {
             t_ps: 6,
+            epoch: 3,
             pim_rate_op_ns: 1.375,
             data_bw: 1.5e11,
             peak_dram_c: 83.0,
+            logic_c: 81.5,
             phase: "Normal",
-        });
+            pool_size: Some(92),
+            warp_cap: None,
+        }));
         roundtrip(TelemetryEvent::KernelLaunch { t_ps: 7, launch: 1 });
         roundtrip(TelemetryEvent::KernelRetire { t_ps: 8, launch: 3 });
         roundtrip(TelemetryEvent::Heartbeat {
@@ -642,6 +708,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ev.warning_id(), None);
+    }
+
+    #[test]
+    fn epoch_samples_written_before_the_record_still_parse() {
+        // Older traces lacked epoch, logic_c and the throttle state.
+        let line = r#"{"kind":"EpochSample","t_ps":6,"pim_rate_op_ns":1.5,"data_bw":2e9,"peak_dram_c":83,"phase":"Normal"}"#;
+        let Some(TelemetryEvent::EpochSample(rec)) = TelemetryEvent::from_jsonl(line) else {
+            panic!("{line} must parse");
+        };
+        assert_eq!(
+            (rec.t_ps, rec.epoch, rec.peak_dram_c, rec.phase),
+            (6, 0, 83.0, "Normal")
+        );
+        assert!(rec.logic_c.is_nan() && rec.pool_size.is_none() && rec.warp_cap.is_none());
+        assert_eq!(
+            TelemetryEvent::heartbeat(&rec, 2.0),
+            TelemetryEvent::Heartbeat {
+                t_ps: 6,
+                epoch: 0,
+                peak_dram_c: 83.0,
+                phase: "Normal",
+                epochs_per_s: 2.0,
+            }
+        );
     }
 
     #[test]

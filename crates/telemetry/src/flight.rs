@@ -5,10 +5,10 @@
 //! concentrates over specific vaults), but the scalar telemetry of the
 //! event stream cannot answer "*which* vault overheated and *which* PIM
 //! traffic put the heat there". The co-simulator fills a
-//! [`FlightRecorder`] every N thermal epochs with one [`FlightFrame`]
-//! (per-vault peak DRAM temperature from the solver grid, per-vault
-//! bandwidth/queue/PIM activity from the cube window, logic-layer
-//! temperature, pool/cap state); on an anomaly (warning raised, phase
+//! [`FlightRecorder`] every thermal epoch with one [`FlightFrame`]: the
+//! epoch's [`EpochRecord`] plus per-vault peak DRAM temperature from the
+//! solver grid and per-vault bandwidth/queue/PIM activity from the cube
+//! window. On an anomaly (warning raised, phase
 //! change, overshoot-episode start) it snapshots the ring into a
 //! [`PostmortemBundle`] — the last K seconds of spatial history *before*
 //! the event plus the cumulative SM → vault PIM attribution — encoded as
@@ -16,10 +16,10 @@
 //! vaults by °C·s contribution and SMs by PIM ops routed to hot vaults.
 //!
 //! The recorder allocates once at construction ([`FlightRecorder::new`])
-//! and never on the sampling path: [`FlightRecorder::record`] hands back
-//! a cleared in-place frame to fill.
+//! and never on the sampling path: [`FlightRecorder::record`] stores the
+//! record and hands back the slot's cleared per-vault samples to fill.
 
-use crate::event::intern;
+use crate::event::{intern, EpochRecord};
 use crate::json::{parse_flat_object, JsonBuilder};
 
 /// Version stamped into every bundle; bump on incompatible layout
@@ -42,23 +42,11 @@ pub struct VaultSample {
     pub queue_wait_ps: u64,
 }
 
-/// One sampled epoch: cube-level scalars plus the per-vault breakdown.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One sampled epoch: its record plus the per-vault breakdown.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightFrame {
-    /// End-of-epoch simulation time (ps).
-    pub t_ps: u64,
-    /// 1-based epoch ordinal within the run.
-    pub epoch: u64,
-    /// Cube peak DRAM temperature (°C).
-    pub peak_dram_c: f64,
-    /// Peak logic-layer temperature (°C).
-    pub logic_c: f64,
-    /// Operating phase after the thermal update.
-    pub phase: &'static str,
-    /// SW-DynT token-pool size, when that controller is active.
-    pub pool_size: Option<u64>,
-    /// HW-DynT per-SM warp cap, when that controller is active.
-    pub warp_cap: Option<u64>,
+    /// The epoch's cube-level scalars.
+    pub record: EpochRecord,
     /// Per-vault samples (index = vault id).
     pub vaults: Vec<VaultSample>,
 }
@@ -86,9 +74,8 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder needs capacity >= 1");
         let frames = (0..capacity)
             .map(|_| FlightFrame {
-                phase: "Normal",
+                record: EpochRecord::default(),
                 vaults: vec![VaultSample::default(); vaults],
-                ..FlightFrame::default()
             })
             .collect();
         Self {
@@ -114,37 +101,24 @@ impl FlightRecorder {
         self.len == 0
     }
 
-    /// Number of vaults per frame.
-    pub fn vaults(&self) -> usize {
-        self.frames[0].vaults.len()
-    }
-
     /// Total frames ever recorded, including ones overwritten by the
     /// ring.
     pub fn total_recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Claims the next slot (overwriting the oldest frame once full) and
-    /// returns it cleared, for the caller to fill in place. Performs no
-    /// allocation.
-    pub fn record(&mut self) -> &mut FlightFrame {
+    /// Claims the next slot (overwriting the oldest frame once full),
+    /// stores `record` there and returns the slot's per-vault samples
+    /// cleared, for the caller to fill in place. Performs no allocation.
+    pub fn record(&mut self, record: EpochRecord) -> &mut [VaultSample] {
         let slot = self.head;
         self.head = (self.head + 1) % self.frames.len();
         self.len = (self.len + 1).min(self.frames.len());
         self.recorded += 1;
         let f = &mut self.frames[slot];
-        f.t_ps = 0;
-        f.epoch = 0;
-        f.peak_dram_c = 0.0;
-        f.logic_c = 0.0;
-        f.phase = "Normal";
-        f.pool_size = None;
-        f.warp_cap = None;
-        for v in &mut f.vaults {
-            *v = VaultSample::default();
-        }
-        f
+        f.record = record;
+        f.vaults.fill(VaultSample::default());
+        &mut f.vaults
     }
 
     /// Live frames, oldest → newest.
@@ -266,11 +240,12 @@ impl PostmortemBundle {
         let mut cs = vec![0.0; n];
         let mut prev_t = None;
         for f in &self.frames {
+            let t_ps = f.record.t_ps;
             let dt_ps = match prev_t {
-                Some(p) => f.t_ps.saturating_sub(p).max(1),
+                Some(p) => t_ps.saturating_sub(p).max(1),
                 None => self.epoch_ps.max(1),
             };
-            prev_t = Some(f.t_ps);
+            prev_t = Some(t_ps);
             let dt_s = dt_ps as f64 * 1e-12;
             for (v, s) in f.vaults.iter().enumerate() {
                 cs[v] += (s.peak_dram_c - self.threshold_c).max(0.0) * dt_s;
@@ -319,7 +294,7 @@ impl PostmortemBundle {
     }
 
     /// Encodes the bundle as flat JSONL: one header line, one `Frame`
-    /// line per frame, one `VaultSample` line per (frame, vault), and
+    /// line per frame (its index, then the whole [`EpochRecord`]), one `VaultSample` line per (frame, vault), and
     /// one `Attribution` line per non-zero (SM, vault) pair.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -338,15 +313,8 @@ impl PostmortemBundle {
         out.push('\n');
         for (i, f) in self.frames.iter().enumerate() {
             let mut b = JsonBuilder::new();
-            b.str("kind", "Frame")
-                .u64("idx", i as u64)
-                .u64("t_ps", f.t_ps)
-                .u64("epoch", f.epoch)
-                .f64("peak_dram_c", f.peak_dram_c)
-                .f64("logic_c", f.logic_c)
-                .str("phase", f.phase)
-                .opt_u64("pool_size", f.pool_size)
-                .opt_u64("warp_cap", f.warp_cap);
+            b.str("kind", "Frame").u64("idx", i as u64);
+            f.record.write_json(&mut b);
             out.push_str(&b.finish());
             out.push('\n');
             for (v, s) in f.vaults.iter().enumerate() {
@@ -409,9 +377,8 @@ impl PostmortemBundle {
             epoch_ps: h.u64_field("epoch_ps").ok_or("missing epoch_ps")?,
             frames: vec![
                 FlightFrame {
-                    phase: "Normal",
+                    record: EpochRecord::default(),
                     vaults: vec![VaultSample::default(); vaults],
-                    ..FlightFrame::default()
                 };
                 n_frames
             ],
@@ -426,13 +393,7 @@ impl PostmortemBundle {
                         .frames
                         .get_mut(i)
                         .ok_or_else(|| format!("frame idx {i} out of range"))?;
-                    f.t_ps = o.u64_field("t_ps").ok_or("Frame without t_ps")?;
-                    f.epoch = o.u64_field("epoch").unwrap_or(0);
-                    f.peak_dram_c = o.f64_field("peak_dram_c").unwrap_or(f64::NAN);
-                    f.logic_c = o.f64_field("logic_c").unwrap_or(f64::NAN);
-                    f.phase = intern(o.str_field("phase").unwrap_or("?"));
-                    f.pool_size = o.u64_field("pool_size");
-                    f.warp_cap = o.u64_field("warp_cap");
+                    f.record = EpochRecord::from_json(&o).ok_or("Frame without t_ps")?;
                 }
                 Some("VaultSample") => {
                     let i = o.u64_field("frame").ok_or("VaultSample without frame")? as usize;
@@ -487,13 +448,18 @@ mod tests {
     use super::*;
 
     fn stamp(rec: &mut FlightRecorder, t_ps: u64, hot_vault: usize, peak: f64) {
-        let f = rec.record();
-        f.t_ps = t_ps;
-        f.epoch = t_ps / 100;
-        f.peak_dram_c = peak;
-        f.logic_c = peak - 2.0;
-        f.phase = "Normal";
-        for (v, s) in f.vaults.iter_mut().enumerate() {
+        let vaults = rec.record(EpochRecord {
+            t_ps,
+            epoch: t_ps / 100,
+            pim_rate_op_ns: 0.5,
+            data_bw: 1e11,
+            peak_dram_c: peak,
+            logic_c: peak - 2.0,
+            phase: "Normal",
+            pool_size: Some(60),
+            warp_cap: None,
+        });
+        for (v, s) in vaults.iter_mut().enumerate() {
             s.peak_dram_c = if v == hot_vault { peak } else { peak - 10.0 };
             s.ops = (v + 1) as u64;
             s.pim_ops = if v == hot_vault { 50 } else { 1 };
@@ -512,9 +478,9 @@ mod tests {
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.capacity(), 4);
         assert_eq!(rec.total_recorded(), 7);
-        let times: Vec<u64> = rec.iter_ordered().map(|f| f.t_ps).collect();
+        let times: Vec<u64> = rec.iter_ordered().map(|f| f.record.t_ps).collect();
         assert_eq!(times, vec![400, 500, 600, 700]);
-        assert_eq!(rec.latest().unwrap().t_ps, 700);
+        assert_eq!(rec.latest().unwrap().record.t_ps, 700);
     }
 
     #[test]
@@ -522,10 +488,10 @@ mod tests {
         let mut rec = FlightRecorder::new(2, 3);
         stamp(&mut rec, 100, 1, 90.0);
         stamp(&mut rec, 200, 1, 90.0);
-        let f = rec.record(); // overwrites the t=100 slot
-        assert_eq!(f.t_ps, 0);
-        assert!(f.vaults.iter().all(|v| *v == VaultSample::default()));
-        assert_eq!(f.vaults.len(), 3);
+        let vaults = rec.record(EpochRecord::default()); // overwrites the t=100 slot
+        assert!(vaults.iter().all(|v| *v == VaultSample::default()));
+        assert_eq!(vaults.len(), 3);
+        assert_eq!(rec.latest().unwrap().record, EpochRecord::default());
     }
 
     #[test]
@@ -580,6 +546,23 @@ mod tests {
         let err = PostmortemBundle::parse(wrong_version).unwrap_err();
         assert!(err.contains("schema version 99"), "{err}");
         assert!(PostmortemBundle::parse("not json").is_err());
+    }
+
+    #[test]
+    fn frames_written_before_the_record_still_parse() {
+        // Older bundles' Frame lines lacked the epoch's rate and bandwidth.
+        let text = concat!(
+            r#"{"kind":"PostmortemHeader","schema_version":1,"trigger":"warning","t_ps":5,"threshold_c":84,"epoch_ps":5,"vaults":1,"frames":1}"#,
+            "\n",
+            r#"{"kind":"Frame","idx":0,"t_ps":5,"epoch":1,"peak_dram_c":85,"logic_c":80,"phase":"Extended","pool_size":60}"#,
+        );
+        let b = PostmortemBundle::parse(text).expect("parses");
+        let r = b.frames[0].record;
+        assert_eq!(
+            (r.t_ps, r.epoch, r.phase, r.pool_size),
+            (5, 1, "Extended", Some(60))
+        );
+        assert!(r.pim_rate_op_ns.is_nan() && r.data_bw.is_nan());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * [`event`] — the [`TelemetryEvent`] vocabulary: thermal warnings
 //!   raised/delivered, phase transitions, frequency derates, shutdowns,
 //!   token-pool resizes, PCU warp-cap updates, epoch samples, kernel
-//!   launch/retire — all stamped with simulation time;
-//! * [`sink`] — where events go: [`NullSink`] (default, one branch on
-//!   the emit path), [`RecordingSink`] (in-memory, for tests),
-//!   [`JsonlSink`] and [`RotatingJsonlSink`] (file streams);
+//!   launch/retire — all stamped with simulation time — and the
+//!   [`EpochRecord`], the one description of a thermal epoch;
+//! * [`sink`] — where events go: [`RecordingSink`] (in-memory, for
+//!   tests), [`JsonlSink`] and [`RotatingJsonlSink`] (file streams);
+//!   without a sink an emit costs one branch;
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
 //!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
 //! * [`json`] — the flat-JSON writer behind the JSONL stream, the
@@ -23,10 +24,10 @@
 //! * [`analysis`] — control-loop KPIs derived from an event stream:
 //!   warning→action latency, overshoot °C·s, derated time, token-pool
 //!   oscillation, thermal-headroom utilization;
-//! * [`flight`] — the spatial flight recorder: a no-alloc ring of
-//!   per-vault samples ([`FlightRecorder`]) dumped on thermal anomalies
-//!   as versioned post-mortem bundles ([`PostmortemBundle`]) with
-//!   SM → vault PIM attribution;
+//! * [`flight`] — the spatial flight recorder: a no-alloc ring of epoch
+//!   records with their per-vault samples ([`FlightRecorder`]), dumped
+//!   on thermal anomalies as versioned post-mortem bundles
+//!   ([`PostmortemBundle`]) with SM → vault PIM attribution;
 //! * [`stats`] — robust cross-run statistics for replicated runs:
 //!   median/MAD summaries with bootstrap CIs ([`summarize`]), two-sample
 //!   permutation tests and effect sizes ([`drift`]), and change-point
@@ -67,10 +68,10 @@ pub mod tolerance;
 pub mod tracer;
 
 pub use analysis::{ControlLoopReport, LatencyStats};
-pub use event::TelemetryEvent;
+pub use event::{EpochRecord, TelemetryEvent};
 pub use flight::{FlightFrame, FlightRecorder, PostmortemBundle, VaultSample};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
-pub use sink::{EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink};
+pub use sink::{EventLog, JsonlSink, RecordingSink, RotatingJsonlSink, Sink};
 pub use stats::{
     bootstrap_ci, change_points, drift, effect_size, median, noise_sigma, permutation_p, summarize,
     Drift, StatsRng, Summary,
@@ -104,11 +105,6 @@ impl Telemetry {
             sink: Some(sink),
             metrics: MetricsRegistry::new(),
         }
-    }
-
-    /// Whether an event sink is attached.
-    pub fn is_tracing(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Emits one event (no-op without a sink).
@@ -154,7 +150,6 @@ mod tests {
     #[test]
     fn disabled_telemetry_swallows_events() {
         let mut t = Telemetry::disabled();
-        assert!(!t.is_tracing());
         t.emit(TelemetryEvent::KernelLaunch { t_ps: 1, launch: 1 });
         let mut batch = vec![TelemetryEvent::KernelRetire { t_ps: 2, launch: 1 }];
         t.emit_epoch_batch(&mut batch);

@@ -1,9 +1,10 @@
 //! Pluggable event sinks.
 //!
-//! The co-simulator emits [`TelemetryEvent`]s into a `Box<dyn Sink>`;
-//! what happens next is the sink's business: drop them ([`NullSink`]),
-//! keep them in memory for assertions ([`RecordingSink`]), or stream
-//! them to disk as JSONL ([`JsonlSink`], [`RotatingJsonlSink`]).
+//! The co-simulator emits [`TelemetryEvent`]s into a `Box<dyn Sink>`
+//! (or nowhere, without one: [`crate::Telemetry::disabled`]); what
+//! happens next is the sink's business: keep them in memory for
+//! assertions ([`RecordingSink`]), or stream them to disk as JSONL
+//! ([`JsonlSink`], [`RotatingJsonlSink`]).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -27,15 +28,6 @@ pub trait Sink: Send {
     fn dropped_writes(&self) -> u64 {
         0
     }
-}
-
-/// Discards every event — the default, so instrumentation costs one
-/// branch when tracing is off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&mut self, _ev: &TelemetryEvent) {}
 }
 
 /// Shared handle onto the events captured by a [`RecordingSink`].
@@ -290,65 +282,20 @@ impl Drop for RotatingJsonlSink {
     }
 }
 
-/// Fans one event stream out to several sinks — e.g. a JSONL trace and
-/// an in-memory recording of the same run.
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Box<dyn Sink>>,
-}
-
-impl MultiSink {
-    /// Wraps the given sinks; events are delivered in order.
-    pub fn new(sinks: Vec<Box<dyn Sink>>) -> Self {
-        Self { sinks }
-    }
-
-    /// Adds another downstream sink.
-    pub fn push(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of downstream sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether there are no downstream sinks.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl Sink for MultiSink {
-    fn record(&mut self, ev: &TelemetryEvent) {
-        for s in &mut self.sinks {
-            s.record(ev);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
-    }
-
-    fn dropped_writes(&self) -> u64 {
-        self.sinks.iter().map(|s| s.dropped_writes()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EpochRecord;
 
     fn sample(t_ps: u64) -> TelemetryEvent {
-        TelemetryEvent::EpochSample {
+        TelemetryEvent::EpochSample(EpochRecord {
             t_ps,
             pim_rate_op_ns: 1.0,
             data_bw: 2.0e9,
             peak_dram_c: 80.0,
             phase: "Normal",
-        }
+            ..EpochRecord::default()
+        })
     }
 
     #[test]
@@ -485,30 +432,5 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn multi_sink_sums_dropped_writes() {
-        let mut multi = MultiSink::new(vec![
-            Box::new(JsonlSink::new(FailingWriter)),
-            Box::new(JsonlSink::new(Vec::new())),
-        ]);
-        multi.record(&sample(1));
-        multi.flush();
-        assert!(multi.dropped_writes() >= 1);
-    }
-
-    #[test]
-    fn multi_sink_fans_out_to_every_downstream() {
-        let (a, log_a) = RecordingSink::new();
-        let (b, log_b) = RecordingSink::new();
-        let mut multi = MultiSink::new(vec![Box::new(a)]);
-        multi.push(Box::new(b));
-        assert_eq!(multi.len(), 2);
-        assert!(!multi.is_empty());
-        multi.record(&sample(7));
-        multi.flush();
-        assert_eq!(log_a.len(), 1);
-        assert_eq!(log_b.snapshot(), log_a.snapshot());
     }
 }

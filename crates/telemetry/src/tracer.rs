@@ -278,16 +278,6 @@ pub struct TraceTrack {
 }
 
 impl TraceTrack {
-    /// The track id (Chrome `tid`).
-    pub fn tid(&self) -> u64 {
-        self.tid
-    }
-
-    /// Current nesting depth (open spans).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Opens a nested span; close it with [`Self::end`] (innermost
     /// first — closing out of order panics).
     #[inline]

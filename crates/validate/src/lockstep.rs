@@ -21,7 +21,7 @@ use coolpim_gpu::OffloadController;
 use coolpim_graph::rng::SplitMix64;
 use coolpim_hmc::vault::Vault;
 use coolpim_hmc::{Ps, ReferenceVault, VaultTiming};
-use coolpim_telemetry::{FlightRecorder, PostmortemBundle, TelemetryEvent, Tolerance};
+use coolpim_telemetry::{EpochRecord, FlightRecorder, PostmortemBundle, TelemetryEvent, Tolerance};
 use coolpim_thermal::solver::ThermalSolve;
 use coolpim_thermal::{Cooling, HmcThermalModel, ReferenceTransient};
 
@@ -599,18 +599,21 @@ pub fn lockstep_system_on<S: ThermalSolve>(
         // 6. Feed the reference side's flight recorder (postmortem
         // context for any later divergence).
         reference_thermal.vault_peak_dram_temps_into(&mut vault_peaks);
-        let frame = flight.record();
-        frame.t_ps = t_ps;
-        frame.epoch = e as u64 + 1;
-        frame.peak_dram_c = ref_readout.peak_dram_c;
-        frame.logic_c = ref_readout.peak_logic_c;
-        // "Extended" is the closest interned phase label for an epoch hot
-        // enough to synthesise warnings (the bundle codec interns phase
-        // strings, so an invented label would not round-trip).
-        frame.phase = if hot { "Extended" } else { "Normal" };
-        frame.pool_size = Some(ref_sw.pool_size() as u64);
-        frame.warp_cap = Some(ref_hw.enabled_slots() as u64);
-        for (v, fv) in frame.vaults.iter_mut().enumerate() {
+        let frame = flight.record(EpochRecord {
+            t_ps,
+            epoch: e as u64 + 1,
+            pim_rate_op_ns: sample.pim_ops / (sample.window_s * 1e9),
+            data_bw: sample.ext_bytes / sample.window_s,
+            peak_dram_c: ref_readout.peak_dram_c,
+            logic_c: ref_readout.peak_logic_c,
+            // "Extended" is the closest interned phase label for an epoch
+            // hot enough to synthesise warnings (the bundle codec interns
+            // phase strings, so an invented label would not round-trip).
+            phase: if hot { "Extended" } else { "Normal" },
+            pool_size: Some(ref_sw.pool_size() as u64),
+            warp_cap: Some(ref_hw.enabled_slots() as u64),
+        });
+        for (v, fv) in frame.iter_mut().enumerate() {
             fv.peak_dram_c = vault_peaks.get(v).copied().unwrap_or(0.0);
             fv.ops = epoch_ops[v];
             fv.pim_ops = epoch_pim[v];

@@ -7,21 +7,24 @@
 use coolpim::gpu::AlwaysOffload;
 use coolpim::prelude::*;
 use coolpim::telemetry::flight::FlightRecorder;
+use coolpim::telemetry::EpochRecord;
 
 #[test]
 fn ring_keeps_the_newest_frames_in_order() {
     let mut rec = FlightRecorder::new(4, 2);
     for i in 0..7u64 {
-        let f = rec.record();
-        f.t_ps = (i + 1) * 100;
-        f.epoch = i + 1;
+        rec.record(EpochRecord {
+            t_ps: (i + 1) * 100,
+            epoch: i + 1,
+            ..EpochRecord::default()
+        });
     }
     assert_eq!(rec.capacity(), 4);
     assert_eq!(rec.len(), 4);
     assert_eq!(rec.total_recorded(), 7);
-    let times: Vec<u64> = rec.iter_ordered().map(|f| f.t_ps).collect();
+    let times: Vec<u64> = rec.iter_ordered().map(|f| f.record.t_ps).collect();
     assert_eq!(times, [400, 500, 600, 700]);
-    assert_eq!(rec.latest().expect("non-empty").epoch, 7);
+    assert_eq!(rec.latest().expect("non-empty").record.epoch, 7);
 }
 
 /// A per-run temp dir so parallel test binaries never collide.
@@ -72,12 +75,16 @@ fn hot_run_dumps_a_bundle_with_prewarning_history() {
 
     // The recorded window is ordered and ends at (or before) dump time.
     for w in bundle.frames.windows(2) {
-        assert!(w[0].t_ps < w[1].t_ps, "frames out of order");
+        assert!(w[0].record.t_ps < w[1].record.t_ps, "frames out of order");
     }
-    assert!(bundle.frames.last().expect("frames").t_ps <= bundle.t_ps);
+    assert!(bundle.frames.last().expect("frames").record.t_ps <= bundle.t_ps);
+    // Each frame, read back from disk, is its epoch's timeline record.
+    for f in &bundle.frames {
+        assert_eq!(f.record, r.timeline[f.record.epoch as usize - 1]);
+    }
     // Cold start: the window reaches back below the trigger threshold.
     assert!(
-        bundle.frames.first().expect("frames").peak_dram_c < threshold,
+        bundle.frames.first().expect("frames").record.peak_dram_c < threshold,
         "no pre-warning samples survived in the ring"
     );
 

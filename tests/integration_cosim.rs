@@ -109,8 +109,8 @@ fn timeline_is_monotone_in_time_and_covers_the_run() {
     let r = CoSim::new(Policy::CoolPimHw, tiny_cfg()).run(k.as_mut());
     let mut last = 0.0;
     for s in &r.timeline {
-        assert!(s.t_s >= last);
-        last = s.t_s;
+        assert!(s.t_s() >= last);
+        last = s.t_s();
     }
     assert!(
         (last - r.exec_s).abs() < 1e-3,
