@@ -6,12 +6,16 @@
 //! ```
 //!
 //! Names are the stems of the committed `results/*.txt`, so `repro
-//! --write results` regenerates them all (see `coolpim_bench::repro`).
+//! --write results` regenerates them all. The co-simulations of every
+//! named artifact run together, each distinct cell once (see
+//! `coolpim_bench::repro`); stderr counts them. `COOLPIM_PROFILE=1` (or
+//! `true`) prints their span tree to stdout ahead of the artifacts.
 
-use coolpim_bench::repro::{EvalGraph, ARTIFACTS};
+use coolpim_bench::repro::{reproduce, Artifact, ARTIFACTS};
+use coolpim_telemetry::Tracer;
 
 fn usage() -> ! {
-    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
     eprintln!(
         "usage: repro NAME [NAME ...] | repro --write DIR\nartifacts: {}",
         names.join(" ")
@@ -21,8 +25,7 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let graph = EvalGraph::default();
-    match args.as_slice() {
+    let (artifacts, dir): (Vec<&Artifact>, _) = match args.as_slice() {
         [] => usage(),
         [flag, dir] if flag == "--write" => {
             let dir = std::path::Path::new(dir);
@@ -30,29 +33,40 @@ fn main() {
                 eprintln!("repro: {}: {e}", dir.display());
                 std::process::exit(1);
             }
-            for (name, render) in &ARTIFACTS {
-                let path = dir.join(format!("{name}.txt"));
-                if let Err(e) = std::fs::write(&path, render(&graph)) {
-                    eprintln!("repro: {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                eprintln!("# wrote {}", path.display());
-            }
+            (ARTIFACTS.iter().collect(), Some(dir))
         }
         names => {
-            let renders: Vec<_> = names
+            let found = names
                 .iter()
-                .map(|n| match ARTIFACTS.iter().find(|(name, _)| name == n) {
-                    Some(&(_, render)) => render,
+                .map(|n| match ARTIFACTS.iter().find(|a| a.0 == n) {
+                    Some(artifact) => artifact,
                     None => {
                         eprintln!("repro: unknown artifact {n:?}");
                         usage()
                     }
-                })
-                .collect();
-            for render in renders {
-                print!("{}", render(&graph));
-            }
+                });
+            (found.collect(), None)
         }
+    };
+    let profiling = matches!(
+        std::env::var("COOLPIM_PROFILE").as_deref(),
+        Ok("1" | "true")
+    );
+    let tracer = profiling.then(Tracer::new);
+    let texts = reproduce(&artifacts, tracer.as_ref());
+    if let Some(profile) = tracer.map(|t| t.profile()).filter(|p| p.slices > 0) {
+        print!("{}", profile.render());
+    }
+    for (artifact, text) in artifacts.iter().zip(texts) {
+        let Some(dir) = dir else {
+            print!("{text}");
+            continue;
+        };
+        let path = dir.join(format!("{}.txt", artifact.0));
+        if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("repro: {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        eprintln!("# wrote {}", path.display());
     }
 }

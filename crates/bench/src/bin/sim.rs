@@ -769,7 +769,7 @@ fn main() {
     }
     let dropped = r.metrics.counter("trace_dropped_writes");
     if let (Some(path), true) = (&args.trace, dropped > 0) {
-        eprintln!("trace {path} is incomplete: {dropped} failed write(s)");
+        eprintln!("trace {path} is incomplete: {dropped} event(s) lost");
         std::process::exit(1);
     }
 }

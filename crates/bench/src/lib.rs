@@ -6,9 +6,9 @@
 //! `analyze`, `obs`, `postmortem` in `src/bin/`), and the regression
 //! gates they feed ([`gate`]).
 //!
-//! The graph-based artifacts share one [`repro::EvalGraph`], built at most
-//! once per process at the scale set by the `COOLPIM_SCALE` environment
-//! variable:
+//! The graph-based artifacts share one evaluation graph, built once per
+//! [`repro::reproduce`] call at the scale set by the `COOLPIM_SCALE`
+//! environment variable:
 //!
 //! * `full` (default) — the paper-scale LDBC-like graph (2^20 vertices);
 //!   the full matrix takes a few minutes on a multicore host;

@@ -2,25 +2,49 @@
 //! factor and Eq. 1 margin, graduated warnings, the cooling solution
 //! and the thermal epoch.
 
-use coolpim_core::cosim::{CoSim, CoSimConfig};
+use coolpim_core::cosim::CoSimResult;
 use coolpim_core::estimate::HardwareProfile;
-use coolpim_core::experiment::{run_source_sweep, SweepCell};
-use coolpim_core::hw_dynt::{HwDynT, HwDynTConfig};
-use coolpim_core::multi_level::GraduatedHwDynT;
+use coolpim_core::experiment::Cell;
+use coolpim_core::hw_dynt::HwDynTConfig;
+use coolpim_core::policy::ControllerConfig;
 use coolpim_core::report::{f, Table};
 use coolpim_core::sw_dynt::{SwDynT, SwDynTConfig};
 use coolpim_core::Policy;
-use coolpim_gpu::controller::OffloadController;
-use coolpim_graph::workloads::{make_kernel, Workload};
+use coolpim_graph::workloads::dc::DcKernel;
+use coolpim_graph::workloads::Workload;
 use coolpim_hmc::ns_to_ps;
 use coolpim_thermal::cooling::Cooling;
 
-use super::EvalGraph;
+/// The SW-DynT control factors (blocks) the CF ablation sweeps.
+const CONTROL_FACTORS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The thermal epochs (µs) the epoch ablation sweeps.
+const EPOCHS_US: [f64; 5] = [25.0, 50.0, 100.0, 200.0, 400.0];
+
+/// The Eq. 1 margins (blocks) the margin ablation sweeps.
+const MARGINS: [usize; 6] = [0, 2, 4, 8, 16, 32];
+
+/// CoolPIM(HW) on dc, its default cell changed by `tune`.
+fn dc_hw(tune: impl FnOnce(&mut Cell)) -> Cell {
+    let mut cell = Cell::new(Workload::Dc, Policy::CoolPimHw);
+    tune(&mut cell);
+    cell
+}
+
+/// CoolPIM(SW) on `workload`, its SW-DynT tunables changed by `tune`.
+fn sw_dynt(workload: Workload, tune: impl FnOnce(&mut SwDynTConfig)) -> Cell {
+    let mut sw = SwDynTConfig::default();
+    tune(&mut sw);
+    Cell {
+        controller: ControllerConfig::Sw(sw),
+        ..Cell::new(workload, Policy::CoolPimSw)
+    }
+}
 
 /// Ablation: SW-DynT control-factor sweep (DESIGN.md §IV-B trade-off —
 /// "a larger CF allows a fast cooldown but risks under-tuning; a small
 /// CF takes longer to settle").
-pub(super) fn ablation_cf(graph: &EvalGraph) -> String {
+pub(super) fn ablation_cf(runs: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Ablation — SW-DynT control factor (bfs-dwc workload)",
         &[
@@ -31,27 +55,13 @@ pub(super) fn ablation_cf(graph: &EvalGraph) -> String {
             "Shrink steps",
         ],
     );
-    for cf in [1usize, 2, 4, 8, 16] {
-        let mut kernel = make_kernel(Workload::BfsDwc, graph.csr());
-        let mut ctrl = SwDynT::new(
-            SwDynTConfig {
-                control_factor: cf,
-                ..SwDynTConfig::default()
-            },
-            &HardwareProfile::paper(),
-            &kernel.profile(),
-        );
-        let r = CoSim::new(Policy::CoolPimSw, CoSimConfig::default()).run_with_controller(
-            kernel.as_mut(),
-            &mut ctrl,
-            true,
-        );
+    for (cf, r) in CONTROL_FACTORS.iter().zip(runs) {
         t.row(&[
             format!("{cf}"),
             f(r.exec_s * 1e3, 3),
             f(r.avg_pim_rate_op_ns, 2),
             f(r.max_peak_dram_c, 1),
-            format!("{}", ctrl.shrink_steps()),
+            format!("{}", r.metrics.counter("token_pool_shrinks")),
         ]);
     }
     format!(
@@ -62,9 +72,15 @@ pub(super) fn ablation_cf(graph: &EvalGraph) -> String {
     )
 }
 
+pub(super) fn cf_cells() -> Vec<Cell> {
+    CONTROL_FACTORS
+        .map(|cf| sw_dynt(Workload::BfsDwc, |sw| sw.control_factor = cf))
+        .to_vec()
+}
+
 /// Ablation: CoolPIM under the four Table II cooling solutions — how the
 /// throttling equilibrium tracks the thermal headroom.
-pub(super) fn ablation_cooling(graph: &EvalGraph) -> String {
+pub(super) fn ablation_cooling(runs: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Ablation — CoolPIM(HW) equilibrium vs cooling solution (dc)",
         &[
@@ -77,19 +93,7 @@ pub(super) fn ablation_cooling(graph: &EvalGraph) -> String {
             "Outcome",
         ],
     );
-    let cfg = CoSimConfig::default();
-    let cells: Vec<SweepCell> = Cooling::TABLE2
-        .into_iter()
-        .map(|cooling| SweepCell {
-            policy: Policy::CoolPimHw,
-            cooling,
-            warning_threshold_c: cfg.warning_threshold_c,
-        })
-        .collect();
-    let csr = graph.csr();
-    let runs = run_source_sweep(|| make_kernel(Workload::Dc, csr), &cells, cfg);
-    for (cell, r) in cells.iter().zip(runs) {
-        let cooling = cell.cooling;
+    for (cooling, r) in Cooling::TABLE2.into_iter().zip(runs) {
         t.row(&[
             cooling.name().into(),
             f(cooling.resistance_c_per_w(), 1),
@@ -115,8 +119,14 @@ pub(super) fn ablation_cooling(graph: &EvalGraph) -> String {
     )
 }
 
+pub(super) fn cooling_cells() -> Vec<Cell> {
+    Cooling::TABLE2
+        .map(|cooling| dc_hw(|c| c.cfg.cooling = cooling))
+        .to_vec()
+}
+
 /// Ablation: thermal-epoch length sensitivity of the co-simulation.
-pub(super) fn ablation_epoch(graph: &EvalGraph) -> String {
+pub(super) fn ablation_epoch(runs: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Ablation — thermal epoch length (dc, CoolPIM(HW))",
         &[
@@ -126,13 +136,7 @@ pub(super) fn ablation_epoch(graph: &EvalGraph) -> String {
             "Peak DRAM (°C)",
         ],
     );
-    for epoch_us in [25.0, 50.0, 100.0, 200.0, 400.0] {
-        let mut kernel = make_kernel(Workload::Dc, graph.csr());
-        let cfg = CoSimConfig {
-            epoch: ns_to_ps(epoch_us * 1000.0),
-            ..CoSimConfig::default()
-        };
-        let r = CoSim::new(Policy::CoolPimHw, cfg).run(kernel.as_mut());
+    for (&epoch_us, r) in EPOCHS_US.iter().zip(runs) {
         t.row(&[
             f(epoch_us, 0),
             f(r.exec_s * 1e3, 3),
@@ -148,9 +152,15 @@ pub(super) fn ablation_epoch(graph: &EvalGraph) -> String {
     )
 }
 
+pub(super) fn epoch_cells() -> Vec<Cell> {
+    EPOCHS_US
+        .map(|us| dc_hw(|c| c.cfg.epoch = ns_to_ps(us * 1000.0)))
+        .to_vec()
+}
+
 /// Ablation: Eq. 1 initialisation margin for SW-DynT ("we add a small
 /// margin ... in order to be not conservative; we use a margin of 4").
-pub(super) fn ablation_margin(graph: &EvalGraph) -> String {
+pub(super) fn ablation_margin(runs: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Ablation — Eq. 1 PTP initialisation margin (dc workload)",
         &[
@@ -161,26 +171,17 @@ pub(super) fn ablation_margin(graph: &EvalGraph) -> String {
             "Peak DRAM (°C)",
         ],
     );
-    for margin in [0usize, 2, 4, 8, 16, 32] {
-        let mut kernel = make_kernel(Workload::Dc, graph.csr());
-        let mut ctrl = SwDynT::new(
-            SwDynTConfig {
-                margin,
-                ..SwDynTConfig::default()
-            },
-            &HardwareProfile::paper(),
-            &kernel.profile(),
-        );
-        let initial = ctrl.pool_size();
-        let r = CoSim::new(Policy::CoolPimSw, CoSimConfig::default()).run_with_controller(
-            kernel.as_mut(),
-            &mut ctrl,
-            true,
-        );
+    for (&margin, r) in MARGINS.iter().zip(runs) {
+        let sw = SwDynTConfig {
+            margin,
+            ..SwDynTConfig::default()
+        };
+        let initial = SwDynT::new(sw, &HardwareProfile::paper(), &DcKernel::PROFILE);
+        let last = r.metrics.gauge("token_pool_size");
         t.row(&[
             format!("{margin}"),
-            format!("{initial}"),
-            format!("{}", ctrl.pool_size()),
+            format!("{}", initial.pool_size()),
+            format!("{}", last.expect("SW-DynT records its pool size")),
             f(r.exec_s * 1e3, 3),
             f(r.max_peak_dram_c, 1),
         ]);
@@ -194,9 +195,15 @@ pub(super) fn ablation_margin(graph: &EvalGraph) -> String {
     )
 }
 
+pub(super) fn margin_cells() -> Vec<Cell> {
+    MARGINS
+        .map(|margin| sw_dynt(Workload::Dc, |sw| sw.margin = margin))
+        .to_vec()
+}
+
 /// Ablation: single-level vs graduated (multi-level) thermal warnings —
 /// the HMC 2.0 extension the paper's §IV-B footnote suggests.
-pub(super) fn ablation_warning_levels(graph: &EvalGraph) -> String {
+pub(super) fn warning_levels(runs: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Ablation — single-level vs graduated thermal warnings (HW-DynT, dc)",
         &[
@@ -207,41 +214,14 @@ pub(super) fn ablation_warning_levels(graph: &EvalGraph) -> String {
             "Updates",
         ],
     );
-    // Both start from a deliberately fine-grained CF of 1 slot so the
-    // grading is what differs.
-    let cfg = HwDynTConfig {
-        control_factor_slots: 1,
-        ..HwDynTConfig::default()
-    };
-    let run = |ctrl: &mut dyn OffloadController| {
-        let mut kernel = make_kernel(Workload::Dc, graph.csr());
-        CoSim::new(Policy::CoolPimHw, CoSimConfig::default()).run_with_controller(
-            kernel.as_mut(),
-            ctrl,
-            true,
-        )
-    };
-    let mut single = HwDynT::new(cfg);
-    let mut graded = GraduatedHwDynT::new(cfg);
-    let rows = [
-        (
-            "single-level (ERRSTAT=0x01)",
-            run(&mut single),
-            single.update_steps(),
-        ),
-        (
-            "graduated (0x01/0x02/0x03)",
-            run(&mut graded),
-            graded.update_steps(),
-        ),
-    ];
-    for (controller, r, updates) in rows {
+    let labels = ["single-level (ERRSTAT=0x01)", "graduated (0x01/0x02/0x03)"];
+    for (controller, r) in labels.into_iter().zip(runs) {
         t.row(&[
             controller.into(),
             f(r.exec_s * 1e3, 3),
             f(r.avg_pim_rate_op_ns, 2),
             f(r.max_peak_dram_c, 1),
-            format!("{updates}"),
+            format!("{}", r.metrics.counter("warp_cap_updates")),
         ]);
     }
     format!(
@@ -250,4 +230,16 @@ pub(super) fn ablation_warning_levels(graph: &EvalGraph) -> String {
          spends less time above the threshold when the initial overshoot is large.\n",
         t.render()
     )
+}
+
+pub(super) fn level_cells() -> Vec<Cell> {
+    // Both start from a deliberately fine-grained CF of 1 slot so the
+    // grading is what differs.
+    let hw = HwDynTConfig {
+        control_factor_slots: 1,
+        ..HwDynTConfig::default()
+    };
+    [ControllerConfig::Hw(hw), ControllerConfig::Graduated(hw)]
+        .map(|controller| dc_hw(|c| c.controller = controller))
+        .to_vec()
 }

@@ -3,17 +3,12 @@
 
 use std::fmt::Write;
 
-use coolpim_core::cosim::{CoSim, CoSimConfig};
-use coolpim_core::experiment::{
-    aggregate_metrics, mean_speedup, run_matrix, run_matrix_with, WorkloadResults,
-};
+use coolpim_core::cosim::{CoSimConfig, CoSimResult};
+use coolpim_core::experiment::{mean_speedup, Cell, WorkloadResults};
 use coolpim_core::policy::Policy;
 use coolpim_core::report::{f, Table};
-use coolpim_graph::workloads::{make_kernel, Workload};
-use coolpim_graph::Csr;
-use coolpim_telemetry::{TraceProfile, Tracer};
-
-use super::EvalGraph;
+use coolpim_graph::workloads::Workload;
+use coolpim_telemetry::MetricsSnapshot;
 
 /// One per-workload figure of the evaluation matrix: a row per
 /// workload, a column per policy.
@@ -98,44 +93,27 @@ impl Figure {
     }
 }
 
-/// Runs the full evaluation matrix (all ten workloads × the five system
-/// configurations) on `graph`.
-///
-/// `COOLPIM_PROFILE=1` (or `true`) records every cell's span tree on
-/// one tracer and returns the tree of the whole matrix with the results.
-fn run_eval_matrix(graph: &Csr) -> (Vec<WorkloadResults>, Option<TraceProfile>) {
-    let (workloads, policies) = (&Workload::ALL, &Policy::ALL);
-    let cells = workloads.len() * policies.len();
-    eprintln!(
-        "# graph ready: {} vertices, {} edges; running {} co-simulations...",
-        graph.vertices(),
-        graph.edge_count(),
-        cells
-    );
-    let cfg = CoSimConfig::default();
-    let profile = std::env::var("COOLPIM_PROFILE");
-    let tracer = matches!(profile.as_deref(), Ok("1" | "true")).then(Tracer::new);
-    let results = if let Some(t) = &tracer {
-        run_matrix_with(graph, workloads, policies, cfg, Some(t), |s| {
-            s.with_tracer(t)
-        })
-    } else {
-        run_matrix(graph, workloads, policies, cfg)
-    };
-    (results, tracer.map(|t| t.profile()))
+/// The evaluation matrix: all ten workloads × the five system
+/// configurations, workload by workload.
+pub(super) fn eval_cells() -> Vec<Cell> {
+    Workload::ALL
+        .iter()
+        .flat_map(|&w| Policy::ALL.iter().map(move |&p| Cell::new(w, p)))
+        .collect()
 }
 
 /// Figs. 10–13 from ONE run of the evaluation matrix, then the
 /// aggregated metrics block (warnings, throttle steps, HMC latency
-/// histograms) and the average speedups. `COOLPIM_PROFILE=1` puts the
-/// span tree of the whole matrix first.
-pub(super) fn eval_all(graph: &EvalGraph) -> String {
-    let (results, profile) = run_eval_matrix(graph.csr());
-    let mut out = profile.map(|p| p.render()).unwrap_or_default();
+/// histograms) and the average speedups.
+pub(super) fn eval_all(runs: &[CoSimResult]) -> String {
+    let results = WorkloadResults::grouped(&Workload::ALL, runs.to_vec());
+    let mut out = String::new();
     for fig in &FIGURES {
         let _ = writeln!(out, "{}", fig.render(&results));
     }
-    out.push_str(&aggregate_metrics(&results, None).render());
+    let mut metrics = MetricsSnapshot::default();
+    runs.iter().for_each(|r| metrics.merge(&r.metrics));
+    out.push_str(&metrics.render());
     let _ = writeln!(
         out,
         "Averages: CoolPIM(SW) {:.3}x, CoolPIM(HW) {:.3}x, Naive {:.3}x, Ideal {:.3}x over baseline.",
@@ -147,14 +125,18 @@ pub(super) fn eval_all(graph: &EvalGraph) -> String {
     out
 }
 
+/// Fig. 14's runs: bfs-ta under naïve offloading and both CoolPIM
+/// controls.
+pub(super) fn fig14_cells() -> Vec<Cell> {
+    OFFLOADING.map(|p| Cell::new(Workload::BfsTa, p)).to_vec()
+}
+
 /// Figure 14: PIM rate over time for bfs-ta under naïve offloading and
 /// both CoolPIM controls, sampled per millisecond.
-pub(super) fn fig14_timeline(graph: &EvalGraph) -> String {
-    let cfg = CoSimConfig::default();
+pub(super) fn fig14_timeline(runs: &[CoSimResult]) -> String {
+    let threshold_c = CoSimConfig::default().warning_threshold_c;
     let mut series = Vec::new();
-    for p in OFFLOADING {
-        let mut k = make_kernel(Workload::BfsTa, graph.csr());
-        let r = CoSim::new(p, cfg.clone()).run(k.as_mut());
+    for r in runs {
         // Aggregate the 100 µs epochs into 1 ms buckets (the paper's
         // sampling granularity).
         let mut buckets: Vec<(f64, u32)> = Vec::new();
@@ -175,9 +157,9 @@ pub(super) fn fig14_timeline(graph: &EvalGraph) -> String {
         let first_warning = r
             .timeline
             .iter()
-            .find(|s| s.peak_dram_c >= cfg.warning_threshold_c)
+            .find(|s| s.peak_dram_c >= threshold_c)
             .map(|s| s.t_s() * 1e3);
-        series.push((p, rates, first_warning, r.exec_s * 1e3));
+        series.push((r.policy, rates, first_warning, r.exec_s * 1e3));
     }
     let len = series.iter().map(|(_, r, _, _)| r.len()).max().unwrap_or(0);
     let mut t = Table::new(

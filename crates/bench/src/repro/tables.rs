@@ -1,16 +1,15 @@
 //! Tables I–IV: protocol costs, cooling types, instruction mapping and
 //! the evaluated system's configuration.
 
+use coolpim_core::cosim::CoSimResult;
 use coolpim_core::report::Table;
 use coolpim_gpu::GpuConfig;
 use coolpim_hmc::command::PimOp;
 use coolpim_hmc::{flit, ps_to_ns, HmcConfig};
 use coolpim_thermal::cooling::{Cooling, FanCurve};
 
-use super::EvalGraph;
-
 /// Table I: HMC memory-transaction bandwidth requirement in FLITs.
-pub(super) fn table1_flits(_: &EvalGraph) -> String {
+pub(super) fn table1_flits(_: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Table I — HMC memory transaction bandwidth requirement (FLIT = 128 bit)",
         &["Type", "Request", "Response", "Total", "Raw bytes"],
@@ -38,7 +37,7 @@ pub(super) fn table1_flits(_: &EvalGraph) -> String {
 }
 
 /// Table II: typical cooling types (thermal resistance and fan power).
-pub(super) fn table2_cooling(_: &EvalGraph) -> String {
+pub(super) fn table2_cooling(_: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Table II — typical cooling types",
         &[
@@ -73,7 +72,7 @@ pub(super) fn table2_cooling(_: &EvalGraph) -> String {
 }
 
 /// Table III: examples of PIM instruction mapping.
-pub(super) fn table3_mapping(_: &EvalGraph) -> String {
+pub(super) fn table3_mapping(_: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Table III — PIM instruction ↔ CUDA atomic mapping",
         &["Type", "PIM instruction", "Non-PIM (CUDA)", "Returns data"],
@@ -90,7 +89,7 @@ pub(super) fn table3_mapping(_: &EvalGraph) -> String {
 }
 
 /// Table IV: performance-evaluation configuration.
-pub(super) fn table4_config(_: &EvalGraph) -> String {
+pub(super) fn table4_config(_: &[CoSimResult]) -> String {
     let g = GpuConfig::paper();
     let h = HmcConfig::hmc20();
     let mut t = Table::new(

@@ -3,6 +3,7 @@
 
 use std::fmt::Write;
 
+use coolpim_core::cosim::CoSimResult;
 use coolpim_core::report::Table;
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::hmc11::{
@@ -13,13 +14,12 @@ use coolpim_thermal::model::HmcThermalModel;
 use coolpim_thermal::power::TrafficSample;
 use coolpim_thermal::{EXTENDED_TEMP_LIMIT_C, SHUTDOWN_TEMP_C};
 
-use super::EvalGraph;
 use crate::heatmap::glyph;
 
 /// Figure 1: thermal evaluation of a real HMC 1.1 prototype —
 /// idle/busy surface temperatures under three heat sinks, with the
 /// passive sink shutting down before peak bandwidth.
-pub(super) fn fig1_prototype(_: &EvalGraph) -> String {
+pub(super) fn fig1_prototype(_: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Fig. 1 — HMC 1.1 prototype surface temperature (modeled vs measured)",
         &[
@@ -67,7 +67,7 @@ pub(super) fn fig1_prototype(_: &EvalGraph) -> String {
 
 /// Figure 2: thermal-model validation — measured surface vs estimated
 /// die vs modeled die temperature for the low-end and high-end sinks.
-pub(super) fn fig2_validation(_: &EvalGraph) -> String {
+pub(super) fn fig2_validation(_: &[CoSimResult]) -> String {
     let mut t = Table::new(
         "Fig. 2 — thermal model validation (busy HMC 1.1)",
         &[
@@ -97,7 +97,7 @@ pub(super) fn fig2_validation(_: &EvalGraph) -> String {
 /// Figure 3: heat map at full bandwidth under a commodity-server sink —
 /// per-layer peak temperatures plus a 2-D ASCII heat map of the logic
 /// layer showing the vault-centre hot spots.
-pub(super) fn fig3_heatmap(_: &EvalGraph) -> String {
+pub(super) fn fig3_heatmap(_: &[CoSimResult]) -> String {
     let mut m = HmcThermalModel::hmc20(Cooling::CommodityServer);
     m.steady_state(&TrafficSample::external_stream(320.0e9, 1e-3));
     let mut out = String::new();
@@ -151,7 +151,7 @@ pub(super) fn fig3_heatmap(_: &EvalGraph) -> String {
 
 /// Figure 4: peak DRAM temperature vs data bandwidth for the four
 /// cooling solutions.
-pub(super) fn fig4_bw_sweep(_: &EvalGraph) -> String {
+pub(super) fn fig4_bw_sweep(_: &[CoSimResult]) -> String {
     let mut models: Vec<HmcThermalModel> = Cooling::TABLE2
         .iter()
         .map(|&c| HmcThermalModel::hmc20(c))
@@ -185,7 +185,7 @@ pub(super) fn fig4_bw_sweep(_: &EvalGraph) -> String {
 
 /// Figure 5: thermal impact of PIM offloading — peak DRAM temperature
 /// vs PIM rate at full external bandwidth, with the operating bands.
-pub(super) fn fig5_pim_sweep(_: &EvalGraph) -> String {
+pub(super) fn fig5_pim_sweep(_: &[CoSimResult]) -> String {
     let mut m = HmcThermalModel::hmc20(Cooling::CommodityServer);
     let mut t = Table::new(
         "Fig. 5 — peak DRAM temperature vs PIM offloading rate (full bandwidth, commodity sink)",

@@ -13,7 +13,7 @@ fn results_dir() -> PathBuf {
 
 #[test]
 fn registry_names_are_unique_and_match_the_committed_results() {
-    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
     let unique: BTreeSet<&str> = names.iter().copied().collect();
     assert_eq!(unique.len(), names.len(), "duplicate names in {names:?}");
 
@@ -62,4 +62,39 @@ fn unknown_artifacts_are_a_usage_error() {
         .expect("run repro");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown artifact \"fig10_speedup\""));
+}
+
+/// `repro NAME...` at a small scale: its stdout, and stderr's cell count.
+fn repro_at_scale_10(names: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(names)
+        .env("COOLPIM_SCALE", "10")
+        .env_remove("COOLPIM_PROFILE")
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{stderr}");
+    let count = stderr
+        .lines()
+        .find(|l| l.contains("declared cells"))
+        .unwrap_or_default()
+        .to_string();
+    (String::from_utf8(out.stdout).expect("utf-8 text"), count)
+}
+
+#[test]
+fn artifacts_run_together_print_what_they_print_alone() {
+    let names = [
+        "eval_all",
+        "fig14_timeline",
+        "ablation_epoch",
+        "ablation_cooling",
+    ];
+    let (joint, count) = repro_at_scale_10(&names);
+    // eval_all's 50 cells, Fig. 14's 3, the epoch ablation's 5 and the
+    // cooling ablation's 4; Fig. 14's and one row of each ablation are
+    // eval_all cells.
+    assert_eq!(count, "# 57 co-simulations for 62 declared cells");
+    let alone: String = names.iter().map(|n| repro_at_scale_10(&[n]).0).collect();
+    assert_eq!(joint, alone);
 }

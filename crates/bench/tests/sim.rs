@@ -229,13 +229,26 @@ fn a_timeline_on_redirected_stdout_precedes_the_summary() {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_trace_that_loses_writes_fails_the_run() {
-    let path = std::env::temp_dir().join(format!("coolpim-sim-full-{}.json", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_sim"))
-        .args(["--workload", "dc", "--scale", "10", "--trace", "/dev/full"])
-        .arg("--metrics-out")
-        .arg(&path)
-        .output()
-        .expect("spawn sim");
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("coolpim-sim-full-{}.json", std::process::id()));
+    let sim = |trace: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_sim"))
+            .args(["--workload", "dc", "--scale", "10", "--trace"])
+            .arg(trace)
+            .arg("--metrics-out")
+            .arg(&path)
+            .output()
+            .expect("spawn sim")
+    };
+    // The same run with a working trace: the events a full disk loses.
+    let whole = dir.join(format!("coolpim-sim-whole-{}.jsonl", std::process::id()));
+    assert!(sim(&whole).status.success());
+    let events = std::fs::read_to_string(&whole)
+        .expect("trace")
+        .lines()
+        .count();
+    std::fs::remove_file(&whole).ok();
+    let out = sim(std::path::Path::new("/dev/full"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
@@ -245,5 +258,9 @@ fn a_trace_that_loses_writes_fails_the_run() {
     let record = RunRecord::load(&path).expect("the run record parses");
     std::fs::remove_file(&path).ok();
     let dropped = record.metric("counter.trace_dropped_writes");
-    assert!(dropped.is_some_and(|n| n >= 1.0), "{dropped:?}");
+    assert_eq!(dropped, Some(events as f64), "every lost event counted");
+    assert!(
+        stderr.contains(&format!(": {events} event(s) lost")),
+        "{stderr}"
+    );
 }

@@ -29,7 +29,7 @@ use crate::observer::{EpochObserver, EpochView};
 use crate::policy::Policy;
 
 /// Co-simulation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoSimConfig {
     /// Host GPU configuration.
     pub gpu: coolpim_gpu::GpuConfig,

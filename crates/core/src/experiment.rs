@@ -1,6 +1,7 @@
-//! Parallel experiment harness: the matrix of workloads × policies
-//! behind the paper's Figures 10–13, plus the replicate and
-//! (policy × cooling × threshold) sweeps.
+//! Parallel experiment harness: co-simulations declared as [`Cell`]s
+//! (every graph-based artifact of the evaluation) run by [`run_cells`],
+//! the workloads × policies matrix behind Figs. 10–13 ([`run_matrix`]),
+//! and the replicate and (policy × cooling × threshold) sweeps.
 //!
 //! Every runner here is a thin caller of one private pool: each item is
 //! an independent co-simulated run, items fan out over a bounded set of
@@ -16,11 +17,11 @@ use coolpim_gpu::source::{InstructionSource, RunSlots};
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
-use coolpim_telemetry::{MetricsSnapshot, Tracer};
+use coolpim_telemetry::Tracer;
 use coolpim_thermal::model::HmcThermalModel;
 
 use crate::cosim::{CoSim, CoSimConfig, CoSimResult, EngineLog};
-use crate::policy::Policy;
+use crate::policy::{ControllerConfig, Policy};
 
 /// Results of one workload across all requested policies, in request
 /// order.
@@ -44,6 +45,20 @@ impl WorkloadResults {
         let base = self.run(Policy::NonOffloading)?;
         let run = self.run(policy)?;
         (run.exec_s > 0.0).then(|| base.exec_s / run.exec_s)
+    }
+
+    /// The runs of a workloads × policies matrix, workload by workload,
+    /// grouped per workload.
+    pub fn grouped(workloads: &[Workload], runs: Vec<CoSimResult>) -> Vec<Self> {
+        let per_workload = runs.len() / workloads.len().max(1);
+        let mut runs = runs.into_iter();
+        workloads
+            .iter()
+            .map(|&workload| WorkloadResults {
+                workload,
+                runs: runs.by_ref().take(per_workload).collect(),
+            })
+            .collect()
     }
 
     /// Bandwidth consumption of `policy` normalised to the baseline.
@@ -117,6 +132,87 @@ fn pool<T: Sync, R: Send>(
         .collect()
 }
 
+/// One co-simulation on the evaluation graph: a workload under a
+/// policy, driven by a controller, with a configuration. Equal cells
+/// give equal results, so [`run_cells`] runs each distinct one once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// The workload's kernel, built from the graph for this cell.
+    pub workload: Workload,
+    /// The system configuration (and whether temperature feeds back).
+    pub policy: Policy,
+    /// The offloading controller the run uses.
+    pub controller: ControllerConfig,
+    /// Co-simulation parameters.
+    pub cfg: CoSimConfig,
+}
+
+impl Cell {
+    /// `workload` under `policy` with its default controller and the
+    /// default configuration.
+    pub fn new(workload: Workload, policy: Policy) -> Self {
+        Self {
+            workload,
+            policy,
+            controller: policy.default_controller(),
+            cfg: CoSimConfig::default(),
+        }
+    }
+
+    /// Runs the cell on `graph`, every track of the run on `tracer` if
+    /// one is given.
+    fn run(&self, graph: &Csr, tracer: Option<&Tracer>) -> CoSimResult {
+        let started = Instant::now();
+        let mut kernel = make_kernel(self.workload, graph);
+        let mut ctrl = self.controller.build(&kernel.profile());
+        let mut sim = CoSim::new(self.policy, self.cfg.clone());
+        if let Some(t) = tracer {
+            sim = sim.with_tracer(t);
+        }
+        let feedback = self.policy.thermal_feedback();
+        let r = sim.run_with_controller(kernel.as_mut(), ctrl.as_mut(), feedback);
+        eprintln!(
+            "# {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
+            self.workload.name(),
+            self.policy.name(),
+            r.exec_s * 1e3,
+            started.elapsed().as_secs_f64()
+        );
+        r
+    }
+}
+
+/// Runs `cells` on `graph` in parallel and returns one result per cell,
+/// in cell order. Each distinct cell runs once, and a cell equal to an
+/// earlier one gets a copy of its result.
+///
+/// With a `tracer`, each pool worker gets a `worker-N` track with one
+/// span per cell it runs, named after the workload, and every run adds
+/// its own `sim`/`gpu`/`hmc` tracks (see [`CoSim::with_tracer`]), so
+/// [`Tracer::profile`] folds one span tree over all of them.
+pub fn run_cells(graph: &Csr, cells: &[Cell], tracer: Option<&Tracer>) -> Vec<CoSimResult> {
+    let first: Vec<usize> = (0..cells.len())
+        .map(|i| cells[..i].iter().position(|c| *c == cells[i]).unwrap_or(i))
+        .collect();
+    let distinct: Vec<usize> = (0..cells.len()).filter(|&i| first[i] == i).collect();
+    eprintln!(
+        "# {} co-simulations for {} declared cells",
+        distinct.len(),
+        cells.len()
+    );
+    let runs = pool(
+        &distinct,
+        workers_for(distinct.len()),
+        tracer,
+        |&i| cells[i].workload.name(),
+        |&i| cells[i].run(graph, tracer),
+    );
+    first
+        .iter()
+        .map(|i| runs[distinct.binary_search(i).expect("first cells run")].clone())
+        .collect()
+}
+
 /// Runs the full matrix in parallel. Results keep the order of
 /// `workloads` and, within each, of `policies`.
 pub fn run_matrix(
@@ -125,60 +221,15 @@ pub fn run_matrix(
     policies: &[Policy],
     cfg: CoSimConfig,
 ) -> Vec<WorkloadResults> {
-    run_matrix_with(graph, workloads, policies, cfg, None, |s| s)
-}
-
-/// [`run_matrix`] with instruments. `worker_tracer` gets one `worker-N`
-/// track per pool worker with one span per claimed cell, named after
-/// the cell's workload. `attach` instruments every cell's [`CoSim`]
-/// before it runs:
-///
-/// * `|s| s.with_tracer(t)` adds every cell's own `sim`/`gpu`/`hmc`
-///   tracks to `t` (see [`CoSim::with_tracer`]), so [`Tracer::profile`]
-///   folds one span tree over the whole matrix;
-/// * `|s| s.with_observer(Heartbeat::every(5.0))` gives every cell its
-///   own [`Heartbeat`](crate::observer::Heartbeat) (any
-///   [`EpochObserver`](crate::observer::EpochObserver) attaches the
-///   same way).
-pub fn run_matrix_with(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-    worker_tracer: Option<&Tracer>,
-    attach: impl Fn(CoSim) -> CoSim + Sync,
-) -> Vec<WorkloadResults> {
-    let cells: Vec<(Workload, Policy)> = workloads
+    let cells: Vec<Cell> = workloads
         .iter()
         .flat_map(|&w| policies.iter().map(move |&p| (w, p)))
-        .collect();
-    let runs = pool(
-        &cells,
-        workers_for(cells.len()),
-        worker_tracer,
-        |c| c.0.name(),
-        |&(w, p)| {
-            let started = Instant::now();
-            let mut kernel = make_kernel(w, graph);
-            let r = attach(CoSim::new(p, cfg.clone())).run(kernel.as_mut());
-            eprintln!(
-                "# {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
-                w.name(),
-                p.name(),
-                r.exec_s * 1e3,
-                started.elapsed().as_secs_f64()
-            );
-            r
-        },
-    );
-    let mut runs = runs.into_iter();
-    workloads
-        .iter()
-        .map(|&workload| WorkloadResults {
-            workload,
-            runs: runs.by_ref().take(policies.len()).collect(),
+        .map(|(w, p)| Cell {
+            cfg: cfg.clone(),
+            ..Cell::new(w, p)
         })
-        .collect()
+        .collect();
+    WorkloadResults::grouped(workloads, run_cells(graph, &cells, None))
 }
 
 /// Runs one workload × policy cell once per seed in `seeds`, each
@@ -198,25 +249,16 @@ pub fn run_replicates(
     cfg: CoSimConfig,
     seeds: &[u64],
 ) -> Vec<CoSimResult> {
+    let cell = Cell {
+        cfg,
+        ..Cell::new(workload, policy)
+    };
     pool(
         seeds,
         workers_for(seeds.len()),
         None,
         |_| workload.name(),
-        |&seed| {
-            let started = Instant::now();
-            let graph = GraphSpec { seed, ..spec }.build();
-            let mut kernel = make_kernel(workload, &graph);
-            let r = CoSim::new(policy, cfg.clone()).run(kernel.as_mut());
-            eprintln!(
-                "# replicate seed={seed:<6} {:<10} {:<18} {:>8.3} ms simulated ({:>5.1} s wall)",
-                workload.name(),
-                policy.name(),
-                r.exec_s * 1e3,
-                started.elapsed().as_secs_f64()
-            );
-            r
-        },
+        |&seed| cell.run(&GraphSpec { seed, ..spec }.build(), None),
     )
 }
 
@@ -382,21 +424,6 @@ pub fn mean_speedup(results: &[WorkloadResults], policy: Policy) -> f64 {
     speedups.iter().sum::<f64>() / speedups.len() as f64
 }
 
-/// Folds every run's metrics snapshot for `policy` into one (pass
-/// `None` to aggregate across all policies): counters sum, gauges keep
-/// their maximum, histograms combine.
-pub fn aggregate_metrics(results: &[WorkloadResults], policy: Option<Policy>) -> MetricsSnapshot {
-    let mut agg = MetricsSnapshot::default();
-    for wr in results {
-        for run in &wr.runs {
-            if policy.is_none_or(|p| p == run.policy) {
-                agg.merge(&run.metrics);
-            }
-        }
-    }
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,6 +451,44 @@ mod tests {
             .normalized_bandwidth(Policy::NaiveOffloading)
             .unwrap();
         assert!(nb < 1.0, "offloading must reduce bandwidth (got {nb})");
+    }
+
+    #[test]
+    fn equal_cells_run_once_and_each_result_equals_its_own_run() {
+        use crate::sw_dynt::SwDynTConfig;
+        let g = GraphSpec::tiny().build();
+        let sw = Cell::new(Workload::Dc, Policy::CoolPimSw);
+        let cf = |control_factor| Cell {
+            controller: ControllerConfig::Sw(SwDynTConfig {
+                control_factor,
+                ..SwDynTConfig::default()
+            }),
+            ..sw.clone()
+        };
+        // CF 4 is SW-DynT's default; Ideal offloads like Naive but
+        // without feedback, so it is a cell of its own.
+        let cells = [
+            sw.clone(),
+            cf(8),
+            cf(4),
+            Cell::new(Workload::Dc, Policy::NaiveOffloading),
+            Cell::new(Workload::Dc, Policy::IdealThermal),
+        ];
+        assert_eq!(cells[2], cells[0]);
+        assert!(cells[1] != cells[0] && cells[4] != cells[3]);
+        let results = run_cells(&g, &cells, None);
+        assert_eq!(results.len(), cells.len());
+        for (r, cell) in results.iter().zip(&cells) {
+            let mut kernel = make_kernel(cell.workload, &g);
+            let mut ctrl = cell.controller.build(&kernel.profile());
+            let feedback = cell.policy.thermal_feedback();
+            let direct = CoSim::new(cell.policy, cell.cfg.clone()).run_with_controller(
+                kernel.as_mut(),
+                ctrl.as_mut(),
+                feedback,
+            );
+            assert_eq!(format!("{r:?}"), format!("{direct:?}"), "{cell:?}");
+        }
     }
 
     #[test]
@@ -648,15 +713,12 @@ mod tests {
     fn span_tree_matrix_folds_every_cell_into_one_tree() {
         let g = GraphSpec::tiny().build();
         let tracer = Tracer::new();
-        let res = run_matrix_with(
-            &g,
-            &[Workload::Dc],
-            &[Policy::NonOffloading, Policy::CoolPimSw],
-            CoSimConfig::default(),
-            Some(&tracer),
-            |s| s.with_tracer(&tracer),
-        );
-        let epochs: u64 = res[0].runs.iter().map(|r| r.timeline.len() as u64).sum();
+        let cells = [
+            Cell::new(Workload::Dc, Policy::NonOffloading),
+            Cell::new(Workload::Dc, Policy::CoolPimSw),
+        ];
+        let res = run_cells(&g, &cells, Some(&tracer));
+        let epochs: u64 = res.iter().map(|r| r.timeline.len() as u64).sum();
         let tree = tracer.profile();
         let calls = |path: &str| {
             tree.flatten()
@@ -675,26 +737,23 @@ mod tests {
         let workloads = [Workload::Dc, Workload::KCore];
         let policies = [Policy::NonOffloading, Policy::CoolPimSw];
         let tracer = Tracer::new();
-        let traced = run_matrix_with(
-            &g,
-            &workloads,
-            &policies,
-            CoSimConfig::default(),
-            Some(&tracer),
-            |s| s.with_tracer(&tracer),
-        );
+        let cells: Vec<Cell> = workloads
+            .iter()
+            .flat_map(|&w| policies.iter().map(move |&p| Cell::new(w, p)))
+            .collect();
+        let traced = run_cells(&g, &cells, Some(&tracer));
         assert!(
             tracer.profile().total_s("epoch/gpu_advance") > 0.0,
             "a traced matrix must record hot-phase spans"
         );
         let plain = run_matrix(&g, &workloads, &policies, CoSimConfig::default());
-        for (t, p) in traced.iter().zip(&plain) {
+        let plain: Vec<&CoSimResult> = plain.iter().flat_map(|w| &w.runs).collect();
+        assert_eq!(traced.len(), plain.len());
+        for (t, p) in traced.iter().zip(plain) {
             assert_eq!(t.workload, p.workload);
-            for (t, p) in t.runs.iter().zip(&p.runs) {
-                assert_eq!(p.telemetry_overhead_pct, 0.0);
-                assert_eq!(t.exec_s.to_bits(), p.exec_s.to_bits());
-                assert_eq!(t.max_peak_dram_c.to_bits(), p.max_peak_dram_c.to_bits());
-            }
+            assert_eq!(p.telemetry_overhead_pct, 0.0);
+            assert_eq!(t.exec_s.to_bits(), p.exec_s.to_bits());
+            assert_eq!(t.max_peak_dram_c.to_bits(), p.max_peak_dram_c.to_bits());
         }
     }
 

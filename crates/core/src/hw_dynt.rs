@@ -15,7 +15,7 @@ use coolpim_hmc::{ns_to_ps, Ps};
 use coolpim_telemetry::TelemetryEvent;
 
 /// Tunables of the hardware throttler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwDynTConfig {
     /// Warp slots per block (the PCU quota granularity here: one slot
     /// disables one warp in every resident block of the SM).
@@ -56,7 +56,6 @@ pub struct HwDynT {
     pending_warning_id: Option<u64>,
     quiet_until: Ps,
     updates: u64,
-    first_warning_at: Option<Ps>,
     last_warning_at: Ps,
     /// Buffered control-action telemetry, drained by the co-sim driver.
     events: Vec<TelemetryEvent>,
@@ -77,7 +76,6 @@ impl HwDynT {
             pending_warning_id: None,
             quiet_until: 0,
             updates: 0,
-            first_warning_at: None,
             last_warning_at: 0,
             events: Vec::new(),
         }
@@ -91,11 +89,6 @@ impl HwDynT {
     /// PCU updates applied.
     pub fn update_steps(&self) -> u64 {
         self.updates
-    }
-
-    /// Time of the first thermal warning received, if any.
-    pub fn first_warning_at(&self) -> Option<Ps> {
-        self.first_warning_at
     }
 
     fn apply_pending(&mut self, now: Ps) {
@@ -151,7 +144,6 @@ impl OffloadController for HwDynT {
     }
 
     fn on_thermal_warning(&mut self, now: Ps, warning_id: u64) {
-        self.first_warning_at.get_or_insert(now);
         self.last_warning_at = self.last_warning_at.max(now);
         if now >= self.quiet_until && self.pending_update_at.is_none() {
             self.pending_update_at = Some(now + self.cfg.t_throttle);

@@ -5,6 +5,7 @@ use coolpim_gpu::kernel::KernelProfile;
 
 use crate::estimate::HardwareProfile;
 use crate::hw_dynt::{HwDynT, HwDynTConfig};
+use crate::multi_level::GraduatedHwDynT;
 use crate::sw_dynt::{SwDynT, SwDynTConfig};
 
 /// Offloading policy / system configuration.
@@ -49,18 +50,52 @@ impl Policy {
         self != Policy::IdealThermal
     }
 
+    /// The controller this policy runs by default: SW-DynT and HW-DynT
+    /// with their paper tunables, never or always offloading otherwise.
+    pub fn default_controller(self) -> ControllerConfig {
+        match self {
+            Policy::NonOffloading => ControllerConfig::Never,
+            Policy::NaiveOffloading | Policy::IdealThermal => ControllerConfig::Always,
+            Policy::CoolPimSw => ControllerConfig::Sw(SwDynTConfig::default()),
+            Policy::CoolPimHw => ControllerConfig::Hw(HwDynTConfig::default()),
+        }
+    }
+
     /// Builds the offloading controller for this policy, given the
     /// kernel's static profile (used by SW-DynT's Eq. 1 initialisation).
     pub fn controller(self, kernel: &KernelProfile) -> Box<dyn OffloadController> {
+        self.default_controller().build(kernel)
+    }
+}
+
+/// An offloading controller with its tunables: the one value that
+/// builds it, so two equal configs build controllers that act alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ControllerConfig {
+    /// Never offload (the non-offloading baseline).
+    Never,
+    /// Offload every atomic, with no source control.
+    Always,
+    /// SW-DynT, its pool initialised by Eq. 1.
+    Sw(SwDynTConfig),
+    /// HW-DynT.
+    Hw(HwDynTConfig),
+    /// HW-DynT graded by warning severity ([`GraduatedHwDynT`]).
+    Graduated(HwDynTConfig),
+}
+
+impl ControllerConfig {
+    /// Builds the controller for a kernel with the static profile
+    /// `kernel` (SW-DynT's Eq. 1 input; the others ignore it).
+    pub fn build(self, kernel: &KernelProfile) -> Box<dyn OffloadController> {
         match self {
-            Policy::NonOffloading => Box::new(NeverOffload),
-            Policy::NaiveOffloading | Policy::IdealThermal => Box::new(AlwaysOffload),
-            Policy::CoolPimSw => Box::new(SwDynT::new(
-                SwDynTConfig::default(),
-                &HardwareProfile::paper(),
-                kernel,
-            )),
-            Policy::CoolPimHw => Box::new(HwDynT::new(HwDynTConfig::default())),
+            ControllerConfig::Never => Box::new(NeverOffload),
+            ControllerConfig::Always => Box::new(AlwaysOffload),
+            ControllerConfig::Sw(cfg) => {
+                Box::new(SwDynT::new(cfg, &HardwareProfile::paper(), kernel))
+            }
+            ControllerConfig::Hw(cfg) => Box::new(HwDynT::new(cfg)),
+            ControllerConfig::Graduated(cfg) => Box::new(GraduatedHwDynT::new(cfg)),
         }
     }
 }

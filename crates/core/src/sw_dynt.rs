@@ -18,7 +18,7 @@ use crate::estimate::{initial_ptp_size, HardwareProfile};
 use crate::token_pool::TokenPool;
 
 /// Tunables of the software throttler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwDynTConfig {
     /// Control factor: blocks removed from the pool per warning (§IV-B).
     pub control_factor: usize,
@@ -58,8 +58,6 @@ pub struct SwDynT {
     quiet_until: Ps,
     /// Shrink steps taken (diagnostics).
     shrinks: u64,
-    /// First thermal warning observed (diagnostics).
-    first_warning_at: Option<Ps>,
     /// Latest thermal warning observed.
     last_warning_at: Ps,
     /// Buffered control-action telemetry, drained by the co-sim driver.
@@ -83,7 +81,6 @@ impl SwDynT {
             pending_warning_id: None,
             quiet_until: 0,
             shrinks: 0,
-            first_warning_at: None,
             last_warning_at: 0,
             events: vec![TelemetryEvent::TokenPoolResize {
                 t_ps: 0,
@@ -103,11 +100,6 @@ impl SwDynT {
     /// Number of shrink steps applied.
     pub fn shrink_steps(&self) -> u64 {
         self.shrinks
-    }
-
-    /// Time of the first thermal warning received, if any.
-    pub fn first_warning_at(&self) -> Option<Ps> {
-        self.first_warning_at
     }
 
     fn apply_pending(&mut self, now: Ps) {
@@ -162,7 +154,6 @@ impl OffloadController for SwDynT {
     }
 
     fn on_thermal_warning(&mut self, now: Ps, warning_id: u64) {
-        self.first_warning_at.get_or_insert(now);
         self.last_warning_at = self.last_warning_at.max(now);
         if now >= self.quiet_until && self.pending_shrink_at.is_none() {
             // Interrupt raised; the handler takes effect after T_throttle.

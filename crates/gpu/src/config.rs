@@ -3,7 +3,7 @@
 use coolpim_hmc::{ns_to_ps, Ps};
 
 /// Static configuration of the host GPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors (16).
     pub sms: usize,

@@ -24,6 +24,12 @@ pub struct DcKernel {
 }
 
 impl DcKernel {
+    /// The kernel's static profile, whatever the graph.
+    pub const PROFILE: KernelProfile = KernelProfile {
+        pim_intensity: 0.40,
+        divergence_ratio: 0.05,
+    };
+
     /// Creates the kernel over `g`.
     pub fn new(g: Csr) -> Self {
         let n = g.vertices();
@@ -78,10 +84,7 @@ impl Kernel for DcKernel {
     }
 
     fn profile(&self) -> KernelProfile {
-        KernelProfile {
-            pim_intensity: 0.40,
-            divergence_ratio: 0.05,
-        }
+        Self::PROFILE
     }
 }
 

@@ -22,9 +22,9 @@ pub trait Sink: Send {
     /// Flushes buffered output (file sinks); default no-op.
     fn flush(&mut self) {}
 
-    /// Number of events/rows lost to write or flush failures so far.
-    /// File sinks count every failed write instead of silently dropping
-    /// it; in-memory sinks never lose anything and report 0.
+    /// Number of events lost to write or flush failures so far. File
+    /// sinks count every lost event instead of silently dropping it;
+    /// in-memory sinks never lose anything and report 0.
     fn dropped_writes(&self) -> u64 {
         0
     }
@@ -103,20 +103,31 @@ impl Sink for RecordingSink {
 
 /// Tracks write/flush failures for a file sink: every lost event is
 /// counted, and the first failure is reported to stderr (once, not per
-/// event — a dead disk would otherwise flood the console).
+/// event — a dead disk would otherwise flood the console). A buffered
+/// writer reports a failure late, at a write that spills its buffer or
+/// at a flush, so a failure counts every event recorded since the last
+/// successful flush as lost.
 #[derive(Debug, Default)]
 struct WriteFailures {
     dropped: u64,
+    unflushed: u64,
     reported: bool,
 }
 
 impl WriteFailures {
-    fn note<T>(&mut self, what: &str, res: std::io::Result<T>) {
-        if let Err(e) = res {
-            self.dropped += 1;
-            if !self.reported {
-                self.reported = true;
-                eprintln!("telemetry: {what} failed, counting dropped writes from here: {e}");
+    /// Notes the outcome of writing `events` more events, or of a flush
+    /// (`events` 0), which, when it succeeds, secures every event so far.
+    fn note(&mut self, what: &str, events: u64, res: std::io::Result<()>) {
+        self.unflushed += events;
+        match res {
+            Ok(()) if events == 0 => self.unflushed = 0,
+            Ok(()) => {}
+            Err(e) => {
+                self.dropped += std::mem::take(&mut self.unflushed);
+                if !self.reported {
+                    self.reported = true;
+                    eprintln!("telemetry: {what} failed, counting lost events from here: {e}");
+                }
             }
         }
     }
@@ -148,12 +159,12 @@ impl<W: Write + Send> JsonlSink<W> {
 impl<W: Write + Send> Sink for JsonlSink<W> {
     fn record(&mut self, ev: &TelemetryEvent) {
         let res = writeln!(self.w, "{}", ev.to_jsonl());
-        self.failures.note("JSONL write", res);
+        self.failures.note("JSONL write", 1, res);
     }
 
     fn flush(&mut self) {
         let res = self.w.flush();
-        self.failures.note("JSONL flush", res);
+        self.failures.note("JSONL flush", 0, res);
     }
 
     fn dropped_writes(&self) -> u64 {
@@ -220,7 +231,7 @@ impl RotatingJsonlSink {
 
     fn rotate(&mut self) {
         if let Some(mut w) = self.w.take() {
-            self.failures.note("rotating JSONL flush", w.flush());
+            self.failures.note("rotating JSONL flush", 0, w.flush());
         }
         self.next_part += 1;
         match File::create(self.part_path(self.next_part)) {
@@ -229,7 +240,7 @@ impl RotatingJsonlSink {
                 self.cur_bytes = 0;
                 self.parts.push_back(self.next_part);
             }
-            Err(e) => self.failures.note::<()>("rotating JSONL rotate", Err(e)),
+            Err(e) => self.failures.note("rotating JSONL rotate", 0, Err(e)),
         }
         while self.parts.len() > self.keep {
             if let Some(old) = self.parts.pop_front() {
@@ -254,11 +265,12 @@ impl Sink for RotatingJsonlSink {
         match &mut self.w {
             Some(w) => {
                 let res = writeln!(w, "{line}");
-                self.failures.note("rotating JSONL write", res);
+                self.failures.note("rotating JSONL write", 1, res);
                 self.cur_bytes += line_bytes;
             }
-            None => self.failures.note::<()>(
+            None => self.failures.note(
                 "rotating JSONL write",
+                1,
                 Err(std::io::Error::other("no active part file")),
             ),
         }
@@ -267,7 +279,7 @@ impl Sink for RotatingJsonlSink {
     fn flush(&mut self) {
         if let Some(w) = &mut self.w {
             let res = w.flush();
-            self.failures.note("rotating JSONL flush", res);
+            self.failures.note("rotating JSONL flush", 0, res);
         }
     }
 
@@ -347,14 +359,18 @@ mod tests {
 
     #[test]
     fn failed_writes_are_counted_not_swallowed() {
-        // BufWriter defers failures to flush time: the count surfaces
-        // there rather than per record, but it is never zero after a
-        // flush that lost data.
+        // BufWriter defers failures to flush time: every event recorded
+        // since the last successful flush is lost, and counted, there.
         let mut sink = JsonlSink::new(FailingWriter);
-        sink.record(&sample(1));
-        sink.record(&sample(2));
+        for t in 0..5 {
+            sink.record(&sample(t));
+        }
         sink.flush();
-        assert!(sink.dropped_writes() >= 1, "flush failure must be counted");
+        assert_eq!(sink.dropped_writes(), 5, "every lost event is counted");
+        sink.record(&sample(5));
+        sink.flush();
+        sink.flush();
+        assert_eq!(sink.dropped_writes(), 6, "and counted once");
 
         // Healthy sinks report zero.
         let mut ok = JsonlSink::new(Vec::new());
@@ -363,6 +379,19 @@ mod tests {
         assert_eq!(ok.dropped_writes(), 0);
         let (rec, _) = RecordingSink::new();
         assert_eq!(rec.dropped_writes(), 0);
+    }
+
+    #[test]
+    fn events_that_outgrow_the_buffer_are_counted_when_it_spills() {
+        // Enough events to spill BufWriter's 8 KiB buffer several times:
+        // each spill fails, and the total lost is every event recorded.
+        let mut sink = JsonlSink::new(FailingWriter);
+        let n = 9 * 8192 / sample(0).to_jsonl().len() as u64;
+        for t in 0..n {
+            sink.record(&sample(t));
+        }
+        sink.flush();
+        assert_eq!(sink.dropped_writes(), n);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use coolpim::core::cosim::{CoSim, CoSimConfig};
-use coolpim::core::experiment::run_matrix_with;
+use coolpim::core::experiment::{run_cells, Cell};
 use coolpim::hmc::ns_to_ps;
 use coolpim::prelude::*;
 use coolpim::telemetry::{validate_trace_json, Tracer};
@@ -33,14 +33,15 @@ fn matrix_workers_get_separate_tracks() {
         max_sim_time: ns_to_ps(1.0e9),
         ..CoSimConfig::default()
     };
-    run_matrix_with(
-        &g,
-        &[Workload::Dc, Workload::KCore],
-        &[Policy::NonOffloading, Policy::NaiveOffloading],
-        cfg,
-        Some(&tracer),
-        |s| s,
-    );
+    let cells: Vec<Cell> = [Workload::Dc, Workload::KCore]
+        .into_iter()
+        .flat_map(|w| [Policy::NonOffloading, Policy::NaiveOffloading].map(|p| (w, p)))
+        .map(|(w, p)| Cell {
+            cfg: cfg.clone(),
+            ..Cell::new(w, p)
+        })
+        .collect();
+    run_cells(&g, &cells, Some(&tracer));
     let summary = validate_trace_json(&tracer.to_chrome_json()).expect("matrix trace valid");
     // The pool sizes itself to min(cores, cells); every worker opens its
     // own `worker-N` track up front, so the declared track names are
@@ -56,9 +57,18 @@ fn matrix_workers_get_separate_tracks() {
         .collect();
     assert_eq!(workers.len(), expected_workers, "{:?}", summary.track_names);
     // Each of the four cells is exactly one span on the track of the
-    // worker that claimed it — no other event kinds in a matrix trace.
-    assert_eq!(summary.events, 4, "one span per matrix cell");
-    assert!(summary.tracks >= 1 && summary.tracks <= expected_workers);
+    // worker that claimed it, named after its workload; the cells' own
+    // runs add their `sim`/`gpu`/`hmc` tracks alongside.
+    let tree = tracer.profile();
+    let calls = |path: &str| {
+        tree.flatten()
+            .into_iter()
+            .find(|r| r.0 == path)
+            .map_or(0, |r| r.3)
+    };
+    assert_eq!((calls("dc"), calls("kcore")), (2, 2), "one span per cell");
+    let sims = summary.track_names.iter().filter(|n| *n == "sim").count();
+    assert_eq!(sims, cells.len(), "{:?}", summary.track_names);
 }
 
 #[test]
