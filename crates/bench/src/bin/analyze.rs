@@ -1,22 +1,21 @@
 //! `analyze` — control-loop KPIs from event timelines.
 //!
 //! ```text
-//! analyze [TRACE.jsonl ...] [--json FILE]
+//! analyze [TRACE.jsonl ...]
 //! ```
 //!
 //! For each JSONL trace (written by `sim --trace`) this prints the
 //! control-loop report: warning→action latency distribution, overshoot
 //! episodes/time/integral, derated time, token-pool oscillations, and
-//! thermal-headroom utilization. `--json FILE` additionally writes the
-//! reports as JSONL (one flat object per trace).
+//! thermal-headroom utilization. A file in which no line parses as an
+//! event is not a trace: `analyze` names it and exits 1.
 //!
 //! With no trace arguments it runs the built-in fixed-seed comparison —
 //! one hot co-simulation each under CoolPIM(SW) and CoolPIM(HW) — and
 //! analyzes the in-memory recordings; the paper's reaction-latency claim
 //! (HW reacts orders of magnitude faster) is then directly visible in
-//! the two reports. `obs gate control-loop FILE` gates a `--json` file,
-//! including that the HW-DynT median warning→action latency is below
-//! SW-DynT's.
+//! the two reports. CI gates that claim on the runs' records instead:
+//! `obs gate control-loop HW_RUN --baseline SW_RUN`.
 
 use coolpim_core::cosim::{CoSim, CoSimConfig};
 use coolpim_core::policy::Policy;
@@ -26,7 +25,7 @@ use coolpim_telemetry::analysis::{analyze, analyze_jsonl, ControlLoopReport};
 use coolpim_telemetry::{RecordingSink, Telemetry};
 
 fn usage() -> ! {
-    eprintln!("usage: analyze [TRACE.jsonl ...] [--json FILE]");
+    eprintln!("usage: analyze [TRACE.jsonl ...]");
     std::process::exit(2);
 }
 
@@ -49,23 +48,15 @@ fn builtin_run(policy: Policy) -> ControlLoopReport {
 
 fn main() {
     let mut traces: Vec<String> = Vec::new();
-    let mut json_out: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                i += 1;
-                json_out = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
-            }
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
             "--help" | "-h" => usage(),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown argument {flag:?}");
                 usage();
             }
-            path => traces.push(path.to_string()),
+            _ => traces.push(arg),
         }
-        i += 1;
     }
 
     let mut reports: Vec<ControlLoopReport> = Vec::new();
@@ -80,7 +71,10 @@ fn main() {
                 eprintln!("failed to read {path}: {e}");
                 std::process::exit(1);
             });
-            let (report, skipped) = analyze_jsonl(&text);
+            let Some((report, skipped)) = analyze_jsonl(&text) else {
+                eprintln!("{path}: no line parses as a trace event");
+                std::process::exit(1);
+            };
             if skipped > 0 {
                 eprintln!("# {path}: skipped {skipped} unparseable line(s)");
             }
@@ -91,17 +85,5 @@ fn main() {
     for r in &reports {
         print!("{}", r.render());
         println!();
-    }
-
-    if let Some(path) = &json_out {
-        let mut out = String::new();
-        for r in &reports {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, out) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
     }
 }

@@ -14,14 +14,14 @@
 //! classification. The terminal dashboard always prints; `--md`
 //! additionally writes the Markdown report artifact.
 //!
-//! **`obs gate`** is the one regression gate: it checks CURRENT
-//! against the named gate set (see `coolpim_bench::gate`, which holds
-//! every threshold). `run`, `profile` and `overhead` read a run
-//! record; `trace` reads a `sim --trace-timeline` Chrome timeline;
-//! `control-loop` reads `analyze --json` reports.
-//! `run` and `profile` compare against `--baseline`; with replicated
-//! records on both sides a band excursion must also be statistically
-//! significant to fail. `--md` additionally writes the table as
+//! **`obs gate`** is the one regression gate: it checks the run record
+//! CURRENT (`sim --metrics-out`) against the named gate set (see
+//! `coolpim_bench::gate`, which holds every threshold). `trace` reads
+//! the timeline summary a `sim --trace-timeline` run records.
+//! `run`, `profile` and `control-loop` compare against the
+//! `--baseline` record, `control-loop` a HW-DynT run against a SW-DynT
+//! one; with replicated records on both sides a band excursion must
+//! also be statistically significant to fail. `--md` additionally writes the table as
 //! Markdown. Exit status: 0 pass, 1 regression, 2 usage/IO error.
 //!
 //! `--inflate METRIC=FACTOR` multiplies the *current* side's metric
@@ -133,7 +133,7 @@ fn gate(argv: &[String]) {
     let base = baseline
         .as_deref()
         .map(|p| RunRecord::load(Path::new(p)).unwrap_or_else(|e| fail_io(e)));
-    let (mut cur, notes) = set.load(Path::new(cpath)).unwrap_or_else(|e| fail_io(e));
+    let mut cur = RunRecord::load(Path::new(cpath)).unwrap_or_else(|e| fail_io(e));
     if let Some((metric, factor)) = &inflation {
         eprintln!("# self-test: inflating current {metric} by {factor}x");
         inflate(&mut cur, metric, *factor);
@@ -141,9 +141,6 @@ fn gate(argv: &[String]) {
 
     let report = Report::new(set, base.as_ref(), &cur);
     let bname = baseline.as_deref().unwrap_or("-");
-    for note in &notes {
-        println!("# {note}");
-    }
     print!("{}", report.render(bname, cpath));
     if let Some(path) = md {
         if let Err(e) = std::fs::write(&path, report.render_markdown(bname, cpath)) {

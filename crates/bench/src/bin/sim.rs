@@ -37,16 +37,19 @@
 //! whenever a thermal warning, phase change, or overshoot episode
 //! fires — inspect bundles with the `postmortem` bin.
 //! `--trace-rotate-mb MB` caps the `--trace` file by rotating it into
-//! numbered parts, keeping only the newest few; without `--trace` it
-//! exits 2.
+//! numbered parts, keeping only the newest few; without `--trace`, or
+//! as 0, it exits 2.
 //!
 //! `--trace-timeline FILE` records a hierarchical trace timeline of the
 //! run — nested epoch/thermal/scheduling spans on per-component tracks,
 //! counter tracks (peak DRAM temp, token pool, warp cap), and
 //! warning→throttle flow arrows — and writes it as Chrome trace-event
 //! JSON loadable at <https://ui.perfetto.dev>. The file is validated
-//! in-process before it is written; the aggregated span tree also folds
-//! into the run record as `tprof.*` metrics for `obs gate profile`.
+//! in-process before it is written, and the run record keeps the
+//! validator's summary as `trace.tracks`, `trace.max_depth` and
+//! `trace.flows_matched` for `obs gate trace`; the aggregated span tree
+//! also folds into the record as `tprof.*` metrics for `obs gate
+//! profile`.
 //!
 //! `--seed-list a,b,c` runs the same configuration once per listed seed
 //! (one R-MAT draw each) on a worker pool and folds the runs into ONE
@@ -240,9 +243,16 @@ fn parse_args() -> Args {
             "--metrics-out" => args.metrics_out = Some(take(&mut i)),
             "--flight-recorder" => args.flight_recorder = true,
             "--postmortem-dir" => args.postmortem_dir = Some(take(&mut i)),
-            "--trace-rotate-mb" => {
-                args.trace_rotate_mb = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
+            "--trace-rotate-mb" => match take(&mut i).parse() {
+                Ok(0) => {
+                    eprintln!(
+                        "--trace-rotate-mb 0 leaves no room for a trace part; give 1 or more"
+                    );
+                    std::process::exit(2);
+                }
+                Ok(mb) => args.trace_rotate_mb = Some(mb),
+                Err(_) => usage(),
+            },
             "--trace-timeline" => args.trace_timeline = Some(take(&mut i)),
             "--heartbeat" => {
                 args.heartbeat_s = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
@@ -560,7 +570,7 @@ fn main() {
         // rotating sink (numbered parts, newest kept) instead of one
         // unbounded file.
         let sink: Result<Box<dyn Sink>, std::io::Error> = match args.trace_rotate_mb {
-            Some(mb) => RotatingJsonlSink::create(path, mb.max(1) * 1024 * 1024, 4)
+            Some(mb) => RotatingJsonlSink::create(path, mb.saturating_mul(1 << 20), 4)
                 .map(|s| Box::new(s) as Box<dyn Sink>),
             None => JsonlSink::create(path).map(|s| Box::new(s) as Box<dyn Sink>),
         };
@@ -688,14 +698,19 @@ fn main() {
 
     // Export the trace timeline: self-validate before writing so a
     // malformed document can never land on disk, then report the
-    // summary a CI log can grep.
+    // summary a CI log can grep; the run record keeps it for
+    // `obs gate trace`.
+    let mut timeline_summary = None;
     if let (Some(path), Some(tracer)) = (&args.trace_timeline, &tracer) {
         let json = tracer.to_chrome_json();
         match coolpim_telemetry::validate_trace_json(&json) {
-            Ok(sum) => eprintln!(
-                "# trace timeline: {path} ({} events, {} tracks, max depth {}, {} flows matched)",
-                sum.events, sum.tracks, sum.max_depth, sum.flow_matched
-            ),
+            Ok(sum) => {
+                eprintln!(
+                    "# trace timeline: {path} ({} events, {} tracks, max depth {}, {} flows matched)",
+                    sum.events, sum.tracks, sum.max_depth, sum.flow_matched
+                );
+                timeline_summary = Some(sum);
+            }
             Err(e) => {
                 eprintln!("internal error: trace timeline failed validation: {e}");
                 std::process::exit(1);
@@ -724,6 +739,11 @@ fn main() {
         record.push("trace.ops", ops as f64);
         record.push("trace.blocks", blocks as f64);
         record.push("trace.launches", launches as f64);
+    }
+    if let Some(sum) = timeline_summary {
+        record.push("trace.tracks", sum.tracks as f64);
+        record.push("trace.max_depth", sum.max_depth as f64);
+        record.push("trace.flows_matched", sum.flow_matched as f64);
     }
     // Fold the aggregated span tree into the run record as a versioned
     // profile section: one flat `tprof.<path>.{total_s,self_s,calls}`

@@ -2,11 +2,9 @@
 //!
 //! A [`Gate`] is a metric key plus a [`Check`], and the named [`SETS`]
 //! are the only place a CI threshold, band or direction lives. Every
-//! input becomes a [`RunRecord`] first: run records load as they are,
-//! and two adapters turn a Chrome trace timeline ([`timeline_record`])
-//! or an `analyze --json` reports file ([`reports_record`]) into a few
-//! metrics. One engine ([`evaluate`]) then decides every row, and one
-//! renderer prints it.
+//! set reads run records (`sim --metrics-out`, loaded by
+//! [`RunRecord::load`]); one engine ([`evaluate`]) decides every row,
+//! and one renderer prints it.
 //!
 //! A band compares medians: the replicate median of a replicated record
 //! (see `crate::replicate`), the value itself otherwise. With ≥ 2
@@ -14,15 +12,15 @@
 //! under a permutation test ([`ALPHA`], [`MIN_EFFECT`]), or it is
 //! excused as replicate noise. A metric missing on either side of a
 //! band is reported and passes: a run whose loop never engaged has no
-//! warning→action histogram. A ceiling or floor fails on a missing
-//! metric. A non-finite value on either side of any check fails.
+//! warning→action histogram. A ceiling, floor or [`Check::Below`]
+//! fails on a missing metric. An absent `counter.*` key reads 0, as
+//! `MetricsSnapshot::counter` does: a run's counter exists only once it
+//! has counted. A non-finite value on either side of any check fails.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
-use coolpim_core::policy::Policy;
 use coolpim_telemetry::stats::{drift, median};
-use coolpim_telemetry::{validate_trace_json, ControlLoopReport, Tolerance};
+use coolpim_telemetry::Tolerance;
 
 use crate::replicate::DIST_PREFIX;
 use crate::runrec::{fnv1a, RunRecord};
@@ -51,6 +49,15 @@ pub enum Check {
     Max(f64),
     /// Floor on the current value.
     Min(f64),
+    /// The current median must be strictly below the baseline median.
+    Below,
+}
+
+impl Check {
+    /// Whether the check reads a baseline record.
+    pub fn compares(&self) -> bool {
+        matches!(self, Check::Band { .. } | Check::Below)
+    }
 }
 
 /// One gated metric.
@@ -88,7 +95,17 @@ impl Gate {
             check: Check::Min(v),
         }
     }
+
+    const fn below(key: &'static str) -> Self {
+        Self {
+            key,
+            check: Check::Below,
+        }
+    }
 }
+
+/// No throttle action may cite a warning the cube never raised.
+const NO_ORPHAN_ACTIONS: Gate = Gate::max("counter.orphan_actions", 0.0);
 
 /// `run`: the headline quality and performance metrics of one `sim`
 /// run record against a committed baseline. Tolerances are sized to
@@ -110,6 +127,7 @@ pub const RUN: &[Gate] = &[
     // Deterministic for a fixed seed; the slack absorbs trigger-order
     // changes near the threshold.
     Gate::band("postmortem_dumps", Tolerance::abs(2.0), true),
+    NO_ORPHAN_ACTIONS,
 ];
 
 /// `profile`: the `tprof.*` span tree of a `sim --trace-timeline` run
@@ -132,43 +150,29 @@ pub const PROFILE: &[Gate] = &[
 /// self-cost.
 pub const OVERHEAD: &[Gate] = &[Gate::max("telemetry_overhead_pct", 3.0)];
 
-/// `trace`: a Chrome timeline must nest spans ≥ 3 deep on ≥ 2 tracks
-/// and carry ≥ 1 matched warning→throttle flow.
+/// `trace`: the Chrome timeline of a `sim --trace-timeline` run, as its
+/// record summarises it, must nest spans ≥ 3 deep on ≥ 2 tracks and
+/// carry ≥ 1 matched warning→throttle flow.
 pub const TRACE: &[Gate] = &[
     Gate::min("trace.max_depth", 3.0),
     Gate::min("trace.tracks", 2.0),
     Gate::min("trace.flows_matched", 1.0),
 ];
 
-/// `control-loop`: every reports line parses, at least one does, no
+/// `control-loop`: a HW-DynT run record against a SW-DynT baseline. No
 /// action lacks its warning, and HW-DynT's median warning→action
 /// latency is below SW-DynT's (the paper's §IV claim), with data on
 /// both sides.
 pub const CONTROL_LOOP: &[Gate] = &[
-    Gate::min("reports.parsed", 1.0),
-    Gate::max("reports.unparseable", 0.0),
-    Gate::max("reports.orphan_actions", 0.0),
-    Gate::min("reports.hw_faster", 1.0),
+    NO_ORPHAN_ACTIONS,
+    Gate::below("hist.warning_to_action_ps.p50"),
 ];
-
-/// What a gate set reads as its CURRENT file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Input {
-    /// A run record (`sim --metrics-out`).
-    Record,
-    /// A Chrome trace timeline (`sim --trace-timeline`).
-    Timeline,
-    /// `analyze --json` control-loop reports, one per line.
-    Reports,
-}
 
 /// A named gate set.
 #[derive(Debug, Clone, Copy)]
 pub struct GateSet {
     /// Name on the `obs gate` command line.
     pub name: &'static str,
-    /// Kind of CURRENT file the set reads.
-    pub input: Input,
     /// The gates, in report order.
     pub gates: &'static [Gate],
 }
@@ -176,20 +180,7 @@ pub struct GateSet {
 impl GateSet {
     /// Whether any gate compares against a baseline record.
     pub fn needs_baseline(&self) -> bool {
-        self.gates
-            .iter()
-            .any(|g| matches!(g.check, Check::Band { .. }))
-    }
-
-    /// Loads `path` as this set's input kind, returning the record and
-    /// any notes the adapter wants shown above the table.
-    pub fn load(&self, path: &Path) -> Result<(RunRecord, Vec<String>), String> {
-        let read = || std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()));
-        match self.input {
-            Input::Record => RunRecord::load(path).map(|r| (r, Vec::new())),
-            Input::Timeline => read().map(|text| timeline_record(&text)),
-            Input::Reports => read().map(|text| reports_record(&text)),
-        }
+        self.gates.iter().any(|g| g.check.compares())
     }
 }
 
@@ -197,27 +188,22 @@ impl GateSet {
 pub const SETS: &[GateSet] = &[
     GateSet {
         name: "run",
-        input: Input::Record,
         gates: RUN,
     },
     GateSet {
         name: "profile",
-        input: Input::Record,
         gates: PROFILE,
     },
     GateSet {
         name: "overhead",
-        input: Input::Record,
         gates: OVERHEAD,
     },
     GateSet {
         name: "trace",
-        input: Input::Timeline,
         gates: TRACE,
     },
     GateSet {
         name: "control-loop",
-        input: Input::Reports,
         gates: CONTROL_LOOP,
     },
 ];
@@ -225,63 +211,6 @@ pub const SETS: &[GateSet] = &[
 /// The gate set called `name`.
 pub fn set(name: &str) -> Option<&'static GateSet> {
     SETS.iter().find(|s| s.name == name)
-}
-
-/// Turns a Chrome trace timeline into `trace.max_depth`,
-/// `trace.tracks` and `trace.flows_matched`. An invalid document yields
-/// no metrics, so every `trace` floor fails; the note says why.
-pub fn timeline_record(text: &str) -> (RunRecord, Vec<String>) {
-    let mut rec = RunRecord::new("timeline", "");
-    match validate_trace_json(text) {
-        Ok(s) => {
-            rec.push("trace.max_depth", s.max_depth as f64);
-            rec.push("trace.tracks", s.tracks as f64);
-            rec.push("trace.flows_matched", s.flow_matched as f64);
-            (rec, vec![format!("{} trace events", s.events)])
-        }
-        Err(e) => (rec, vec![format!("invalid trace: {e}")]),
-    }
-}
-
-/// Turns `analyze --json` lines into `reports.parsed`,
-/// `reports.unparseable`, `reports.orphan_actions` and — when both a
-/// SW-DynT and a HW-DynT report carry warning→action data —
-/// `reports.hw_faster` (1 when HW's median latency is below SW's).
-pub fn reports_record(text: &str) -> (RunRecord, Vec<String>) {
-    let mut notes = Vec::new();
-    let (mut parsed, mut unparseable, mut orphans) = (0u64, 0u64, 0u64);
-    let (mut sw, mut hw) = (None, None);
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(r) = ControlLoopReport::from_json(line) else {
-            unparseable += 1;
-            notes.push(format!("line {}: unparseable report", i + 1));
-            continue;
-        };
-        parsed += 1;
-        orphans += r.orphan_actions;
-        let side = if r.policy == Policy::CoolPimSw.name() {
-            &mut sw
-        } else if r.policy == Policy::CoolPimHw.name() {
-            &mut hw
-        } else {
-            continue;
-        };
-        if r.action_latency.count > 0 {
-            side.get_or_insert(r.action_latency.p50_ps);
-        }
-    }
-    let mut rec = RunRecord::new("reports", "");
-    rec.push("reports.parsed", parsed as f64);
-    rec.push("reports.unparseable", unparseable as f64);
-    rec.push("reports.orphan_actions", orphans as f64);
-    if let (Some(sw), Some(hw)) = (sw, hw) {
-        notes.push(format!("warning->action p50: HW {hw} ps, SW {sw} ps"));
-        rec.push("reports.hw_faster", f64::from(u8::from(hw < sw)));
-    }
-    (rec, notes)
 }
 
 /// Scales `metric` (headline value and `dist.<metric>.*` block, except
@@ -376,12 +305,16 @@ fn check_metric(
     baseline: Option<&RunRecord>,
     current: &RunRecord,
 ) -> Row {
-    let band = matches!(check, Check::Band { .. });
+    let samples = |r: &RunRecord| match r.samples(metric) {
+        s if s.is_empty() && metric.starts_with("counter.") => vec![0.0],
+        s => s,
+    };
+    let compares = check.compares();
     let b = match baseline {
-        Some(r) if band => r.samples(metric),
+        Some(r) if compares => samples(r),
         _ => Vec::new(),
     };
-    let c = current.samples(metric);
+    let c = samples(current);
     let med = |s: &[f64]| (!s.is_empty()).then(|| median(s));
     let mut row = Row {
         metric: metric.to_string(),
@@ -392,7 +325,7 @@ fn check_metric(
         stat: None,
         status: Status::Ok,
     };
-    if c.is_empty() || (band && b.is_empty()) {
+    if c.is_empty() || (compares && b.is_empty()) {
         row.status = Status::Missing;
         return row;
     }
@@ -404,6 +337,7 @@ fn check_metric(
     let holds = match check {
         Check::Max(v) => cur <= v,
         Check::Min(v) => cur >= v,
+        Check::Below => cur < row.baseline.expect("non-empty"),
         Check::Band {
             tol,
             higher_is_worse,
@@ -439,18 +373,25 @@ pub struct Report {
     pub set: &'static str,
     /// Per-metric decisions, in gate order.
     pub rows: Vec<Row>,
-    /// Whether baseline and current hash different configurations (a
-    /// warning, not a failure: baselines age across config changes).
+    /// Whether a banded baseline and current hash different
+    /// configurations (a warning, not a failure: baselines age across
+    /// config changes). A set without bands, such as `control-loop`,
+    /// compares two configurations on purpose.
     pub config_mismatch: bool,
 }
 
 impl Report {
-    /// Runs `set` over `current` (and `baseline` for its bands).
+    /// Runs `set` over `current` (and `baseline` for its comparisons).
     pub fn new(set: &GateSet, baseline: Option<&RunRecord>, current: &RunRecord) -> Self {
+        let banded = set
+            .gates
+            .iter()
+            .any(|g| matches!(g.check, Check::Band { .. }));
         Self {
             set: set.name,
             rows: evaluate(set.gates, baseline, current),
-            config_mismatch: baseline.is_some_and(|b| b.config_hash != current.config_hash),
+            config_mismatch: banded
+                && baseline.is_some_and(|b| b.config_hash != current.config_hash),
         }
     }
 
@@ -547,6 +488,7 @@ fn cells(r: &Row, none: &str) -> [String; 8] {
         Check::Band { .. } => "band".to_string(),
         Check::Max(v) => format!("<= {v}"),
         Check::Min(v) => format!(">= {v}"),
+        Check::Below => "< base".to_string(),
     };
     let status = match r.status {
         Status::Ok => "ok",
@@ -573,7 +515,10 @@ fn failure(r: &Row) -> String {
     let num = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.6}"));
     let m = &r.metric;
     match (r.status, r.check) {
-        (Status::Missing, _) => format!("{m} missing from the current record"),
+        (Status::Missing, _) if r.current.is_none() => {
+            format!("{m} missing from the current record")
+        }
+        (Status::Missing, _) => format!("{m} missing from the baseline"),
         (Status::NotFinite, _) => format!(
             "{m} is not finite — baseline {}, current {}",
             num(r.baseline),
@@ -581,6 +526,11 @@ fn failure(r: &Row) -> String {
         ),
         (_, Check::Max(v)) => format!("{m} = {} above ceiling {v}", num(r.current)),
         (_, Check::Min(v)) => format!("{m} = {} below floor {v}", num(r.current)),
+        (_, Check::Below) => format!(
+            "{m} = {} not below the baseline's {}",
+            num(r.current),
+            num(r.baseline)
+        ),
         (_, Check::Band { .. }) => format!(
             "{m} regressed — median {} -> {}, {}",
             num(r.baseline),
@@ -597,6 +547,7 @@ fn failure(r: &Row) -> String {
 mod tests {
     use super::*;
     use crate::replicate::fold_replicates;
+    use std::path::Path;
 
     fn record(pairs: &[(&str, f64)]) -> RunRecord {
         let mut r = RunRecord::new("test", "cfg-a");
@@ -841,75 +792,73 @@ mod tests {
         record(&[("exec_s", f64::NAN)]).write_to(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"exec_s\":null"), "{text}");
-        let (cur, _) = set("run").unwrap().load(&path).unwrap();
+        let cur = RunRecord::load(&path).unwrap();
         let rep = run_set("run", Some(&base), &cur);
         assert_eq!(status(&rep, "exec_s"), Status::NotFinite);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn timeline_adapter_counts_depth_tracks_and_flows() {
-        let doc = r#"{"traceEvents":[
-            {"ph":"X","pid":1,"tid":1,"ts":0,"dur":10,"name":"a"},
-            {"ph":"X","pid":1,"tid":1,"ts":1,"dur":8,"name":"b"},
-            {"ph":"X","pid":1,"tid":1,"ts":2,"dur":6,"name":"c"},
-            {"ph":"X","pid":1,"tid":2,"ts":0,"dur":10,"name":"d"},
-            {"ph":"s","pid":1,"tid":1,"ts":3,"id":7,"name":"w"},
-            {"ph":"f","bp":"e","pid":1,"tid":2,"ts":5,"id":7,"name":"w"}
-        ]}"#;
-        let (rec, _) = timeline_record(doc);
-        assert_eq!(rec.metric("trace.max_depth"), Some(3.0));
-        assert_eq!(rec.metric("trace.tracks"), Some(2.0));
-        assert_eq!(rec.metric("trace.flows_matched"), Some(1.0));
-        assert!(run_set("trace", None, &rec).failures().is_empty());
+    fn below_needs_the_current_median_strictly_under_the_baseline() {
+        const P50: &str = "hist.warning_to_action_ps.p50";
+        let sw = record(&[(P50, 134_217_728.0)]);
+        let rep = run_set("control-loop", Some(&sw), &record(&[(P50, 2_097_152.0)]));
+        assert!(rep.failures().is_empty(), "{}", rep.render("sw", "hw"));
+        assert!(rep.render("sw", "hw").contains("< base"));
 
-        let (rec, notes) = timeline_record("{\"traceEvents\":7}");
-        assert!(rec.metrics.is_empty());
-        assert!(notes[0].starts_with("invalid trace"), "{notes:?}");
-        assert_eq!(run_set("trace", None, &rec).failures().len(), 3);
-    }
+        let slower = run_set("control-loop", Some(&sw), &record(&[(P50, 268_435_456.0)]));
+        assert_eq!(status(&slower, P50), Status::Regressed);
+        let text = slower.render("sw", "hw");
+        assert!(
+            text.contains("not below the baseline's 134217728"),
+            "{text}"
+        );
 
-    fn report_line(policy: &'static str, p50_ps: u64, orphans: u64) -> String {
-        let mut r = ControlLoopReport {
-            policy,
-            workload: "pagerank",
-            orphan_actions: orphans,
-            ..ControlLoopReport::default()
-        };
-        r.action_latency.count = 1;
-        r.action_latency.p50_ps = p50_ps;
-        r.to_json() + "\n"
+        let equal = run_set("control-loop", Some(&sw), &sw);
+        assert_eq!(status(&equal, P50), Status::Regressed);
+
+        let missing = run_set("control-loop", Some(&sw), &record(&[]));
+        assert_eq!(status(&missing, P50), Status::Missing);
+        assert!(missing
+            .render("sw", "hw")
+            .contains("missing from the current record"));
+        let no_base = run_set("control-loop", Some(&record(&[])), &sw);
+        assert_eq!(no_base.failures().len(), 1);
+        assert!(no_base
+            .render("sw", "hw")
+            .contains("missing from the baseline"));
     }
 
     #[test]
-    fn reports_adapter_checks_parsing_orphans_and_hw_reaction() {
-        let sw = report_line("CoolPIM(SW)", 1 << 27, 0);
-        let hw = report_line("CoolPIM(HW)", 1 << 21, 0);
-        let (rec, notes) = reports_record(&(sw.clone() + &hw));
-        assert_eq!(rec.metric("reports.parsed"), Some(2.0));
-        assert_eq!(rec.metric("reports.hw_faster"), Some(1.0));
-        assert!(notes.iter().any(|n| n.contains("HW 2097152 ps")));
-        assert!(run_set("control-loop", None, &rec).failures().is_empty());
+    fn an_absent_orphan_counter_reads_zero_and_one_orphan_fails() {
+        let rec = record(&[("hist.warning_to_action_ps.p50", 1.0)]);
+        let base = record(&[("hist.warning_to_action_ps.p50", 2.0)]);
+        for name in ["run", "control-loop"] {
+            let rep = run_set(name, Some(&base), &rec);
+            assert_eq!(status(&rep, "counter.orphan_actions"), Status::Ok);
+            let row = rep
+                .rows
+                .iter()
+                .find(|r| r.metric == "counter.orphan_actions");
+            assert_eq!(row.and_then(|r| r.current), Some(0.0));
 
-        // HW no faster, an orphan action, and an unparseable line.
-        let slow_hw = report_line("CoolPIM(HW)", 1 << 27, 1);
-        let (rec, notes) = reports_record(&(sw.clone() + &slow_hw + "{garbage\n"));
-        let rep = run_set("control-loop", None, &rec);
-        assert_eq!(status(&rep, "reports.hw_faster"), Status::Regressed);
-        assert_eq!(status(&rep, "reports.orphan_actions"), Status::Regressed);
-        assert_eq!(status(&rep, "reports.unparseable"), Status::Regressed);
-        assert!(notes.iter().any(|n| n.contains("line 3: unparseable")));
+            let mut orphan = rec.clone();
+            orphan.push("counter.orphan_actions", 1.0);
+            let rep = run_set(name, Some(&base), &orphan);
+            assert_eq!(status(&rep, "counter.orphan_actions"), Status::Regressed);
+            assert_eq!(rep.failures().len(), 1);
+        }
+        // Only counters default: other keys stay missing.
+        let rep = run_set("trace", None, &record(&[]));
+        assert_eq!(rep.failures().len(), 3);
+    }
 
-        // Only one side has data: the HW-faster floor fails as missing.
-        let (rec, _) = reports_record(&sw);
-        let rep = run_set("control-loop", None, &rec);
-        assert_eq!(status(&rep, "reports.hw_faster"), Status::Missing);
-        assert_eq!(rep.failures().len(), 1);
-
-        // No reports at all.
-        let (rec, _) = reports_record("\n");
-        let rep = run_set("control-loop", None, &rec);
-        assert_eq!(status(&rep, "reports.parsed"), Status::Regressed);
+    #[test]
+    fn only_banded_comparisons_warn_about_the_config_hash() {
+        let hw = RunRecord::new("hw", "policy=hw");
+        let sw = RunRecord::new("sw", "policy=sw");
+        assert!(!run_set("control-loop", Some(&sw), &hw).config_mismatch);
+        assert!(run_set("run", Some(&sw), &hw).config_mismatch);
     }
 
     #[test]
@@ -922,7 +871,7 @@ mod tests {
             ("run", "results/baselines/stat_quick_b.json"),
         ] {
             let gs = set(set_name).unwrap();
-            let (rec, _) = gs.load(&root.join(file)).expect(file);
+            let rec = RunRecord::load(&root.join(file)).expect(file);
             let rep = Report::new(gs, Some(&rec), &rec);
             assert!(
                 rep.failures().is_empty(),
@@ -937,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    fn every_set_is_named_once_and_only_band_sets_need_a_baseline() {
+    fn every_set_is_named_once_and_only_comparing_sets_need_a_baseline() {
         for (i, s) in SETS.iter().enumerate() {
             assert!(SETS[..i].iter().all(|o| o.name != s.name), "{}", s.name);
         }
@@ -946,7 +895,7 @@ mod tests {
             .filter(|s| s.needs_baseline())
             .map(|s| s.name)
             .collect();
-        assert_eq!(needs, ["run", "profile"]);
+        assert_eq!(needs, ["run", "profile", "control-loop"]);
         assert!(set("nope").is_none());
     }
 }

@@ -1,8 +1,10 @@
 //! End-to-end acceptance tests for the statistical observatory: the
 //! `sim --seed-list` replicate runner, the `obs gate` noise-aware
 //! regression gate (pass on an unchanged tree, non-zero with a named
-//! metric + effect size on an inflated one), and the `obs report`
-//! longitudinal view of a directory of run records (`--runs` required).
+//! metric + effect size on an inflated one), the `trace` and
+//! `control-loop` gates on the records of CI's fixed-seed runs, and the
+//! `obs report` longitudinal view of a directory of run records
+//! (`--runs` required).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -111,6 +113,87 @@ fn gate_passes_unchanged_and_fails_inflated() {
         Some(1),
         "--expect-regression must fail when the gate stays quiet"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `obs gate` with `args`, returning its exit code and stdout.
+fn obs_gate(args: &[&str], current: &Path, baseline: Option<&Path>) -> (Option<i32>, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_obs"));
+    cmd.arg("gate").arg(args[0]).arg(current).args(&args[1..]);
+    if let Some(b) = baseline {
+        cmd.arg("--baseline").arg(b);
+    }
+    let out = cmd.output().expect("spawn obs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn trace_and_control_loop_gates_read_the_records_of_ci_runs() {
+    let dir = tmpdir("records");
+    let sw = dir.join("sw_run.json");
+    let hw = dir.join("hw_run.json");
+    // CI's fixed-seed pair: pagerank at scale 16, the loop engaged by a
+    // lowered threshold; the SW run also exports its trace timeline.
+    for (policy, record, timeline) in [("coolpim-sw", &sw, true), ("coolpim-hw", &hw, false)] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sim"));
+        cmd.args(["--workload", "pagerank", "--scale", "16", "--seed", "42"])
+            .args([
+                "--warning-threshold",
+                "30",
+                "--policy",
+                policy,
+                "--metrics-out",
+            ])
+            .arg(record);
+        if timeline {
+            cmd.arg("--trace-timeline").arg(dir.join("timeline.json"));
+        }
+        let out = cmd.output().expect("spawn sim");
+        assert!(
+            out.status.success(),
+            "sim {policy}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    let rec = RunRecord::load(&sw).expect("the SW record parses");
+    assert_eq!(rec.metric("trace.tracks"), Some(3.0));
+    assert_eq!(rec.metric("trace.max_depth"), Some(3.0));
+    assert_eq!(rec.metric("trace.flows_matched"), Some(1.0));
+    let (code, stdout) = obs_gate(&["trace"], &sw, None);
+    assert_eq!(code, Some(0), "{stdout}");
+    // A run without a timeline has nothing for the trace floors.
+    let (code, stdout) = obs_gate(&["trace"], &hw, None);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL: trace.tracks missing"), "{stdout}");
+
+    // HW-DynT reacts faster than SW-DynT: 2^21 ps against 2^27 ps.
+    let (code, stdout) = obs_gate(&["control-loop"], &hw, Some(&sw));
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("2097152.000000"), "{stdout}");
+    assert!(stdout.contains("134217728.000000"), "{stdout}");
+    assert!(!stdout.contains("config hash differs"), "{stdout}");
+    // Swapped, SW is not below HW; and the set needs its baseline.
+    let (code, stdout) = obs_gate(&["control-loop"], &sw, Some(&hw));
+    assert_eq!(code, Some(1), "{stdout}");
+    let (code, _) = obs_gate(&["control-loop"], &hw, None);
+    assert_eq!(code, Some(2));
+    // CI's self-test row: an inflated HW latency must fire the gate.
+    let inflate = [
+        "control-loop",
+        "--inflate",
+        "hist.warning_to_action_ps.p50=100",
+    ];
+    let (code, stdout) = obs_gate(
+        &[&inflate[..], &["--expect-regression"]].concat(),
+        &hw,
+        Some(&sw),
+    );
+    assert_eq!(code, Some(0), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,6 @@
 //! One producer per result: the `repro` registry names every committed
-//! `results/*.txt` exactly once, and the binary reproduces them.
+//! `results/*.txt` exactly once, the binary reproduces them, and the
+//! Fig. 10–13 tables in EXPERIMENTS.md are the committed ones.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -97,4 +98,45 @@ fn artifacts_run_together_print_what_they_print_alone() {
     assert_eq!(count, "# 57 co-simulations for 62 declared cells");
     let alone: String = names.iter().map(|n| repro_at_scale_10(&[n]).0).collect();
     assert_eq!(joint, alone);
+}
+
+/// `text` from the line starting `== Fig. {fig} ` to the first blank
+/// line, each line's trailing whitespace trimmed.
+fn figure_block<'a>(text: &'a str, fig: &str) -> Vec<&'a str> {
+    let head = format!("== Fig. {fig} ");
+    text.lines()
+        .map(str::trim_end)
+        .skip_while(|l| !l.starts_with(&head))
+        .take_while(|l| !l.is_empty())
+        .collect()
+}
+
+#[test]
+fn the_experiments_tables_are_pasted_from_eval_all() {
+    let doc = std::fs::read_to_string(results_dir().join("../EXPERIMENTS.md"))
+        .expect("EXPERIMENTS.md is readable");
+    let eval = std::fs::read_to_string(results_dir().join("eval_all.txt"))
+        .expect("results/eval_all.txt is readable");
+    let mut pasted = Vec::new();
+    for block in doc.split("```text\n").skip(1) {
+        let block = block.split("```").next().expect("split yields one piece");
+        let Some(fig) = ["10", "11", "12", "13"]
+            .into_iter()
+            .find(|n| block.starts_with(&format!("== Fig. {n} ")))
+        else {
+            continue;
+        };
+        let committed = figure_block(&eval, fig);
+        assert!(
+            !committed.is_empty(),
+            "results/eval_all.txt has no Fig. {fig}"
+        );
+        let pasted_lines: Vec<&str> = block.lines().map(str::trim_end).collect();
+        assert_eq!(
+            pasted_lines, committed,
+            "EXPERIMENTS.md's Fig. {fig} table differs from results/eval_all.txt"
+        );
+        pasted.push(fig);
+    }
+    assert_eq!(pasted, ["10", "11", "12", "13"]);
 }

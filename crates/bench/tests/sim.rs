@@ -1,10 +1,10 @@
 //! `sim` at its command line: scales outside the accepted range and
 //! non-finite warning thresholds are usage errors, the sweep modes refuse
 //! the per-run flags they would ignore, a single run refuses a trace
-//! rotation budget without a trace, a replay refuses the flags the trace
-//! already fixes, a live run's record times its setup, a timeline sent
-//! to a redirected stdout survives the summary, and a trace that loses
-//! writes fails the run.
+//! rotation budget without a trace or of 0 MB, a replay refuses the
+//! flags the trace already fixes, a live run's record times its setup, a
+//! timeline sent to a redirected stdout survives the summary, and a trace
+//! that loses writes fails the run.
 
 use std::fs::File;
 use std::process::{Command, Stdio};
@@ -119,6 +119,22 @@ fn a_single_run_refuses_a_rotation_budget_without_a_trace() {
         &["--scale", "10", "--trace-rotate-mb", "8"],
         "--trace-rotate-mb caps the --trace file; give --trace too",
     );
+}
+
+#[test]
+fn a_rotation_budget_of_zero_is_a_usage_error() {
+    assert_usage_error(
+        &[
+            "--scale",
+            "10",
+            "--trace",
+            "t.jsonl",
+            "--trace-rotate-mb",
+            "0",
+        ],
+        "--trace-rotate-mb 0 leaves no room for a trace part",
+    );
+    assert!(!std::path::Path::new("t.jsonl").exists());
 }
 
 #[test]

@@ -369,8 +369,7 @@ impl<S: ThermalSolve> CoSim<S> {
     }
 
     /// Runs `kernel` to completion under this policy. The source may be a
-    /// live [`coolpim_gpu::Kernel`] (every kernel is an
-    /// [`InstructionSource`] via the blanket impl) or a trace replay.
+    /// live [`coolpim_gpu::Kernel`] or a trace replay.
     pub fn run<K: InstructionSource + ?Sized>(self, kernel: &mut K) -> CoSimResult {
         self.run_logged(kernel, false).0
     }
@@ -653,8 +652,13 @@ impl<S: ThermalSolve> CoSim<S> {
                     if let Some(t) = self.sim_trace.as_mut() {
                         t.scoped("throttle", |t| t.flow_finish("thermal_warning", id));
                     }
-                    if let Some(&(_, t0)) = st.raised_at.iter().find(|(i, _)| *i == id) {
-                        metrics.observe("warning_to_action_ps", t_ps.saturating_sub(t0));
+                    // An orphan action cites a warning that was never
+                    // raised; the counter exists only once one occurs.
+                    match st.raised_at.iter().find(|(i, _)| *i == id) {
+                        Some(&(_, t0)) => {
+                            metrics.observe("warning_to_action_ps", t_ps.saturating_sub(t0))
+                        }
+                        None => metrics.count("orphan_actions", 1),
                     }
                 }
             }
@@ -952,6 +956,53 @@ mod tests {
         assert_eq!(r.metrics.counter("epochs"), r.timeline.len() as u64);
         assert!(r.metrics.histogram("hmc_service_time_ps").is_some());
         assert!(tracer.profile().total_s("epoch/gpu_advance") > 0.0);
+    }
+
+    /// Offloads every block and, at its first drain, reports a warp-cap
+    /// step citing warning 999, which the cube never raised.
+    struct Miswired {
+        reported: bool,
+    }
+
+    impl coolpim_gpu::OffloadController for Miswired {
+        fn on_block_launch(&mut self, _block_id: usize, _now: Ps) -> bool {
+            true
+        }
+
+        fn drain_control_events(&mut self, out: &mut Vec<TelemetryEvent>) {
+            if !std::mem::replace(&mut self.reported, true) {
+                out.push(TelemetryEvent::WarpCapUpdate {
+                    t_ps: 0,
+                    old_slots: 8,
+                    new_slots: 6,
+                    warning_id: Some(999),
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn an_action_citing_an_unraised_warning_counts_as_an_orphan() {
+        let g = GraphSpec::tiny().build();
+        let mut k = make_kernel(Workload::Dc, &g);
+        let mut ctrl = Miswired { reported: false };
+        let r =
+            tiny_cosim(Policy::NaiveOffloading).run_with_controller(k.as_mut(), &mut ctrl, true);
+        assert_eq!(r.metrics.counter("orphan_actions"), 1);
+        assert_eq!(r.throttle_steps, 1);
+        assert!(r.metrics.histogram("warning_to_action_ps").is_none());
+        assert!(r
+            .named_metrics()
+            .contains(&("counter.orphan_actions".to_string(), 1.0)));
+
+        // A healthy run has no orphan counter at all.
+        let mut k = make_kernel(Workload::Dc, &g);
+        let healthy = tiny_cosim(Policy::CoolPimSw).run(k.as_mut());
+        assert!(healthy
+            .metrics
+            .counters
+            .iter()
+            .all(|(n, _)| n != "orphan_actions"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A kernel is an *iterative* GPU computation: a sequence of launches
 //! (BFS levels, SSSP rounds, PageRank iterations…), each a grid of thread
-//! blocks. The engine asks for one [`BlockTrace`] per dispatched block;
-//! the kernel runs its algorithm functionally while emitting the trace.
+//! blocks. The engine asks for one [`BlockTrace`](crate::isa::BlockTrace) per dispatched
+//! block; the kernel runs its algorithm functionally while emitting the trace.
 //!
 //! A PIM-enabled block and its non-PIM shadow (§IV-B "Code Generation for
 //! Non-PIM Code") have identical addresses and control flow; only the
@@ -11,11 +11,11 @@
 //! the engine chooses the encoding when it issues each atomic, from the
 //! block's PIM grant (`WarpRun::pim_enabled` in [`crate::system`]). No
 //! in-tree kernel reads the `pim_enabled` argument of
-//! [`Kernel::block_trace`], which is what lets a block stream be
+//! [`InstructionSource::block_trace`], which is what lets a block stream be
 //! recorded once and replayed, or generated ahead of the engine on
 //! another thread ([`crate::source::PrefetchKernel`]).
 
-use crate::isa::BlockTrace;
+use crate::source::InstructionSource;
 
 /// Static per-kernel characteristics used by Eq. 1's PTP initialisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,44 +28,17 @@ pub struct KernelProfile {
     pub divergence_ratio: f64,
 }
 
-/// An iterative GPU workload.
-pub trait Kernel {
-    /// Workload name (used in reports; matches the paper's benchmark
-    /// labels, e.g. `bfs-ta`).
-    fn name(&self) -> &str;
+/// An iterative GPU workload. `Kernel` adds nothing to
+/// [`InstructionSource`], whose methods and contract it shares: every
+/// source is a kernel, and workload code names it by this trait.
+pub trait Kernel: InstructionSource {}
 
-    /// Number of thread blocks in the *current* launch.
-    fn grid_blocks(&self) -> usize;
-
-    /// Warps per block.
-    fn warps_per_block(&self) -> usize;
-
-    /// Generates the trace for `block` of the current launch, running the
-    /// algorithm functionally. `pim_enabled` is the block's PIM grant; the
-    /// stream must not depend on it (the engine applies the grant at issue
-    /// time, see the module docs).
-    fn block_trace(&mut self, block: usize, pim_enabled: bool) -> BlockTrace;
-
-    /// Takes back a block this kernel produced once the engine is done
-    /// with it, so that a later block can be built in its buffers. The
-    /// default drops it.
-    fn recycle(&mut self, spent: BlockTrace) {
-        drop(spent);
-    }
-
-    /// Advances to the next launch (e.g. the next BFS level). Returns
-    /// `false` when the workload is complete. Called after every block of
-    /// the current launch has retired.
-    fn next_launch(&mut self) -> bool;
-
-    /// Compile-time profile for the software throttler's static analysis.
-    fn profile(&self) -> KernelProfile;
-}
+impl<S: InstructionSource + ?Sized> Kernel for S {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{WarpOp, WarpTrace};
+    use crate::isa::{BlockTrace, WarpOp, WarpTrace};
 
     /// A trivial streaming kernel used by engine unit tests.
     pub struct StreamKernel {
@@ -84,7 +57,7 @@ mod tests {
         }
     }
 
-    impl Kernel for StreamKernel {
+    impl InstructionSource for StreamKernel {
         fn name(&self) -> &str {
             "stream"
         }

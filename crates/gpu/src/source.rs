@@ -2,10 +2,10 @@
 //!
 //! [`InstructionSource`] is the narrow interface [`crate::system::GpuSystem`]
 //! (and `CoSim` above it) actually consumes: launch geometry plus one
-//! [`BlockTrace`] per dispatched block. Every [`Kernel`] is trivially a
-//! source (the blanket impl below), but so is a recorded trace replayed
-//! from disk — that is the seam `coolpim-trace` plugs into, mirroring how
-//! PR 7 made `CoSim` generic over `ThermalSolve`.
+//! [`BlockTrace`] per dispatched block. Every live [`Kernel`] is a
+//! source, and so is a recorded trace replayed from disk: that is the
+//! seam `coolpim-trace` plugs into, as `CoSim` is generic over
+//! `ThermalSolve`.
 //!
 //! The request order is a contract: within a launch the engine asks for
 //! blocks `0, 1, 2, …` in id order, each exactly once, and it calls
@@ -28,14 +28,15 @@ use std::thread::{self, JoinHandle};
 use crate::isa::BlockTrace;
 use crate::kernel::{Kernel, KernelProfile};
 
-/// Anything that can feed the GPU engine a launch sequence of block traces.
-///
-/// The contract matches [`Kernel`] method-for-method; see that trait for
-/// the detailed semantics. Implementors that replay pre-recorded streams
-/// must return the same geometry and traces, in the same dispatch order,
-/// as the live kernel that produced them.
+/// Anything that can feed the GPU engine a launch sequence of block
+/// traces: a live workload ([`Kernel`] is this trait under the name
+/// workload code uses) or a recorded stream replayed from disk.
+/// Implementors that replay pre-recorded streams must return the same
+/// geometry and traces, in the same dispatch order, as the live kernel
+/// that produced them.
 pub trait InstructionSource {
-    /// Workload name (used in reports).
+    /// Workload name (used in reports; matches the paper's benchmark
+    /// labels, e.g. `bfs-ta`).
     fn name(&self) -> &str;
 
     /// Number of thread blocks in the *current* launch.
@@ -44,43 +45,26 @@ pub trait InstructionSource {
     /// Warps per block.
     fn warps_per_block(&self) -> usize;
 
-    /// Produces the trace for `block` of the current launch.
+    /// Produces the trace for `block` of the current launch; a live
+    /// kernel runs its algorithm functionally. `pim_enabled` is the
+    /// block's PIM grant; the stream must not depend on it (the engine
+    /// applies the grant at issue time, see [`crate::kernel`]).
     fn block_trace(&mut self, block: usize, pim_enabled: bool) -> BlockTrace;
 
-    /// Takes back a spent block for reuse; the default drops it.
+    /// Takes back a block this source produced once the engine is done
+    /// with it, so that a later block can be built in its buffers. The
+    /// default drops it.
     fn recycle(&mut self, spent: BlockTrace) {
         drop(spent);
     }
 
-    /// Advances to the next launch; `false` when the workload is complete.
+    /// Advances to the next launch (e.g. the next BFS level). Returns
+    /// `false` when the workload is complete. Called after every block of
+    /// the current launch has retired.
     fn next_launch(&mut self) -> bool;
 
     /// Static profile for the software throttler's Eq. 1 initialisation.
     fn profile(&self) -> KernelProfile;
-}
-
-impl<K: Kernel + ?Sized> InstructionSource for K {
-    fn name(&self) -> &str {
-        Kernel::name(self)
-    }
-    fn grid_blocks(&self) -> usize {
-        Kernel::grid_blocks(self)
-    }
-    fn warps_per_block(&self) -> usize {
-        Kernel::warps_per_block(self)
-    }
-    fn block_trace(&mut self, block: usize, pim_enabled: bool) -> BlockTrace {
-        Kernel::block_trace(self, block, pim_enabled)
-    }
-    fn recycle(&mut self, spent: BlockTrace) {
-        Kernel::recycle(self, spent);
-    }
-    fn next_launch(&mut self) -> bool {
-        Kernel::next_launch(self)
-    }
-    fn profile(&self) -> KernelProfile {
-        Kernel::profile(self)
-    }
 }
 
 /// Blocks the producer thread may run ahead of the engine.
@@ -374,7 +358,7 @@ fn generate(mut kernel: SendKernel, pipe: &Pipe) {
 /// any other thread that has made a `PrefetchKernel` (counted from its
 /// first kernel until it exits). Otherwise the adapter calls the kernel
 /// inline, exactly as if unwrapped. Either way spent blocks go back to
-/// the kernel through [`Kernel::recycle`].
+/// the kernel through [`InstructionSource::recycle`].
 ///
 /// Prefetching moves the kernel to a producer thread that feeds a bounded
 /// queue of blocks and launch markers, at most 128 blocks ahead.
@@ -437,7 +421,7 @@ impl PrefetchKernel {
     }
 }
 
-impl Kernel for PrefetchKernel {
+impl InstructionSource for PrefetchKernel {
     fn name(&self) -> &str {
         &self.name
     }
@@ -545,7 +529,7 @@ mod tests {
         }
     }
 
-    impl Kernel for Grids {
+    impl InstructionSource for Grids {
         fn name(&self) -> &str {
             "grids"
         }
@@ -609,7 +593,7 @@ mod tests {
             grids.to_vec()
         );
         let mut k = PrefetchKernel::with_producer(Box::new(Grids::new(&grids)));
-        assert_eq!(Kernel::grid_blocks(&k), 3);
+        assert_eq!(k.grid_blocks(), 3);
         assert_eq!(drive(&mut k), inline);
         assert!(k.producer.is_none(), "the producer stops with the run");
     }
@@ -618,15 +602,15 @@ mod tests {
     #[should_panic(expected = "block 1 requested out of order: expected block 0 of 3")]
     fn out_of_order_request_panics_naming_both_ids() {
         let mut k = PrefetchKernel::new(Box::new(Grids::new(&[3])));
-        Kernel::block_trace(&mut k, 1, true);
+        k.block_trace(1, true);
     }
 
     #[test]
     #[should_panic(expected = "next_launch before the grid drained")]
     fn next_launch_before_the_grid_drains_panics() {
         let mut k = PrefetchKernel::with_producer(Box::new(Grids::new(&[3, 1])));
-        Kernel::block_trace(&mut k, 0, true);
-        Kernel::next_launch(&mut k);
+        k.block_trace(0, true);
+        k.next_launch();
     }
 
     #[test]
@@ -648,7 +632,7 @@ mod tests {
         let kernel = Grids::new(&[LOOKAHEAD * 4]);
         let token = Arc::clone(&kernel.token);
         let mut k = PrefetchKernel::with_producer(Box::new(kernel));
-        Kernel::block_trace(&mut k, 0, true);
+        k.block_trace(0, true);
         drop(k);
         assert_eq!(
             Arc::strong_count(&token),
@@ -666,7 +650,7 @@ mod tests {
                 slots.work(|| {
                     assert!(POOLED.get());
                     let mut k = PrefetchKernel::new(Box::new(Grids::new(&[2])));
-                    Kernel::block_trace(&mut k, 0, true);
+                    k.block_trace(0, true);
                     assert!(k.producer.is_none() && k.kernel.is_some());
                 });
                 assert!(!POOLED.get());

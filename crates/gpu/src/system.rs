@@ -666,7 +666,7 @@ mod tests {
     use super::*;
     use crate::controller::{AlwaysOffload, NeverOffload};
     use crate::isa::{BlockTrace, WarpOp, WarpTrace};
-    use crate::kernel::{Kernel, KernelProfile};
+    use crate::kernel::KernelProfile;
     use coolpim_hmc::PimOp;
 
     /// Synthetic kernel: every warp does `loads` scattered loads and
@@ -700,7 +700,7 @@ mod tests {
         }
     }
 
-    impl Kernel for SyntheticKernel {
+    impl InstructionSource for SyntheticKernel {
         fn name(&self) -> &str {
             "synthetic"
         }
@@ -951,7 +951,7 @@ mod more_tests {
     use super::*;
     use crate::controller::{AlwaysOffload, NeverOffload};
     use crate::isa::{BlockTrace, WarpOp, WarpTrace};
-    use crate::kernel::{Kernel, KernelProfile};
+    use crate::kernel::KernelProfile;
     use coolpim_hmc::PimOp;
 
     /// One block, one warp, fixed op list.
@@ -973,7 +973,7 @@ mod more_tests {
         }
     }
 
-    impl Kernel for OneShot {
+    impl InstructionSource for OneShot {
         fn name(&self) -> &str {
             "one-shot"
         }

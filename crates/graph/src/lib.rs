@@ -17,7 +17,7 @@
 //!   workspace),
 //! * [`workloads`] — the ten paper benchmarks (`dc`, `bfs-ta`, `bfs-dwc`,
 //!   `bfs-twc`, `bfs-ttc`, `kcore`, `pagerank`, `sssp-dtc`, `sssp-dwc`,
-//!   `sssp-twc`), each implementing [`coolpim_gpu::Kernel`].
+//!   `sssp-twc`), each a [`coolpim_gpu::InstructionSource`].
 //!
 //! ## Example
 //!

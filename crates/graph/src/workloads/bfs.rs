@@ -18,7 +18,8 @@
 //! atomics target the PIM property region (see [`crate::layout`]).
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -197,7 +198,7 @@ fn vertex_group(g: &Csr, warp_idx: usize) -> std::ops::Range<u32> {
     lo as u32..hi as u32
 }
 
-impl Kernel for BfsKernel {
+impl InstructionSource for BfsKernel {
     fn name(&self) -> &str {
         match self.variant {
             BfsVariant::Ta => "bfs-ta",

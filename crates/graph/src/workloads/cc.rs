@@ -15,7 +15,8 @@
 //! both directions, the common social-network representation).
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -80,7 +81,7 @@ impl CcKernel {
     }
 }
 
-impl Kernel for CcKernel {
+impl InstructionSource for CcKernel {
     fn name(&self) -> &str {
         "cc"
     }

@@ -7,7 +7,8 @@
 //! CoolPIM speedup in the paper's figures.
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -47,7 +48,7 @@ impl DcKernel {
     }
 }
 
-impl Kernel for DcKernel {
+impl InstructionSource for DcKernel {
     fn name(&self) -> &str {
         "dc"
     }

@@ -13,7 +13,8 @@
 //! what a forward-CSR GPU kernel can do without a transpose).
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -75,7 +76,7 @@ impl KCoreKernel {
     }
 }
 
-impl Kernel for KCoreKernel {
+impl InstructionSource for KCoreKernel {
     fn name(&self) -> &str {
         "kcore"
     }

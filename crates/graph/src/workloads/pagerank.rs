@@ -7,7 +7,8 @@
 //! workloads of the suite.
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -49,7 +50,7 @@ impl PageRankKernel {
     }
 }
 
-impl Kernel for PageRankKernel {
+impl InstructionSource for PageRankKernel {
     fn name(&self) -> &str {
         "pagerank"
     }

@@ -12,7 +12,8 @@
 //!   rate stays low in the paper's Fig. 12).
 
 use coolpim_gpu::isa::BlockTrace;
-use coolpim_gpu::kernel::{Kernel, KernelProfile};
+use coolpim_gpu::kernel::KernelProfile;
+use coolpim_gpu::InstructionSource;
 use coolpim_hmc::PimOp;
 
 use crate::csr::Csr;
@@ -157,7 +158,7 @@ impl SsspKernel {
     }
 }
 
-impl Kernel for SsspKernel {
+impl InstructionSource for SsspKernel {
     fn name(&self) -> &str {
         match self.variant {
             SsspVariant::Dwc => "sssp-dwc",

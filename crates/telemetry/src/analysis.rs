@@ -15,7 +15,6 @@
 //! stamped on every warning and on the downstream events it triggers.
 
 use crate::event::{EpochRecord, TelemetryEvent};
-use crate::json::JsonBuilder;
 use crate::metrics::Histogram;
 
 /// Ambient/coolant reference temperature (°C) for headroom accounting:
@@ -106,75 +105,6 @@ pub struct ControlLoopReport {
 }
 
 impl ControlLoopReport {
-    /// Serializes the report as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut b = JsonBuilder::new();
-        b.str("policy", self.policy)
-            .str("workload", self.workload)
-            .f64("threshold_c", self.threshold_c)
-            .f64("total_time_s", self.total_time_s)
-            .u64("warnings_raised", self.warnings_raised)
-            .u64("warnings_delivered", self.warnings_delivered)
-            .u64("actions", self.actions)
-            .u64("orphan_actions", self.orphan_actions)
-            .u64("delivery_latency_count", self.delivery_latency.count)
-            .f64("delivery_latency_mean_ps", self.delivery_latency.mean_ps)
-            .u64("delivery_latency_p50_ps", self.delivery_latency.p50_ps)
-            .u64("delivery_latency_p90_ps", self.delivery_latency.p90_ps)
-            .u64("delivery_latency_p99_ps", self.delivery_latency.p99_ps)
-            .u64("delivery_latency_max_ps", self.delivery_latency.max_ps)
-            .u64("action_latency_count", self.action_latency.count)
-            .f64("action_latency_mean_ps", self.action_latency.mean_ps)
-            .u64("action_latency_p50_ps", self.action_latency.p50_ps)
-            .u64("action_latency_p90_ps", self.action_latency.p90_ps)
-            .u64("action_latency_p99_ps", self.action_latency.p99_ps)
-            .u64("action_latency_max_ps", self.action_latency.max_ps)
-            .u64("overshoot_episodes", self.overshoot_episodes)
-            .f64("overshoot_time_s", self.overshoot_time_s)
-            .f64("overshoot_integral_c_s", self.overshoot_integral_c_s)
-            .f64("derated_time_s", self.derated_time_s)
-            .u64("pool_oscillations", self.pool_oscillations)
-            .f64("headroom_utilization", self.headroom_utilization);
-        b.finish()
-    }
-
-    /// Parses a report serialized by [`Self::to_json`] — the read side
-    /// of `analyze --json`, so downstream tooling (`obs gate
-    /// control-loop`) consumes the KPIs without scraping tables. Labels
-    /// go through [`crate::event::intern`]; ones outside the vocabulary
-    /// read back as `"?"`.
-    pub fn from_json(line: &str) -> Option<Self> {
-        let o = crate::json::parse_flat_object(line)?;
-        let lat = |prefix: &str| -> Option<LatencyStats> {
-            Some(LatencyStats {
-                count: o.u64_field(&format!("{prefix}_count"))?,
-                mean_ps: o.f64_field(&format!("{prefix}_mean_ps"))?,
-                p50_ps: o.u64_field(&format!("{prefix}_p50_ps"))?,
-                p90_ps: o.u64_field(&format!("{prefix}_p90_ps")).unwrap_or(0),
-                p99_ps: o.u64_field(&format!("{prefix}_p99_ps"))?,
-                max_ps: o.u64_field(&format!("{prefix}_max_ps")).unwrap_or(0),
-            })
-        };
-        Some(Self {
-            policy: crate::event::intern(o.str_field("policy")?),
-            workload: crate::event::intern(o.str_field("workload")?),
-            threshold_c: o.f64_field("threshold_c")?,
-            total_time_s: o.f64_field("total_time_s")?,
-            warnings_raised: o.u64_field("warnings_raised")?,
-            warnings_delivered: o.u64_field("warnings_delivered")?,
-            actions: o.u64_field("actions")?,
-            orphan_actions: o.u64_field("orphan_actions")?,
-            delivery_latency: lat("delivery_latency")?,
-            action_latency: lat("action_latency")?,
-            overshoot_episodes: o.u64_field("overshoot_episodes")?,
-            overshoot_time_s: o.f64_field("overshoot_time_s")?,
-            overshoot_integral_c_s: o.f64_field("overshoot_integral_c_s")?,
-            derated_time_s: o.f64_field("derated_time_s")?,
-            pool_oscillations: o.u64_field("pool_oscillations")?,
-            headroom_utilization: o.f64_field("headroom_utilization")?,
-        })
-    }
-
     /// Renders the report as a readable block.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -340,8 +270,9 @@ pub fn analyze(events: &[TelemetryEvent]) -> ControlLoopReport {
 }
 
 /// Parses a JSONL trace and analyzes it. Unparseable lines are skipped
-/// and counted in the returned pair's second element.
-pub fn analyze_jsonl(text: &str) -> (ControlLoopReport, usize) {
+/// and counted in the returned pair's second element. `None` when no
+/// line parses: such a file is not a trace.
+pub fn analyze_jsonl(text: &str) -> Option<(ControlLoopReport, usize)> {
     let mut events = Vec::new();
     let mut skipped = 0;
     for line in text.lines() {
@@ -353,7 +284,7 @@ pub fn analyze_jsonl(text: &str) -> (ControlLoopReport, usize) {
             None => skipped += 1,
         }
     }
-    (analyze(&events), skipped)
+    (!events.is_empty()).then(|| (analyze(&events), skipped))
 }
 
 #[cfg(test)]
@@ -546,26 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_of_report() {
-        let r = analyze(&synthetic_trace());
-        let json = r.to_json();
-        let o = crate::json::parse_flat_object(&json).expect("report JSON parses");
-        assert_eq!(o.str_field("policy"), Some("CoolPIM(SW)"));
-        assert_eq!(o.u64_field("warnings_raised"), Some(1));
-        assert_eq!(o.u64_field("pool_oscillations"), Some(1));
-        assert!(o.f64_field("overshoot_integral_c_s").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn report_json_round_trips_losslessly() {
-        let r = analyze(&synthetic_trace());
-        let back = ControlLoopReport::from_json(&r.to_json()).expect("report parses back");
-        assert_eq!(back, r, "to_json/from_json must be lossless");
-        assert!(ControlLoopReport::from_json("not json").is_none());
-        assert!(ControlLoopReport::from_json("{}").is_none());
-    }
-
-    #[test]
     fn analyze_jsonl_skips_garbage_lines() {
         let trace = synthetic_trace();
         let mut text = String::new();
@@ -574,8 +485,10 @@ mod tests {
             text.push('\n');
         }
         text.push_str("not json\n\n");
-        let (r, skipped) = analyze_jsonl(&text);
+        let (r, skipped) = analyze_jsonl(&text).expect("a trace");
         assert_eq!(skipped, 1);
         assert_eq!(r, analyze(&trace));
+        assert!(analyze_jsonl("not json\n\n").is_none());
+        assert!(analyze_jsonl("").is_none());
     }
 }
