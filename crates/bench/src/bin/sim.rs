@@ -13,9 +13,10 @@
 //! Runs one workload under one policy and prints the full metric set
 //! (runtime, PIM rate, bandwidth, peak temperature, energy). `--scale`
 //! takes the range `COOLPIM_SCALE` does (`repro::SCALES`, 8..=24); any
-//! other value is a usage error (exit 2). A live run's record carries
-//! its setup times, `setup.graph_s` (graph generation or loading, CSR
-//! build included) and `setup.kernel_s` (`make_kernel`). `--graph`
+//! other value is a usage error (exit 2), as is `--degree 0`. A live
+//! run's record carries its setup times, `setup.graph_s` (graph
+//! generation or loading, CSR build included) and `setup.kernel_s`
+//! (`make_kernel`). `--graph`
 //! loads a plain-text edge list instead of generating an R-MAT graph;
 //! `--timeline-out FILE` writes the per-epoch telemetry as CSV when the
 //! run ends (`/dev/stdout` puts it ahead of the summary, also when stdout
@@ -52,10 +53,10 @@
 //! profile`.
 //!
 //! `--seed-list a,b,c` runs the same configuration once per listed seed
-//! (one R-MAT draw each) on a worker pool and folds the runs into ONE
-//! replicated run record (schema v2): per metric the median as the
-//! headline value plus a `dist.<metric>.*` block (MAD, extremes,
-//! bootstrap 95 % CI, raw samples). That record is what `obs gate` runs
+//! (distinct seeds, one R-MAT draw each) on a worker pool and folds the
+//! runs into ONE replicated run record (schema v2): per metric the
+//! median as the headline value plus a `dist.<metric>.*` block (MAD,
+//! extremes, bootstrap 95 % CI, raw samples). That record is what `obs gate` runs
 //! its permutation test on. Both sweep modes, `--seed-list` and
 //! `--matrix` (below), refuse `--graph` (they generate their own graphs;
 //! for replicates a fixed graph leaves nothing for the seed to vary) and
@@ -80,7 +81,8 @@
 //! The matrix writes no run record, so it also refuses `--metrics-out`.
 //!
 //! `--heartbeat SECS` prints a one-line progress summary to stderr at
-//! that wall-clock cadence (first beat on the first epoch).
+//! that wall-clock cadence (first beat on the first epoch); SECS is a
+//! positive, finite number.
 
 use coolpim_bench::replicate::fold_replicates;
 use coolpim_bench::repro::check_scale;
@@ -219,7 +221,14 @@ fn parse_args() -> Args {
                 args.policy = parse_policy(&v).unwrap_or_else(|| usage());
             }
             "--scale" | "-s" => args.scale = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--degree" | "-d" => args.degree = take(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--degree" | "-d" => match take(&mut i).parse() {
+                Ok(0) => {
+                    eprintln!("--degree 0 generates a graph without edges; give 1 or more");
+                    std::process::exit(2);
+                }
+                Ok(d) => args.degree = d,
+                Err(_) => usage(),
+            },
             "--seed" => args.seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
             "--cooling" | "-c" => {
                 let v = take(&mut i);
@@ -255,12 +264,30 @@ fn parse_args() -> Args {
             },
             "--trace-timeline" => args.trace_timeline = Some(take(&mut i)),
             "--heartbeat" => {
-                args.heartbeat_s = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
+                let v = take(&mut i);
+                match v.parse::<f64>() {
+                    Ok(s) if s.is_finite() && s > 0.0 => args.heartbeat_s = Some(s),
+                    Ok(_) => {
+                        eprintln!("--heartbeat {v} is not a positive, finite number of seconds");
+                        std::process::exit(2);
+                    }
+                    Err(_) => usage(),
+                }
             }
             "--seed-list" => {
                 let v = take(&mut i);
-                let seeds: Result<Vec<u64>, _> = v.split(',').map(str::parse).collect();
-                args.seed_list = Some(seeds.unwrap_or_else(|_| usage()));
+                let seeds: Vec<u64> = v
+                    .split(',')
+                    .map(|t| t.parse().unwrap_or_else(|_| usage()))
+                    .collect();
+                if let Some(k) = (1..seeds.len()).find(|&k| seeds[..k].contains(&seeds[k])) {
+                    eprintln!(
+                        "--seed-list repeats seed {}; each seed is one independent run",
+                        seeds[k]
+                    );
+                    std::process::exit(2);
+                }
+                args.seed_list = Some(seeds);
             }
             "--record-trace" => args.record_trace = Some(take(&mut i)),
             "--replay" => args.replay = Some(take(&mut i)),

@@ -51,6 +51,32 @@ fn non_finite_warning_thresholds_exit_2() {
     }
 }
 
+#[test]
+fn heartbeats_take_a_positive_finite_number_of_seconds() {
+    for secs in ["nan", "-1", "0", "inf", "-0"] {
+        assert_usage_error(
+            &["--heartbeat", secs],
+            &format!("--heartbeat {secs} is not a positive, finite number of seconds"),
+        );
+    }
+}
+
+#[test]
+fn a_repeated_seed_list_entry_is_named() {
+    assert_usage_error(
+        &["--seed-list", "1,2,1", "--scale", "10"],
+        "--seed-list repeats seed 1",
+    );
+}
+
+#[test]
+fn a_degree_of_zero_is_a_usage_error() {
+    assert_usage_error(
+        &["--degree", "0"],
+        "--degree 0 generates a graph without edges",
+    );
+}
+
 /// Every flag only a single run reads, with a value where it takes one.
 const PER_RUN_FLAGS: &[&[&str]] = &[
     &["--graph", "edges.txt"],

@@ -24,6 +24,7 @@ use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::model::HmcThermalModel;
 use coolpim_thermal::power::TrafficSample;
 use coolpim_thermal::solver::{ThermalSolve, TransientState};
+use coolpim_thermal::AMBIENT_C;
 
 use crate::observer::{EpochObserver, EpochView};
 use crate::policy::Policy;
@@ -483,8 +484,9 @@ impl<S: ThermalSolve> CoSim<S> {
         self.sys
             .hmc_mut()
             .set_warning_threshold(self.cfg.warning_threshold_c);
-        // Make the trace self-describing: downstream tooling (`analyze`)
-        // reads the policy/workload/threshold from this header event.
+        // The trace's self-describing header: policy, workload,
+        // threshold and epoch for whoever reads the JSONL later. No
+        // in-tree tool needs it; the run record carries the loop's KPIs.
         self.telemetry.emit(TelemetryEvent::RunInfo {
             t_ps: 0,
             policy: self.policy.name(),
@@ -754,6 +756,7 @@ impl<S: ThermalSolve> CoSim<S> {
         let exec_ns = end_ps as f64 * 1e-3;
 
         self.fold_run_totals(totals);
+        self.fold_loop_kpis(&st.timeline);
         span(&mut self.sim_trace, "telemetry_emit", || {
             self.telemetry.flush()
         });
@@ -823,6 +826,40 @@ impl<S: ThermalSolve> CoSim<S> {
         metrics.count("thermal_skipped_substeps", solver.skipped_substeps);
         metrics.gauge("thermal_sweeps_per_substep", solver.sweeps_per_substep());
         metrics.merge_histogram("thermal_substep_sweeps", &solver.sweep_hist);
+    }
+
+    /// The control loop's thermal KPIs over the epoch timeline: upward
+    /// crossings of the warning threshold, the time and the trapezoid
+    /// °C·s above it, the time outside the Normal phase (the cube changes
+    /// phase only at epoch ends, so a record's phase holds until the
+    /// next one), and the time-weighted `(peak − ambient) / (threshold −
+    /// ambient)`: 1.0 rides the threshold exactly.
+    fn fold_loop_kpis(&mut self, timeline: &[EpochRecord]) {
+        let threshold = self.cfg.warning_threshold_c;
+        let denom = (threshold - AMBIENT_C).max(1e-9);
+        let excess = |r: &EpochRecord| (r.peak_dram_c - threshold).max(0.0);
+        let mut episodes = u64::from(timeline.first().is_some_and(|r| excess(r) > 0.0));
+        let (mut over_s, mut over_c_s, mut derated_ps, mut util_s, mut span_s) =
+            (0.0, 0.0, 0, 0.0, 0.0);
+        for w in timeline.windows(2) {
+            let (prev, over) = (excess(&w[0]), excess(&w[1]));
+            let dt_s = w[1].t_ps.saturating_sub(w[0].t_ps) as f64 * 1e-12;
+            over_c_s += 0.5 * (prev + over) * dt_s;
+            over_s += if prev > 0.0 || over > 0.0 { dt_s } else { 0.0 };
+            episodes += u64::from(over > 0.0 && prev <= 0.0);
+            util_s += ((w[1].peak_dram_c - AMBIENT_C) / denom).max(0.0) * dt_s;
+            span_s += dt_s;
+            if w[0].phase != TempPhase::Normal.name() {
+                derated_ps += w[1].t_ps - w[0].t_ps;
+            }
+        }
+        let metrics = &mut self.telemetry.metrics;
+        metrics.count("overshoot_episodes", episodes);
+        metrics.gauge("overshoot_s", over_s);
+        metrics.gauge("overshoot_c_s", over_c_s);
+        metrics.gauge("derated_s", derated_ps as f64 * 1e-12);
+        let utilization = if span_s > 0.0 { util_s / span_s } else { 0.0 };
+        metrics.gauge("headroom_utilization", utilization);
     }
 
     /// Telemetry self-overhead over `wall_s`: this run's tracer cost plus
@@ -1156,6 +1193,104 @@ mod tests {
             assert!(s.peak_dram_c >= 20.0 && s.peak_dram_c < 120.0);
         }
         assert!(r.max_peak_dram_c >= 25.0);
+    }
+
+    /// Runs `w` under naive offloading with a recording sink and checks
+    /// the five loop KPIs the co-sim folded from its timeline against
+    /// the same KPIs computed from the event stream: derated time from
+    /// the `PhaseTransition`s (up to the last event if the run ends
+    /// derated), overshoot and headroom from the `EpochSample`s.
+    fn assert_loop_kpis_match_the_events(w: Workload, cfg: CoSimConfig) -> CoSimResult {
+        use coolpim_telemetry::RecordingSink;
+
+        let g = GraphSpec::test_medium().build();
+        let mut k = make_kernel(w, &g);
+        let (sink, log) = RecordingSink::new();
+        let threshold = cfg.warning_threshold_c;
+        let r = CoSim::new(Policy::NaiveOffloading, cfg)
+            .with_telemetry(Telemetry::with_sink(Box::new(sink)))
+            .run(k.as_mut());
+        let events = log.snapshot();
+
+        let mut derated_ps = 0;
+        let mut derated_since = None;
+        for ev in &events {
+            if let TelemetryEvent::PhaseTransition { t_ps, to, .. } = *ev {
+                if to != "Normal" {
+                    derated_since.get_or_insert(t_ps);
+                } else if let Some(t0) = derated_since.take() {
+                    derated_ps += t_ps - t0;
+                }
+            }
+        }
+        let last_t = events.last().expect("a recorded run").t_ps();
+        derated_ps += derated_since.map_or(0, |t0| last_t - t0);
+
+        let samples: Vec<(u64, f64)> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                TelemetryEvent::EpochSample(s) => Some((s.t_ps, s.peak_dram_c)),
+                _ => None,
+            })
+            .collect();
+        let over = |c: f64| (c - threshold).max(0.0);
+        let episodes = (0..samples.len())
+            .filter(|&i| over(samples[i].1) > 0.0 && (i == 0 || over(samples[i - 1].1) == 0.0))
+            .count() as u64;
+        let (mut over_s, mut over_c_s, mut headroom_c_s) = (0.0, 0.0, 0.0);
+        for p in samples.windows(2) {
+            let dt_s = (p[1].0 - p[0].0) as f64 * 1e-12;
+            over_c_s += 0.5 * (over(p[0].1) + over(p[1].1)) * dt_s;
+            if over(p[0].1) > 0.0 || over(p[1].1) > 0.0 {
+                over_s += dt_s;
+            }
+            headroom_c_s += (p[1].1 - AMBIENT_C) * dt_s;
+        }
+        let span_s = (samples[samples.len() - 1].0 - samples[0].0) as f64 * 1e-12;
+        let headroom = headroom_c_s / (threshold - AMBIENT_C) / span_s;
+
+        let gauge = |name: &str| r.metrics.gauge(name).expect(name);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-9);
+        assert_eq!(r.metrics.counter("overshoot_episodes"), episodes);
+        assert_eq!(gauge("derated_s"), derated_ps as f64 * 1e-12);
+        assert!(close(gauge("overshoot_s"), over_s), "{over_s}");
+        assert!(close(gauge("overshoot_c_s"), over_c_s), "{over_c_s}");
+        assert!(close(gauge("headroom_utilization"), headroom), "{headroom}");
+        assert!(
+            over(samples[0].1) > 0.0,
+            "the first sample opens an episode"
+        );
+        assert!(derated_ps > 0, "the cube must leave Normal");
+        r
+    }
+
+    #[test]
+    fn loop_kpis_match_the_event_stream() {
+        // Short epochs on low-end cooling: the cube moves between Normal
+        // and Extended and crosses 85 °C twice.
+        let r = assert_loop_kpis_match_the_events(
+            Workload::Dc,
+            CoSimConfig {
+                gpu: GpuConfig::tiny(),
+                cooling: Cooling::LowEndActive,
+                epoch: ns_to_ps(10_000.0),
+                warning_threshold_c: 85.0,
+                ..CoSimConfig::default()
+            },
+        );
+        assert_eq!(r.metrics.counter("overshoot_episodes"), 2);
+        assert_eq!(r.timeline.last().map(|s| s.phase), Some("Normal"));
+
+        // Passive cooling: Critical from the first epoch to the end.
+        let r = assert_loop_kpis_match_the_events(
+            Workload::PageRank,
+            CoSimConfig {
+                gpu: GpuConfig::tiny(),
+                cooling: Cooling::Passive,
+                ..CoSimConfig::default()
+            },
+        );
+        assert_ne!(r.timeline.last().map(|s| s.phase), Some("Normal"));
     }
 }
 

@@ -16,7 +16,7 @@
 //! resize, PCU warp-cap update, frequency derate, recovery
 //! ([`TelemetryEvent::ThermalWarningCleared`]) — carry the same id, so
 //! the whole warning → action → effect chain is reconstructible from a
-//! JSONL timeline alone (see [`crate::analysis`]).
+//! JSONL timeline alone.
 //!
 //! The JSONL encoding is a flat object per line —
 //! `{"kind":"TokenPoolResize","t_ps":1200,...}` — via [`crate::json`] so
@@ -276,7 +276,7 @@ impl TelemetryEvent {
     }
 
     /// The warning episode this event belongs to, if any — the causal
-    /// thread the analysis layer follows.
+    /// thread through a trace.
     pub fn warning_id(&self) -> Option<u64> {
         match *self {
             TelemetryEvent::ThermalWarningRaised { warning_id, .. }
@@ -293,8 +293,8 @@ impl TelemetryEvent {
     /// warning-triggered token-pool shrink (SW-DynT) or a warp-cap update
     /// (HW-DynT). Neither the `init` sizing nor a `stale_cancelled`
     /// resize (which leaves the pool unchanged) is an action. The co-sim
-    /// loop's `throttle_steps` and `warning_to_action_ps`, and
-    /// [`crate::analysis::analyze`], all count by this rule.
+    /// loop's `throttle_steps` and `warning_to_action_ps` count by this
+    /// rule.
     pub fn throttle_action(&self) -> Option<(u64, Option<u64>)> {
         match *self {
             TelemetryEvent::TokenPoolResize {

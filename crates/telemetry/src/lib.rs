@@ -17,13 +17,13 @@
 //!   tests), [`JsonlSink`] and [`RotatingJsonlSink`] (file streams);
 //!   without a sink an emit costs one branch;
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
-//!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
+//!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`] — the
+//!   co-simulator folds the control loop's KPIs (warning→action
+//!   latency, overshoot, derated time, headroom) into it, so a run
+//!   record is also the loop's report;
 //! * [`json`] — the flat-JSON writer behind the JSONL stream, the
 //!   metrics serializer and run records, and the one JSON reader
 //!   ([`json::parse_json`], with [`json::parse_flat_object`] on top);
-//! * [`analysis`] — control-loop KPIs derived from an event stream:
-//!   warning→action latency, overshoot °C·s, derated time, token-pool
-//!   oscillation, thermal-headroom utilization;
 //! * [`flight`] — the spatial flight recorder: a no-alloc ring of epoch
 //!   records with their per-vault samples ([`FlightRecorder`]), dumped
 //!   on thermal anomalies as versioned post-mortem bundles
@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod event;
 pub mod flight;
 pub mod json;
@@ -67,7 +66,6 @@ pub mod stats;
 pub mod tolerance;
 pub mod tracer;
 
-pub use analysis::{ControlLoopReport, LatencyStats};
 pub use event::{EpochRecord, TelemetryEvent};
 pub use flight::{FlightFrame, FlightRecorder, PostmortemBundle, VaultSample};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};

@@ -3,14 +3,15 @@
 //! `warning_id` matching a previously raised thermal warning, with
 //! non-negative warning→action latency in simulation time — i.e. the
 //! whole feedback chain is reconstructible from the event stream alone.
+//! The run's own metrics must agree: no orphan actions, and the
+//! warning→action latency of each policy's throttling path.
 
 use coolpim::prelude::*;
-use coolpim::telemetry::analysis::analyze;
 use coolpim::telemetry::RecordingSink;
 
 /// Records one hot run (tiny GPU, lowered threshold so the loop
-/// engages) under `policy` and returns its event stream.
-fn recorded_run(policy: Policy) -> Vec<TelemetryEvent> {
+/// engages) under `policy` and returns its event stream and result.
+fn recorded_run(policy: Policy) -> (Vec<TelemetryEvent>, CoSimResult) {
     let cfg = CoSimConfig {
         gpu: GpuConfig::tiny(),
         warning_threshold_c: 30.0,
@@ -19,10 +20,10 @@ fn recorded_run(policy: Policy) -> Vec<TelemetryEvent> {
     let g = GraphSpec::test_medium().build();
     let mut k = make_kernel(Workload::PageRank, &g);
     let (sink, log) = RecordingSink::new();
-    CoSim::new(policy, cfg)
+    let r = CoSim::new(policy, cfg)
         .with_telemetry(Telemetry::with_sink(Box::new(sink)))
         .run(k.as_mut());
-    log.snapshot()
+    (log.snapshot(), r)
 }
 
 /// (warning_id, raise time) of every `ThermalWarningRaised`.
@@ -38,8 +39,10 @@ fn raises(events: &[TelemetryEvent]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn assert_chain_is_causal(policy: Policy) -> Vec<TelemetryEvent> {
-    let events = recorded_run(policy);
+/// Checks the chain in the events and returns the run's action-latency
+/// p50 (ps) from its metrics.
+fn assert_chain_is_causal(policy: Policy) -> u64 {
+    let (events, r) = recorded_run(policy);
     let raised = raises(&events);
     assert!(
         !raised.is_empty(),
@@ -82,38 +85,30 @@ fn assert_chain_is_causal(policy: Policy) -> Vec<TelemetryEvent> {
             assert!(t_ps >= *t_raise, "delivery precedes its raise");
         }
     }
-    events
+    assert_eq!(r.metrics.counter("orphan_actions"), 0);
+    let latency = r
+        .metrics
+        .histogram("warning_to_action_ps")
+        .unwrap_or_else(|| panic!("{}: no action latency measured", policy.name()));
+    assert_eq!(latency.count, acts.len() as u64);
+    latency.p50
 }
 
 #[test]
 fn sw_dynt_actions_cite_their_warnings() {
-    let events = assert_chain_is_causal(Policy::CoolPimSw);
-    let report = analyze(&events);
-    assert_eq!(report.orphan_actions, 0);
-    assert!(report.actions >= 1);
-    assert!(report.action_latency.count >= 1);
+    let p50 = assert_chain_is_causal(Policy::CoolPimSw);
     // SW-DynT reacts no faster than its 0.1 ms interrupt path.
     assert!(
-        report.action_latency.p50_ps as f64 >= 1e8,
-        "SW p50 {} ps below the software throttling delay",
-        report.action_latency.p50_ps
+        p50 as f64 >= 1e8,
+        "SW p50 {p50} ps below the software throttling delay"
     );
 }
 
 #[test]
 fn hw_dynt_actions_cite_their_warnings_and_react_faster() {
-    let hw_events = assert_chain_is_causal(Policy::CoolPimHw);
-    let hw = analyze(&hw_events);
-    assert_eq!(hw.orphan_actions, 0);
-
-    let sw = analyze(&assert_chain_is_causal(Policy::CoolPimSw));
-    // The paper's core latency claim, measured from the traces alone:
-    // the PCU path reacts orders of magnitude faster than the
-    // interrupt-handler path.
-    assert!(
-        hw.action_latency.p50_ps < sw.action_latency.p50_ps,
-        "HW p50 {} ps must beat SW p50 {} ps",
-        hw.action_latency.p50_ps,
-        sw.action_latency.p50_ps
-    );
+    let hw = assert_chain_is_causal(Policy::CoolPimHw);
+    let sw = assert_chain_is_causal(Policy::CoolPimSw);
+    // The paper's core latency claim: the PCU path reacts orders of
+    // magnitude faster than the interrupt-handler path.
+    assert!(hw < sw, "HW p50 {hw} ps must beat SW p50 {sw} ps");
 }
